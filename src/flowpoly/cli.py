@@ -576,13 +576,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    start = time.time()
+    start = time.perf_counter()
     try:
         report = args.func(args)
     except (ParseError, MethodUnavailable, TooLarge, gr.BadParameters, gr.InvalidGraph, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.wall_time = time.time() - start
+    report.wall_time = time.perf_counter() - start
 
     if args.format == "json":
         payload = report.to_json()

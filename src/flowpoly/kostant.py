@@ -37,48 +37,70 @@ def _alpha_or_none(v: Sequence[int], n: int) -> tuple[int, ...] | None:
     return coords
 
 
-def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
-    """K_G(v), the number of vector partitions of v into the roots of G.
+class KostantEvaluator:
+    """K_G(v) for any number of net-flow vectors v on one graph g.
 
     Depth-first over distinct roots in (source, target) order, choosing a
     total count per root; a root of multiplicity mu used c times counts
     multichoose(mu, c) ways.  A column no remaining root can touch must
-    already have residual zero, which prunes hard.  Memoized per call on
-    (root index, residual suffix).
+    already have residual zero, which prunes hard.
+
+    Memoized on (root index, residual suffix).  That key names a DFS state
+    of g alone, whatever vector led to it, so one memo serves every vector
+    asked of this evaluator; it lives as long as the evaluator does.  Once
+    the memo holds `memo_cap` entries, further states are computed but not
+    stored, and `uncached` counts them, so a caller can tell that the cap
+    was hit.
     """
-    coords = _alpha_or_none(v, g.n)
-    if coords is None:
-        return 0
-    roots = _root_intervals(g)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
     memo_cap = 1 << 20
 
-    def solve(idx: int, residual: tuple[int, ...]) -> int:
-        # columns before the current root's start are now untouchable
-        lo = roots[idx][0] - 1 if idx < len(roots) else len(residual)
-        if any(residual[p] for p in range(lo)):
-            return 0
-        if idx == len(roots):
-            return 1
-        key = (idx, residual[lo:])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        a, b, mult = roots[idx]
-        cap = min(residual[a - 1 : b])
-        total = 0
-        for c in range(cap + 1):
-            nxt = tuple(
-                r - c if a - 1 <= p < b else r for p, r in enumerate(residual)
-            )
-            sub = solve(idx + 1, nxt)
-            if sub:
-                total += multichoose(mult, c) * sub
-        if len(memo) < memo_cap:
-            memo[key] = total
-        return total
+    def __init__(self, g: DirectedMultigraph) -> None:
+        self._n = g.n
+        self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.uncached = 0
+        roots = _root_intervals(g)
+        memo = self.memo
 
-    return solve(0, coords)
+        def solve(idx: int, residual: tuple[int, ...]) -> int:
+            # columns before the current root's start are now untouchable
+            lo = roots[idx][0] - 1 if idx < len(roots) else len(residual)
+            if any(residual[:lo]):
+                return 0
+            if idx == len(roots):
+                return 1
+            key = (idx, residual[lo:])
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            a, b, mult = roots[idx]
+            head, mid, tail = residual[: a - 1], residual[a - 1 : b], residual[b:]
+            total = 0
+            for c in range(min(mid) + 1):
+                sub = solve(idx + 1, head + tuple(r - c for r in mid) + tail)
+                if sub:
+                    total += multichoose(mult, c) * sub
+            if len(memo) < self.memo_cap:
+                memo[key] = total
+            else:
+                self.uncached += 1
+            return total
+
+        self._solve = solve
+
+    def __call__(self, v: Sequence[int]) -> int:
+        coords = _alpha_or_none(v, self._n)
+        if coords is None:
+            return 0
+        return self._solve(0, coords)
+
+
+def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
+    """K_G(v), the number of vector partitions of v into the roots of G.
+
+    A one-shot KostantEvaluator: its memo starts empty and ends with the call.
+    """
+    return KostantEvaluator(g)(v)
 
 
 def integral_flows(
@@ -142,17 +164,15 @@ def vector_partitions(
         idx: int, residual: tuple[int, ...]
     ) -> Iterator[tuple[tuple[tuple[int, int], int], ...]]:
         lo = roots[idx][0] - 1 if idx < len(roots) else len(residual)
-        if any(residual[p] for p in range(lo)):
+        if any(residual[:lo]):
             return
         if idx == len(roots):
             yield ()
             return
         a, b, _ = roots[idx]
-        cap = min(residual[a - 1 : b])
-        for c in range(cap + 1):
-            nxt = tuple(
-                r - c if a - 1 <= p < b else r for p, r in enumerate(residual)
-            )
+        head, mid, tail = residual[: a - 1], residual[a - 1 : b], residual[b:]
+        for c in range(min(mid) + 1):
+            nxt = head + tuple(r - c for r in mid) + tail
             for rest in rec(idx + 1, nxt):
                 yield (((a, b + 1), c),) + rest if c else rest
 

@@ -13,9 +13,9 @@ for the source.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .combinat import binomial, dominating_compositions, multinomial
+from .combinat import binomial, dominating_compositions, exact_div, multinomial
 from .graphs import (
     DirectedMultigraph,
     shifted_indegree,
@@ -24,7 +24,7 @@ from .graphs import (
     v_in,
     v_out,
 )
-from .kostant import kostant
+from .kostant import KostantEvaluator, kostant
 
 
 class InternalMismatch(AssertionError):
@@ -42,11 +42,6 @@ def _check_netflow(g: DirectedMultigraph, a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _kostant_shifted(g: DirectedMultigraph, s: Sequence[int], t: Sequence[int]) -> int:
-    vec = tuple(si - ti for si, ti in zip(s, t)) + (0,)
-    return kostant(g, vec)
-
-
 def _gmultichoose(n: int, k: int) -> int:
     """Generalized multichoose n(n+1)...(n+k-1)/k!, valid for any integer n.
 
@@ -57,64 +52,61 @@ def _gmultichoose(n: int, k: int) -> int:
     num = 1
     for step in range(k):
         num *= n + step
-    return num // math.factorial(k)
+    return exact_div(num, math.factorial(k))
+
+
+def _lidskii_sum(g: DirectedMultigraph, weight: Callable[..., int]) -> int:
+    """Sum of weight(s, t) * K_G(s - t, 0) over the compositions s dominating t,
+    all K values from one evaluator; a zero weight skips its K evaluation."""
+    t = shifted_outdegree(g)
+    evaluate = KostantEvaluator(g)
+    total = 0
+    for s in dominating_compositions(t):
+        w = weight(s, t)
+        if w:
+            total += w * evaluate(tuple(si - ti for si, ti in zip(s, t)) + (0,))
+    return total
 
 
 def volume(g: DirectedMultigraph, a: Sequence[int]) -> int:
     """Normalized volume of the flow polytope of g with net flow a.
 
     Terms with a zero net-flow entry raised to a positive power vanish and
-    are skipped before the Kostant call (0^0 = 1).
+    are skipped before any Kostant work (0^0 = 1).
     """
     a = _check_netflow(g, a)
-    t = shifted_outdegree(g)
-    m, n = g.num_edges, g.n
-    total = 0
-    for s in dominating_compositions(t):
-        weight = 1
-        for ai, si in zip(a, s):
-            if si:
-                weight *= ai**si
-                if not weight:
-                    break
-        if not weight:
-            continue
-        total += multinomial(m - n, s) * weight * _kostant_shifted(g, s, t)
-    return total
+    d = g.num_edges - g.n
+
+    def weight(s: tuple[int, ...], t: tuple[int, ...]) -> int:
+        power = math.prod(ai**si for ai, si in zip(a, s))
+        return power and multinomial(d, s) * power
+
+    return _lidskii_sum(g, weight)
 
 
 def lattice_points_binomial(g: DirectedMultigraph, a: Sequence[int]) -> int:
     """Number of lattice points of the flow polytope, via the binomial form."""
     a = _check_netflow(g, a)
-    t = shifted_outdegree(g)
-    total = 0
-    for s in dominating_compositions(t):
-        weight = math.prod(
-            binomial(ai + ti, si) for ai, ti, si in zip(a, t, s)
-        )
-        if weight:
-            total += weight * _kostant_shifted(g, s, t)
-    return total
+    return _lidskii_sum(
+        g,
+        lambda s, t: math.prod(binomial(ai + ti, si) for ai, ti, si in zip(a, t, s)),
+    )
 
 
 def lattice_points_multiset(g: DirectedMultigraph, a: Sequence[int]) -> int:
     """Number of lattice points of the flow polytope, via the multiset form."""
     a = _check_netflow(g, a)
-    t = shifted_outdegree(g)
     u = (-1,) + shifted_indegree(g)[: g.n - 1]
-    total = 0
-    for s in dominating_compositions(t):
-        weight = math.prod(
-            _gmultichoose(ai - ui, si) for ai, ui, si in zip(a, u, s)
-        )
-        if weight:
-            total += weight * _kostant_shifted(g, s, t)
-    return total
+    return _lidskii_sum(
+        g,
+        lambda s, t: math.prod(_gmultichoose(ai - ui, si) for ai, ui, si in zip(a, u, s)),
+    )
 
 
 def volume_unit_flow(g: DirectedMultigraph) -> int:
     """Volume at net flow (1, 0, ..., 0, -1), by Kostant evaluation of both
-    the out-degree and the in-degree vector; the two must agree."""
+    the out-degree and the in-degree vector; the two must agree.  Each of
+    the three values has its own evaluator, so no check shares a memo."""
     out_count = kostant(g, v_out(g))
     in_count = kostant(g, v_in(g))
     if out_count != in_count:

@@ -6,7 +6,8 @@ import pytest
 from flowpoly import combinat as C
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
-from flowpoly.kostant import integral_flows, kostant
+from flowpoly.kostant import KostantEvaluator, integral_flows, kostant
+from flowpoly.unified import volume_closed_form
 
 
 def test_volume_examples():
@@ -113,3 +114,37 @@ def test_lattice_point_forms_larger_graphs():
         want = kostant(g, a)
         assert L.lattice_points_binomial(g, a) == want
         assert L.lattice_points_multiset(g, a) == want
+
+
+def test_ones_flow_volume_caracol_8_3():
+    g = G.caracol_k(8, 3)
+    assert L.volume(g, G.ones_flow(g)) == volume_closed_form(8, 3, 1, 1)
+
+
+def test_memo_cap_keeps_every_value_exact(monkeypatch):
+    """With the memo cap shrunk to a handful of entries, a full Lidskii sum
+    takes the uncached path for most states and must still be exact."""
+    g = G.caracol_k(6, 2)
+    a = tuple(range(1, g.n + 1)) + (-sum(range(1, g.n + 1)),)
+    want = L.volume(g, a)
+    evaluators, values = [], []
+
+    class TinyMemo(KostantEvaluator):
+        memo_cap = 8
+
+        def __init__(self, graph):
+            super().__init__(graph)
+            evaluators.append(self)
+
+        def __call__(self, v):
+            values.append((tuple(v), super().__call__(v)))
+            return values[-1][1]
+
+    monkeypatch.setattr(L, "KostantEvaluator", TinyMemo)
+    assert L.volume(g, a) == want
+    (ev,) = evaluators
+    assert len(ev.memo) == 8 and ev.uncached > 0
+    # every term of the sum was evaluated, since a has no zero entry
+    assert len(values) == sum(1 for _ in C.dominating_compositions(G.shifted_outdegree(g)))
+    for v, got in values:
+        assert got == kostant(g, v), v

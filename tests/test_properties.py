@@ -1,0 +1,54 @@
+"""Property tests on random small DAGs: a shared Kostant memo and the
+lattice-point forms against independent counts."""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowpoly import graphs as G
+from flowpoly import lidskii as L
+from flowpoly.kostant import KostantEvaluator, integral_flows, kostant
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def small_dags(draw) -> G.DirectedMultigraph:
+    """A valid graph on at most 7 vertices: one drawn out-edge per non-sink
+    and one drawn in-edge per non-source (so every vertex reaches the sink
+    and the graph is connected), plus up to four extra edges, parallel
+    copies allowed."""
+    nv = draw(st.integers(2, 7))
+    edges = [(v, draw(st.integers(v + 1, nv))) for v in range(1, nv)]
+    edges += [(draw(st.integers(1, v - 1)), v) for v in range(2, nv + 1)]
+    pair = st.integers(1, nv - 1).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, nv)))
+    edges += draw(st.lists(pair, max_size=4))
+    return G.from_edge_list(nv, edges)
+
+
+def netflows(g: G.DirectedMultigraph, low: int) -> st.SearchStrategy:
+    entries = st.lists(st.integers(low, 2), min_size=g.n, max_size=g.n)
+    return entries.map(lambda a: tuple(a) + (-sum(a),))
+
+
+@SETTINGS
+@given(st.data())
+def test_shared_evaluator_matches_fresh_evaluations(data):
+    g = data.draw(small_dags())
+    vectors = data.draw(st.lists(netflows(g, -1), min_size=1, max_size=8))
+    vectors += [G.v_out(g), G.v_in(g)] * 2
+    evaluate = KostantEvaluator(g)
+    for v in data.draw(st.permutations(vectors)):
+        got = evaluate(v)
+        assert got == kostant(g, v), v
+        assert got == sum(1 for _ in integral_flows(g, v)), v
+
+
+@SETTINGS
+@given(st.data())
+def test_lattice_point_forms_agree(data):
+    g = data.draw(small_dags())
+    a = data.draw(netflows(g, 0))
+    want = kostant(g, a)
+    assert L.lattice_points_binomial(g, a) == want
+    assert L.lattice_points_multiset(g, a) == want
