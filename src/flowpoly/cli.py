@@ -3,8 +3,9 @@
 Every run produces a RunReport (inputs, results, named checks); --format
 json emits it as one JSON document, text prints results followed by one
 PASS/FAIL line per check.  Exit status: 0 on success, 1 when any check
-fails, 2 on usage or parse errors.  No randomness anywhere: identical
-invocations produce identical bytes.
+fails, 2 on a usage error or an InputError; any other exception is a bug
+and propagates.  No randomness anywhere: identical invocations produce
+identical bytes.
 """
 from __future__ import annotations
 
@@ -17,19 +18,8 @@ from typing import Callable, Iterator, Sequence
 
 from . import combinat, gravity, lidskii, paths, unified
 from . import graphs as gr
+from .combinat import InputError
 from .kostant import integral_flows, kostant
-
-
-class ParseError(ValueError):
-    pass
-
-
-class MethodUnavailable(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
 
 
 @dataclass
@@ -79,50 +69,55 @@ class RunReport:
 # spec-string parsing
 
 
-def _parse_kv(body: str, spec: str) -> dict[str, int]:
+def _parse_kv(body: str, spec: str, keys: Sequence[str]) -> tuple[int, ...]:
+    """The integer values of `keys`, in order, from a "key=value,..." body."""
     out = {}
-    if not body:
-        return out
-    for field_ in body.split(","):
+    for field_ in body.split(",") if body else ():
         if "=" not in field_:
-            raise ParseError(
+            raise InputError(
                 f"bad field {field_!r} at position {spec.index(field_)} in {spec!r}"
             )
         key, _, val = field_.partition("=")
         try:
             out[key.strip()] = int(val)
         except ValueError:
-            raise ParseError(
+            raise InputError(
                 f"non-integer value {val!r} at position {spec.index(val)} in {spec!r}"
             ) from None
-    return out
+    missing = [key for key in keys if key not in out]
+    if missing:
+        raise InputError(f"{spec!r} needs {', '.join(missing)}")
+    return tuple(out[key] for key in keys)
+
+
+# graph kind -> (constructor in graphs, its spec keys in argument order).
+# Functions in these tables are looked up by name when called, so a
+# function rebound on its module (a wrapper, a monkeypatch) is the one run.
+_FAMILIES = {
+    "caracol": ("caracol_k", ("n", "k")),
+    "mcar": ("multicaracol", ("a", "k")),
+    "ps": ("pitman_stanley", ("n",)),
+    "complete": ("complete_graph", ("n",)),
+}
 
 
 def parse_graph_spec(spec: str) -> tuple[gr.DirectedMultigraph, tuple]:
     """Parse "caracol:n=7,k=2", "mcar:a=3,k=2", "ps:n=5", "complete:n=5" or
     "edges:[(1,2),(1,3)]"; returns the graph and its family tag."""
     kind, _, body = spec.partition(":")
-    if kind == "caracol":
-        kv = _parse_kv(body, spec)
-        return gr.caracol_k(kv["n"], kv["k"]), ("caracol", kv["n"], kv["k"])
-    if kind == "mcar":
-        kv = _parse_kv(body, spec)
-        return gr.multicaracol(kv["a"], kv["k"]), ("mcar", kv["a"], kv["k"])
-    if kind == "ps":
-        kv = _parse_kv(body, spec)
-        return gr.pitman_stanley(kv["n"]), ("ps", kv["n"])
-    if kind == "complete":
-        kv = _parse_kv(body, spec)
-        return gr.complete_graph(kv["n"]), ("complete", kv["n"])
     if kind == "edges":
         try:
             pairs = json.loads(body.replace("(", "[").replace(")", "]"))
             edges = [(int(i), int(j)) for i, j in pairs]
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad edge list in {spec!r}: {exc}") from None
-        num = max(max(e) for e in edges)
+            raise InputError(f"bad edge list in {spec!r}: {exc}") from None
+        num = max((max(e) for e in edges), default=0)
         return gr.from_edge_list(num, edges), ("edges",)
-    raise ParseError(f"unknown graph kind {kind!r} at position 0 in {spec!r}")
+    if kind not in _FAMILIES:
+        raise InputError(f"unknown graph kind {kind!r} at position 0 in {spec!r}")
+    make, keys = _FAMILIES[kind]
+    params = _parse_kv(body, spec, keys)
+    return getattr(gr, make)(*params), (kind, *params)
 
 
 def parse_netflow_spec(
@@ -133,38 +128,31 @@ def parse_netflow_spec(
     if spec == "ones":
         return gr.ones_flow(g)
     if spec.startswith("xy:"):
-        kv = _parse_kv(spec[3:], spec)
-        x, y = kv["x"], kv["y"]
+        x, y = _parse_kv(spec[3:], spec, ("x", "y"))
         if family[0] == "caracol":
             return gr.caracol_xy_flow(family[1], family[2], x, y)
         if family[0] == "mcar":
             return gr.mcar_xy_flow(family[1], family[2], x, y)
-        raise MethodUnavailable("xy net flows need a caracol or mcar graph")
+        raise InputError("xy net flows need a caracol or mcar graph")
     if spec.startswith("custom:"):
         try:
             entries = tuple(int(v) for v in json.loads(spec[len("custom:"):]))
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad custom net flow {spec!r}: {exc}") from None
+            raise InputError(f"bad custom net flow {spec!r}: {exc}") from None
         return entries
-    raise ParseError(f"unknown net flow spec {spec!r} at position 0")
+    raise InputError(f"unknown net flow spec {spec!r} at position 0")
 
 
 def _xy_parameters(family: tuple, a: tuple[int, ...]) -> tuple[int, int] | None:
     """Recover (x, y) when the net flow matches the family's block pattern."""
     if family[0] == "caracol":
         _, n, k = family
-        head, tail = set(a[:k]), set(a[k:n])
-        if len(head) == 1 and len(tail) <= 1:
-            return a[0], (a[k] if k < n else 0)
-        return None
-    if family[0] == "mcar":
+        if len(set(a[:k])) == 1 and len(set(a[k:n])) <= 1:
+            return a[0], a[k]
+    elif family[0] == "mcar":
         _, fam_a, k = family
-        if a[0] % k:
-            return None
-        tail = set(a[1 : fam_a + 1])
-        if len(tail) <= 1:
-            y = a[1] if fam_a >= 1 else 0
-            return a[0] // k, y
+        if a[0] % k == 0 and len(set(a[1 : fam_a + 1])) <= 1:
+            return a[0] // k, a[1]
     return None
 
 
@@ -172,46 +160,32 @@ def _xy_parameters(family: tuple, a: tuple[int, ...]) -> tuple[int, int] | None:
 # volume / kostant
 
 
+# volume method -> (its name in errors, {family: function in unified of
+# (p, k, x, y)}), for caracol and multicaracol graphs at block net flows
+_BLOCK_METHODS = {
+    "unified": ("the stratified count", {"caracol": "count_unified_stratified",
+                                         "mcar": "count_unified_stratified_mcar"}),
+    "closed": ("closed form", {"caracol": "volume_closed_form", "mcar": "volume_closed_form_mcar"}),
+}
+
+
 def cmd_volume(args: argparse.Namespace) -> RunReport:
     g, family = parse_graph_spec(args.graph)
-    a = parse_netflow_spec(args.netflow, g, family)
+    a = gr.check_netflow(g, parse_netflow_spec(args.netflow, g, family))
     report = RunReport("volume", {"graph": args.graph, "netflow": list(a)})
     methods = {}
-
-    def closed_value() -> int:
-        xy = _xy_parameters(family, a)
-        if xy is None:
-            raise MethodUnavailable(
-                f"closed form needs a caracol/mcar graph with a block net flow, got {args.graph} at {list(a)}"
-            )
-        if family[0] == "caracol":
-            return unified.volume_closed_form(family[1], family[2], *xy)
-        return unified.volume_closed_form_mcar(family[1], family[2], *xy)
-
-    def stratified_value() -> int:
-        xy = _xy_parameters(family, a)
-        if xy is None:
-            raise MethodUnavailable(
-                f"the stratified count needs a caracol/mcar graph with a block net flow, got {args.graph} at {list(a)}"
-            )
-        if family[0] == "caracol":
-            return unified.count_unified_stratified(family[1], family[2], *xy)
-        return unified.count_unified_stratified_mcar(family[1], family[2], *xy)
-
     if args.method in ("lidskii", "all"):
         methods["lidskii"] = lidskii.volume(g, a)
-    if args.method in ("unified", "all"):
-        try:
-            methods["unified"] = stratified_value()
-        except MethodUnavailable:
-            if args.method == "unified":
-                raise
-    if args.method in ("closed", "all"):
-        try:
-            methods["closed"] = closed_value()
-        except MethodUnavailable:
-            if args.method == "closed":
-                raise
+    xy = _xy_parameters(family, a)
+    for method, (what, by_family) in _BLOCK_METHODS.items():
+        if args.method not in (method, "all"):
+            continue
+        if xy is not None:
+            methods[method] = getattr(unified, by_family[family[0]])(*family[1:], *xy)
+        elif args.method == method:
+            raise InputError(
+                f"{what} needs a caracol/mcar graph with a block net flow, got {args.graph} at {list(a)}"
+            )
     report.results.update(methods)
     report.results["volume"] = next(iter(methods.values()))
     if len(methods) > 1:
@@ -228,11 +202,11 @@ def cmd_kostant(args: argparse.Namespace) -> RunReport:
         try:
             v = tuple(int(x) for x in json.loads(args.vector))
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad vector {args.vector!r}: {exc}") from None
+            raise InputError(f"bad vector {args.vector!r}: {exc}") from None
     elif args.netflow:
         v = parse_netflow_spec(args.netflow, g, family)
     else:
-        raise ParseError("kostant needs --vector or --netflow")
+        raise InputError("kostant needs --vector or --netflow")
     report = RunReport("kostant", {"graph": args.graph, "vector": list(v)})
     report.results["kostant"] = kostant(g, v)
     return report
@@ -255,10 +229,8 @@ def cmd_tables(args: argparse.Namespace) -> RunReport:
         report.results["rendered"] = _render_table(
             rows, f"{k}-parking triangle", args.format
         )
-    elif args.kind == "gravity-counts":
+    else:
         nmax = args.nmax
-        if args.family != "caracol":
-            raise ParseError(f"unknown table family {args.family!r}")
         rows = []
         for n in range(2, nmax + 1):
             rows.append([gravity.count_gravity(n, k) for k in range(1, n)])
@@ -267,8 +239,6 @@ def cmd_tables(args: argparse.Namespace) -> RunReport:
         report.results["rendered"] = _render_table(
             rows, "gravity-diagram counts (rows n=2.., columns k=1..)", args.format
         )
-    else:
-        raise ParseError(f"unknown table kind {args.kind!r}")
     return report
 
 
@@ -362,23 +332,24 @@ def _suite_lidskii(report: RunReport, entries: int) -> None:
 
 
 def _suite_simplex(report: RunReport, total: int, k: int) -> None:
-    count = 0
+    if total < 0 or k < 2:
+        raise InputError(f"the simplex suite needs N >= 0 and k >= 2, got N={total}, k={k}")
+    count, off = 0, []
     for c0 in combinat.weak_compositions(total, k):
-        blocks = unified.simplex_partition(c0)
+        blocks = unified.simplex_partition(c0)  # asserts a disjoint full cover
         got = sum(
             combinat.multinomial(total, d) for _, members in blocks for d in members
         )
         if got != k**total:
-            report.check(f"multinomial total at {c0}", k**total, got)
+            off.append(list(c0))
         count += 1
-    report.check(
-        f"disjoint covers for all {count} base points (N={total}, k={k})", True, True
-    )
-    report.check("block totals sum to k^N", k**total, k**total)
+    covers = f"disjoint covers for all base points (N={total}, k={k})"
+    report.check(covers, combinat.binomial(total + k - 1, k - 1), count)
+    report.check("base points whose block totals differ from k^N", [], off)
 
 
 def _suite_orbits(report: RunReport, n: int, k: int) -> None:
-    m = (k + 1) * (n - k) + n - 2
+    m = gr.caracol_k(n, k).num_edges  # rejects n <= k, which would run no check
     for i in range(n - k):
         orbits = unified.truncated_orbits(n, k, i)
         ok = True
@@ -413,21 +384,21 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 # enumeration
 
 
-def _dyck_count(t: Sequence[int]) -> int:
-    heights = {0: 1}
-    total = sum(t)
-    floor = 0
-    for tj in t:
-        floor += tj
-        nxt: dict[int, int] = {}
-        for h, ways in heights.items():
-            for h2 in range(max(h, floor), total + 1):
-                nxt[h2] = nxt.get(h2, 0) + ways
-        heights = nxt
-    return heights.get(total, 0)
+# the options each object needs; dyck takes --t in place of --a and --b
+_ENUMERATE_NEEDS = {
+    "gravity": ("n", "k"),
+    "dyck": ("a", "b"),
+    "multilabeled": ("k", "r", "i"),
+    "truncated": ("n", "k", "i"),
+    "unified": ("graph", "netflow"),
+}
 
 
 def cmd_enumerate(args: argparse.Namespace) -> RunReport:
+    needs = () if args.object == "dyck" and args.t else _ENUMERATE_NEEDS[args.object]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise InputError(f"enumerate {args.object} needs {', '.join(missing)}")
     report = RunReport("enumerate", {"object": args.object})
     items: Iterator
     estimated: int
@@ -440,21 +411,22 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
             items = gravity.enumerate_in_gravity(n, k)
         elif args.kind == "out":
             items = gravity.enumerate_out_gravity(n, k)
-        elif args.kind == "mcar-out":
-            items = gravity.enumerate_out_gravity_mcar(n, k)
         else:
-            raise ParseError(f"unknown gravity kind {args.kind!r}")
+            items = gravity.enumerate_out_gravity_mcar(n, k)
         estimated = gravity.count_gravity(n + k, k) if args.kind == "mcar-out" else gravity.count_gravity(n, k)
         to_text = gravity.render_text
         to_json_line = lambda d: d.to_json()
         report.inputs.update({"kind": args.kind, "n": n, "k": k})
     elif args.object == "dyck":
         if args.t:
-            t = tuple(int(x) for x in args.t.split(","))
+            try:
+                t = tuple(int(x) for x in args.t.split(","))
+            except ValueError:
+                raise InputError(f"bad --t {args.t!r}: expected comma-separated integers") from None
         else:
             t = paths.rational_shape(args.a, args.b)
         items = paths.enumerate_t_dyck(t)
-        estimated = _dyck_count(t)
+        estimated = combinat.count_dominating(t)
         to_text = lambda p: f"{p.word()}  shape={p.shape}"
         to_json_line = lambda p: p.to_json()
         report.inputs.update({"t": list(t)})
@@ -472,22 +444,20 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
         to_text = unified.render_truncated_text
         to_json_line = lambda u: u.to_json()
         report.inputs.update({"n": n, "k": k, "i": i})
-    elif args.object == "unified":
+    else:  # unified
         g, family = parse_graph_spec(args.graph)
         a = parse_netflow_spec(args.netflow, g, family)
         items = unified.unified_diagrams(g, a)
-        estimated = unified.count_unified(g, a)
+        estimated = lidskii.volume(g, a)
         to_text = lambda q: f"s={q[0]} sigma={q[1]} alpha={q[2]} flow={q[3]}"
         to_json_line = lambda q: json.dumps(
             {"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]},
             default=list,
         )
         report.inputs.update({"graph": args.graph, "netflow": list(a)})
-    else:
-        raise ParseError(f"unknown object {args.object!r}")
 
     if estimated > args.cap:
-        raise TooLarge(
+        raise InputError(
             f"would emit {estimated} items, more than the cap {args.cap}; raise --cap"
         )
     render = to_json_line if args.render == "json" else to_text
@@ -535,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--k", type=int, default=2)
     p_tab.add_argument("--rmax", type=int, default=5)
     p_tab.add_argument("--nmax", type=int, default=7)
-    p_tab.add_argument("--family", default="caracol")
+    p_tab.add_argument("--family", choices=("caracol",), default="caracol")
     p_tab.set_defaults(func=cmd_tables)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run invariant suites at desk scale")
@@ -554,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "object", choices=("gravity", "dyck", "unified", "truncated", "multilabeled")
     )
-    p_enum.add_argument("--kind", default="out", help="gravity kind: in|out|mcar-out")
+    p_enum.add_argument("--kind", choices=("in", "out", "mcar-out"), default="out")
     p_enum.add_argument("--n", type=int)
     p_enum.add_argument("--k", type=int)
     p_enum.add_argument("--r", type=int)
@@ -579,7 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report = args.func(args)
-    except (ParseError, MethodUnavailable, TooLarge, gr.BadParameters, gr.InvalidGraph, KeyError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_time = time.perf_counter() - start

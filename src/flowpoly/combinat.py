@@ -10,22 +10,26 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 
-class LengthMismatch(ValueError):
+class InputError(ValueError):
+    """A bad argument from outside the package; every validator raises it."""
+
+
+class LengthMismatch(InputError):
     pass
 
 
-class SumMismatch(ValueError):
+class SumMismatch(InputError):
     pass
 
 
 class NonIntegral(ValueError):
-    pass
+    """An exact division left a remainder: a broken invariant, not bad input."""
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n, and an error on negative arguments."""
     if n < 0 or k < 0:
-        raise ValueError(f"binomial needs nonnegative arguments, got ({n}, {k})")
+        raise InputError(f"binomial needs nonnegative arguments, got ({n}, {k})")
     if k > n:
         return 0
     return math.comb(n, k)
@@ -38,7 +42,7 @@ def multichoose(n: int, k: int) -> int:
     for k > 0.
     """
     if n < 0 or k < 0:
-        raise ValueError(f"multichoose needs nonnegative arguments, got ({n}, {k})")
+        raise InputError(f"multichoose needs nonnegative arguments, got ({n}, {k})")
     if k == 0:
         return 1
     if n == 0:
@@ -49,7 +53,7 @@ def multichoose(n: int, k: int) -> int:
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / (parts[0]! * parts[1]! * ...), requiring sum(parts) == n."""
     if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be nonnegative, got {tuple(parts)}")
+        raise InputError(f"multinomial parts must be nonnegative, got {tuple(parts)}")
     if sum(parts) != n:
         raise SumMismatch(f"multinomial parts {tuple(parts)} do not sum to {n}")
     result = 1
@@ -74,7 +78,7 @@ def rational_catalan(a: int, b: int) -> int:
     it; a fractional result raises NonIntegral rather than rounding.
     """
     if a < 1 or b < 1:
-        raise ValueError(f"rational_catalan needs a, b >= 1, got ({a}, {b})")
+        raise InputError(f"rational_catalan needs a, b >= 1, got ({a}, {b})")
     return exact_div(math.comb(a + b, a), a + b)
 
 
@@ -92,9 +96,9 @@ def k_parking_number(k: int, r: int, i: int) -> int:
     of parking functions of length r.
     """
     if k < 1:
-        raise ValueError(f"k_parking_number needs k >= 1, got {k}")
+        raise InputError(f"k_parking_number needs k >= 1, got {k}")
     if not 0 <= i <= r:
-        raise ValueError(f"k_parking_number needs 0 <= i <= r, got i={i}, r={r}")
+        raise InputError(f"k_parking_number needs 0 <= i <= r, got i={i}, r={r}")
     mc = multichoose(k * (r + 1), r - i)
     if i == 0:
         return exact_div(mc, r + 1)
@@ -169,6 +173,22 @@ def dominating_compositions(t: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     yield from rec(0, 0, ())
+
+
+def count_dominating(t: Sequence[int]) -> int:
+    """The number of compositions dominating t, without listing them: a
+    dynamic program over the running prefix sum."""
+    total = sum(t)
+    heights = {0: 1}
+    floor = 0
+    for tj in t:
+        floor += tj
+        nxt: dict[int, int] = {}
+        for h, ways in heights.items():
+            for h2 in range(max(h, floor), total + 1):
+                nxt[h2] = nxt.get(h2, 0) + ways
+        heights = nxt
+    return heights.get(total, 0)
 
 
 def compositions_dominating_prefixes(

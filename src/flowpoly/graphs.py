@@ -9,12 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .combinat import InputError, prefix_sums
 
-class InvalidGraph(ValueError):
+
+class InvalidGraph(InputError):
     pass
 
 
-class BadParameters(ValueError):
+class BadParameters(InputError):
+    pass
+
+
+class SumNonzero(InputError):
     pass
 
 
@@ -194,16 +200,20 @@ def v_in(g: DirectedMultigraph) -> tuple[int, ...]:
     return (0,) + u[:-1] + (u[-1] - (m - n),)
 
 
-def alpha_coordinates(v: Sequence[int]) -> tuple[int, ...]:
-    """Coefficients c with v = sum c_j * (e_j - e_{j+1}); requires sum(v) = 0."""
+def check_netflow(g: DirectedMultigraph, v: Sequence[int]) -> tuple[int, ...]:
+    """v as a tuple, once it has one entry per vertex of g and sums to zero."""
+    v = tuple(v)
+    if len(v) != g.num_vertices:
+        raise InputError(f"net flow must have {g.num_vertices} entries, got {len(v)}")
     if sum(v) != 0:
-        raise ValueError(f"vector {tuple(v)} does not sum to zero")
-    total = 0
-    coords = []
-    for x in v[:-1]:
-        total += x
-        coords.append(total)
-    return tuple(coords)
+        raise SumNonzero(f"net flow {v} does not sum to zero")
+    return v
+
+
+def alpha_coordinates(v: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients c with v = sum c_j * (e_j - e_{j+1}), for a v that sums
+    to zero (see check_netflow)."""
+    return prefix_sums(v[:-1])
 
 
 def from_alpha_coordinates(coords: Sequence[int]) -> tuple[int, ...]:

@@ -24,11 +24,11 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .combinat import rational_catalan
+from .combinat import InputError, rational_catalan
 from .paths import TDyckPath, rational_shape
 
 
-class MalformedDiagram(ValueError):
+class MalformedDiagram(InputError):
     pass
 
 
@@ -83,7 +83,7 @@ def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     one needs i <= (j_i - k)k - 1 free dots in its leftmost column.
     """
     if not (n > k >= 1):
-        raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
 
     def rec(col: int, row: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if col > n - 1:
@@ -117,7 +117,7 @@ def enumerate_out_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     `segments`.
     """
     if not (n > k >= 1):
-        raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
     rows = n - k - 1
 
     def rec(i: int, prev: tuple[int, int], acc: list) -> Iterator[tuple]:
@@ -253,14 +253,11 @@ def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
 
 def in_out_correspondence(n: int, k: int) -> list[tuple[GravityDiagram, GravityDiagram]]:
     """Pair each out-degree diagram with the in-degree diagram that shares
-    its rational Dyck path; a perfect matching."""
+    its rational Dyck path; a perfect matching, or an AssertionError."""
     by_path = {psi_in(d).shape: d for d in enumerate_in_gravity(n, k)}
-    pairs = []
-    for d in enumerate_out_gravity(n, k):
-        shape = psi_out(d).shape
-        pairs.append((d, by_path.pop(shape)))
-    if by_path:
-        raise MalformedDiagram("correspondence is not a perfect matching")
+    pairs = [(d, by_path.pop(psi_out(d).shape, None)) for d in enumerate_out_gravity(n, k)]
+    if by_path or any(partner is None for _, partner in pairs):
+        raise AssertionError(f"the ({n},{k}) correspondence is not a perfect matching")
     return pairs
 
 
@@ -273,7 +270,7 @@ def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     graph: rows 1..a-1 from the top, row i holding [0, c_i] with
     c_i <= a-1-i, lengths descending and colours ascending on ties."""
     if a < 1 or k < 1:
-        raise ValueError(f"need a, k >= 1, got a={a}, k={k}")
+        raise InputError(f"need a, k >= 1, got a={a}, k={k}")
     rows = a - 1
 
     def rec(i: int, prev: tuple[int, int], acc: list) -> Iterator[tuple]:

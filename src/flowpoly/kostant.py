@@ -8,14 +8,12 @@ serves as the ground truth the rest of the package is checked against.
 """
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Sequence
 
 from .combinat import multichoose, weak_compositions
-from .graphs import DirectedMultigraph, alpha_coordinates
-
-
-class SumNonzero(ValueError):
-    pass
+# SumNonzero is re-exported: callers of kostant() catch it from here
+from .graphs import DirectedMultigraph, SumNonzero, alpha_coordinates, check_netflow
 
 
 def _root_intervals(g: DirectedMultigraph) -> list[tuple[int, int, int]]:
@@ -26,43 +24,34 @@ def _root_intervals(g: DirectedMultigraph) -> list[tuple[int, int, int]]:
     return [(i, j - 1, mult) for (i, j), mult in g.distinct_edges()]
 
 
-def _alpha_or_none(v: Sequence[int], n: int) -> tuple[int, ...] | None:
-    if len(v) != n + 1:
-        raise ValueError(f"net flow must have {n + 1} entries, got {len(v)}")
-    if sum(v) != 0:
-        raise SumNonzero(f"net flow {tuple(v)} does not sum to zero")
-    coords = alpha_coordinates(v)
-    if any(c < 0 for c in coords):
-        return None
-    return coords
-
-
 class KostantEvaluator:
     """K_G(v) for any number of net-flow vectors v on one graph g.
 
     Depth-first over distinct roots in (source, target) order, choosing a
     total count per root; a root of multiplicity mu used c times counts
     multichoose(mu, c) ways.  A column no remaining root can touch must
-    already have residual zero, which prunes hard.
+    already have residual zero, which prunes hard.  `count(idx, residual)`
+    is the number of ways to finish a DFS state with roots idx, idx+1, ...
 
     Memoized on (root index, residual suffix).  That key names a DFS state
     of g alone, whatever vector led to it, so one memo serves every vector
-    asked of this evaluator; it lives as long as the evaluator does.  Once
-    the memo holds `memo_cap` entries, further states are computed but not
-    stored, and `uncached` counts them, so a caller can tell that the cap
-    was hit.
+    asked of this evaluator; it is freed when the evaluator is.  Once the
+    memo holds `memo_cap` entries (read at construction), further states
+    are computed but not stored, and `uncached` counts them, so a caller
+    can tell that the cap was hit.
     """
 
     memo_cap = 1 << 20
 
     def __init__(self, g: DirectedMultigraph) -> None:
-        self._n = g.n
+        self._g = g
         self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
         self.uncached = 0
-        roots = _root_intervals(g)
-        memo = self.memo
+        self.roots = roots = _root_intervals(g)
+        memo, cap = self.memo, self.memo_cap
+        me = weakref.proxy(self)  # a strong reference would put self in a cycle
 
-        def solve(idx: int, residual: tuple[int, ...]) -> int:
+        def count(idx: int, residual: tuple[int, ...]) -> int:
             # columns before the current root's start are now untouchable
             lo = roots[idx][0] - 1 if idx < len(roots) else len(residual)
             if any(residual[:lo]):
@@ -77,22 +66,27 @@ class KostantEvaluator:
             head, mid, tail = residual[: a - 1], residual[a - 1 : b], residual[b:]
             total = 0
             for c in range(min(mid) + 1):
-                sub = solve(idx + 1, head + tuple(r - c for r in mid) + tail)
+                sub = count(idx + 1, head + tuple(r - c for r in mid) + tail)
                 if sub:
                     total += multichoose(mult, c) * sub
-            if len(memo) < self.memo_cap:
+            if len(memo) < cap:
                 memo[key] = total
             else:
-                self.uncached += 1
+                me.uncached += 1
             return total
 
-        self._solve = solve
+        self.count = count
+
+    def __del__(self) -> None:
+        # `count` reaches itself through its closure cell, a cycle that only
+        # the cyclic collector would free; emptying the memo frees it now
+        self.memo.clear()
 
     def __call__(self, v: Sequence[int]) -> int:
-        coords = _alpha_or_none(v, self._n)
-        if coords is None:
+        coords = alpha_coordinates(check_netflow(self._g, v))
+        if any(c < 0 for c in coords):
             return 0
-        return self._solve(0, coords)
+        return self.count(0, coords)
 
 
 def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
@@ -112,10 +106,7 @@ def integral_flows(
     processed left to right; at each one the available inflow plus supply
     is split over its out-edges.
     """
-    if sum(a) != 0:
-        raise SumNonzero(f"net flow {tuple(a)} does not sum to zero")
-    if len(a) != g.n + 1:
-        raise ValueError(f"net flow must have {g.n + 1} entries, got {len(a)}")
+    a = check_netflow(g, a)
     edges = g.edges
     out_slots: dict[int, list[int]] = {}
     for pos, (i, _) in enumerate(edges):
@@ -153,19 +144,15 @@ def vector_partitions(
     Parallel copies of an edge are not distinguished here: each distinct
     root carries one count.  For simple graphs the number of partitions is
     kostant(g, v); these are the canonical gravity-diagram class
-    representatives for an arbitrary graph.
+    representatives for an arbitrary graph.  The walk follows the Kostant
+    DFS and enters only the states that the evaluator counts as nonzero.
     """
-    coords = _alpha_or_none(v, g.n)
-    if coords is None:
-        return
-    roots = _root_intervals(g)
+    evaluate = KostantEvaluator(g)
+    roots = evaluate.roots
 
     def rec(
         idx: int, residual: tuple[int, ...]
     ) -> Iterator[tuple[tuple[tuple[int, int], int], ...]]:
-        lo = roots[idx][0] - 1 if idx < len(roots) else len(residual)
-        if any(residual[:lo]):
-            return
         if idx == len(roots):
             yield ()
             return
@@ -173,7 +160,9 @@ def vector_partitions(
         head, mid, tail = residual[: a - 1], residual[a - 1 : b], residual[b:]
         for c in range(min(mid) + 1):
             nxt = head + tuple(r - c for r in mid) + tail
-            for rest in rec(idx + 1, nxt):
-                yield (((a, b + 1), c),) + rest if c else rest
+            if evaluate.count(idx + 1, nxt):
+                for rest in rec(idx + 1, nxt):
+                    yield (((a, b + 1), c),) + rest if c else rest
 
-    yield from rec(0, coords)
+    if evaluate(v):
+        yield from rec(0, alpha_coordinates(v))

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .combinat import binomial, dominating_compositions, exact_div, multinomial
+from .combinat import InputError, binomial, dominating_compositions, exact_div, multinomial
 from .graphs import (
     DirectedMultigraph,
+    check_netflow,
     shifted_indegree,
     shifted_outdegree,
     unit_flow,
@@ -32,13 +33,9 @@ class InternalMismatch(AssertionError):
 
 
 def _check_netflow(g: DirectedMultigraph, a: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(a)
-    if len(a) != g.n + 1:
-        raise ValueError(f"net flow must have {g.n + 1} entries, got {len(a)}")
-    if sum(a) != 0:
-        raise ValueError(f"net flow {a} does not sum to zero")
+    a = check_netflow(g, a)
     if any(x < 0 for x in a[:-1]):
-        raise ValueError(f"net flow {a} has a negative entry before the sink")
+        raise InputError(f"net flow {a} has a negative entry before the sink")
     return a
 
 

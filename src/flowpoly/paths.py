@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .combinat import (
+    InputError,
     dominates,
     dominating_compositions,
     multinomial,
@@ -26,7 +27,7 @@ from .combinat import (
 )
 
 
-class NotCoprime(ValueError):
+class NotCoprime(InputError):
     pass
 
 
@@ -39,7 +40,7 @@ class TDyckPath:
 
     def __post_init__(self):
         if not dominates(self.shape, self.reference):
-            raise ValueError(f"{self.shape} does not dominate {self.reference}")
+            raise InputError(f"{self.shape} does not dominate {self.reference}")
 
     def area(self) -> int:
         """Squares between the path and the shaded reference region (unused
@@ -74,7 +75,7 @@ def rational_shape(a: int, b: int) -> tuple[int, ...]:
     so only coprimality is required.
     """
     if a < 1 or b < 1:
-        raise ValueError(f"rational_shape needs a, b >= 1, got ({a}, {b})")
+        raise InputError(f"rational_shape needs a, b >= 1, got ({a}, {b})")
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"({a}, {b}) are not coprime")
     heights = [-(-a * j // b) for j in range(b + 1)]
@@ -230,9 +231,9 @@ def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckP
     """All k-multi-labeled Dyck paths with car labels 1..i; there are
     k_parking_number(k, r, i) of them."""
     if not 0 <= i <= r:
-        raise ValueError(f"need 0 <= i <= r, got i={i}, r={r}")
+        raise InputError(f"need 0 <= i <= r, got i={i}, r={r}")
     if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+        raise InputError(f"need k >= 1, got {k}")
     staircase = (1,) * r
     for path in dominating_compositions(staircase):
         for car_counts in _capped_compositions(i, path):
@@ -272,10 +273,10 @@ def circular_park(
     exactly one None.
     """
     if len(motorcycle_prefs) != k:
-        raise ValueError(f"need one preference multiset per model, got {len(motorcycle_prefs)}")
+        raise InputError(f"need one preference multiset per model, got {len(motorcycle_prefs)}")
     total = sum(len(p) for p in motorcycle_prefs) + len(car_prefs)
     if total != r:
-        raise ValueError(f"{total} vehicles for {r} required")
+        raise InputError(f"{total} vehicles for {r} required")
     spaces: list = [None] * (r + 1)
 
     def park(pref: int, vehicle) -> None:

@@ -14,12 +14,14 @@ level-(k, i) diagram is a triple (q, kappa, segments):
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .combinat import (
+    InputError,
     binomial,
     compositions_dominating_prefixes,
     dominating_compositions,
@@ -29,14 +31,10 @@ from .combinat import (
     rational_catalan,
     weak_compositions,
 )
-from .graphs import DirectedMultigraph, shifted_outdegree
+from .graphs import DirectedMultigraph, caracol_k, check_netflow, shifted_outdegree
+from .gravity import MalformedDiagram
 from .kostant import integral_flows
-from .lidskii import volume
 from .paths import MultiLabeledDyckPath, _column_label_sets
-
-
-class MalformedDiagram(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +44,8 @@ class MalformedDiagram(ValueError):
 def column_level(shape: Sequence[int], col: int) -> int:
     """Height below the top at which the col-th east step sits."""
     if not 1 <= col <= len(shape):
-        raise ValueError(f"column {col} out of range 1..{len(shape)}")
+        raise InputError(f"column {col} out of range 1..{len(shape)}")
     return sum(shape) - sum(shape[:col])
-
-
-def count_unified(g: DirectedMultigraph, a: Sequence[int]) -> int:
-    """|U_G(a)|: labeled paths weighted by net-flow labels and gravity
-    diagrams.  This is the Lidskii volume sum."""
-    return volume(g, a)
 
 
 def unified_diagrams(
@@ -63,11 +55,11 @@ def unified_diagrams(
 
     sigma and alpha are per-column tuples (permutation labels ascending,
     net-flow labels in 1..a_j); gamma is an integral flow realizing one
-    vector partition of (s - t, 0).  Intended for desk-scale cross-checks
-    of count_unified.
+    vector partition of (s - t, 0).  There are lidskii.volume(g, a) of
+    them; intended for desk-scale cross-checks of that count.
     """
     t = shifted_outdegree(g)
-    a = tuple(a)
+    a = check_netflow(g, a)
     q = g.num_edges - g.n
     for s in dominating_compositions(t):
         if any(aj == 0 and sj for aj, sj in zip(a, s)):
@@ -115,10 +107,6 @@ class TruncatedDiagram:
     def r(self) -> int:
         return self.n - self.k - 1
 
-    def column_dots(self, j: int) -> int:
-        """Dots offered by grid column k+j, j = 1..r-1."""
-        return self.r - self.level + sum(self.tail[:j]) - j
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -144,11 +132,6 @@ class TruncatedDiagram:
         )
 
 
-def _tail_paths(r: int, i: int) -> Iterator[tuple[int, ...]]:
-    floors = [max(0, i + j - r) for j in range(1, r)]
-    yield from compositions_dominating_prefixes(i, r, floors)
-
-
 def _segment_multisets(
     k: int, r: int, i: int, tail: Sequence[int]
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -166,10 +149,11 @@ def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
     """All truncated level-(k, i) diagrams; there are T_k(n-k-1, i)."""
     r = n - k - 1
     if not (n > k >= 1):
-        raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
     if not 0 <= i <= r:
-        raise ValueError(f"need 0 <= i <= {r}, got {i}")
-    for tail in _tail_paths(r, i):
+        raise InputError(f"need 0 <= i <= {r}, got {i}")
+    floors = [max(0, i + j - r) for j in range(1, r)]  # the tail paths' bounds
+    for tail in compositions_dominating_prefixes(i, r, floors):
         for labels in _column_label_sets(tuple(range(1, i + 1)), tail):
             for segs in _segment_multisets(k, r, i, tail):
                 yield TruncatedDiagram(n, k, i, tail, labels, segs)
@@ -260,7 +244,7 @@ def completions_by_enumeration(u: TruncatedDiagram) -> int:
     n, k, i = u.n, u.k, u.level
     m = (k + 1) * (n - k) + n - 2
     big_n = m - n - i
-    t = shifted_outdegree_caracol(n, k)
+    t = _caracol_outdegree(n, k)
     total = 0
     for p in weak_compositions(big_n, k):
         pp = prefix_sums(p)
@@ -277,8 +261,10 @@ def completions_by_enumeration(u: TruncatedDiagram) -> int:
     return total
 
 
-def shifted_outdegree_caracol(n: int, k: int) -> tuple[int, ...]:
-    return (n - k,) * (k - 1) + (n - k - 1,) + (1,) * (n - k - 1) + (0,)
+@functools.cache
+def _caracol_outdegree(n: int, k: int) -> tuple[int, ...]:
+    """shifted_outdegree(caracol_k(n, k)), built once per (n, k)."""
+    return shifted_outdegree(caracol_k(n, k))
 
 
 def standardized_count(n: int, k: int, i: int) -> int:
@@ -350,9 +336,9 @@ def simplex_partition(
     c0 = tuple(c0)
     k = len(c0)
     if k < 2:
-        raise ValueError("simplex_partition needs at least 2 parts")
+        raise InputError("simplex_partition needs at least 2 parts")
     if any(x < 0 for x in c0):
-        raise ValueError(f"base point {c0} has negative entries")
+        raise InputError(f"base point {c0} has negative entries")
     n_total = sum(c0)
 
     def rotations(j: int) -> tuple[int, ...]:
@@ -392,9 +378,9 @@ def simplex_partition(
 def volume_closed_form(n: int, k: int, x: int, y: int) -> int:
     """Cat(a,b) k^(b-1) x^b (kx + (n-k)y)^(a-1) with a = n-k, b = ka-1."""
     if not (n > k >= 1):
-        raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
+        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
     if x < 0 or y < 0:
-        raise ValueError("closed forms are evaluated at nonnegative integers")
+        raise InputError("closed forms are evaluated at nonnegative integers")
     a = n - k
     b = k * a - 1
     cat = 1 if a == 1 else rational_catalan(a, b)
@@ -405,9 +391,9 @@ def volume_closed_form(n: int, k: int, x: int, y: int) -> int:
 def volume_closed_form_mcar(a: int, k: int, x: int, y: int) -> int:
     """Cat(a, ka-1) (kx)^(ka-1) (kx + ay)^(a-1)."""
     if a < 1 or k < 1:
-        raise ValueError(f"need a, k >= 1, got a={a}, k={k}")
+        raise InputError(f"need a, k >= 1, got a={a}, k={k}")
     if x < 0 or y < 0:
-        raise ValueError("closed forms are evaluated at nonnegative integers")
+        raise InputError("closed forms are evaluated at nonnegative integers")
     b = k * a - 1
     cat = 1 if a == 1 else rational_catalan(a, b)
     return cat * (k * x) ** b * (k * x + a * y) ** (a - 1)
@@ -449,7 +435,7 @@ def render_truncated_text(u: TruncatedDiagram) -> str:
     '-' for the tail path's east steps, with segments listed below."""
     n, k, i = u.n, u.k, u.level
     r = u.r
-    t = shifted_outdegree_caracol(n, k)
+    t = _caracol_outdegree(n, k)
     width = n - 1  # the final forced-flat column is omitted
     top = (k + 1) * (n - k) + n - 2 - n - i  # m - n - i
     pt = prefix_sums(t)

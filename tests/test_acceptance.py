@@ -185,11 +185,11 @@ def test_criterion_07_product_formula_volumes():
                 flows = [(1, 1), (1, 0), (1, 2), (2, 1), (2, 2)]
                 for x, y in flows:
                     a = G.caracol_xy_flow(n, k, x, y)
-                    got = U.count_unified(g, a)
+                    got = L.volume(g, a)
                     assert got == U.volume_closed_form(n, k, x, y), (n, k, x, y)
-        assert U.count_unified(G.caracol_k(5, 2), G.ones_flow(G.caracol_k(5, 2))) == 2800
-        assert U.count_unified(G.caracol_k(5, 1), G.ones_flow(G.caracol_k(5, 1))) == 625
-        assert U.count_unified(G.caracol_k(5, 2), G.caracol_xy_flow(5, 2, 1, 0)) == 448
+        assert L.volume(G.caracol_k(5, 2), G.ones_flow(G.caracol_k(5, 2))) == 2800
+        assert L.volume(G.caracol_k(5, 1), G.ones_flow(G.caracol_k(5, 1))) == 625
+        assert L.volume(G.caracol_k(5, 2), G.caracol_xy_flow(5, 2, 1, 0)) == 448
 
 
 def test_criterion_08_multicaracol_volumes():

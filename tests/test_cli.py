@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import json
 
-from flowpoly import cli
+import pytest
+
+from flowpoly import cli, lidskii
 from flowpoly.gravity import GravityDiagram
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
 from flowpoly.unified import TruncatedDiagram
@@ -222,3 +224,57 @@ def test_verify_all_within_budget(capsys):
     elapsed = time.time() - start
     assert code == 0 and doc["ok"] is True
     assert elapsed < 60
+
+
+# Bad inputs, each with a fragment of its one-line error message.  Exit 2 is
+# the contract for an InputError; a traceback would raise out of cli.main.
+BAD_INPUTS = [
+    ("volume --graph ps:n=6 --netflow custom:[1,2,0,3,1,1,-8]", "must have 6 entries"),
+    ("kostant --graph ps:n=4 --vector [1,-1]", "must have 4 entries"),
+    ("kostant --graph ps:n=4 --vector [1,1,1,-2]", "does not sum to zero"),
+    ("volume --graph edges:[] --netflow unit", "at least 2 vertices"),
+    ("volume --graph ps:n=4 --netflow custom:[2,-1,1,-2]", "negative entry"),
+    ("volume --graph caracol:n=5,k=2 --netflow custom:[1,1] --method closed", "6 entries"),
+    ("enumerate gravity", "needs --n, --k"),
+    ("enumerate dyck", "needs --a, --b"),
+    ("enumerate truncated --n 6 --k 2", "needs --i"),
+    ("enumerate dyck --a 4 --b 6", "not coprime"),
+    ("enumerate dyck --t 1,x", "bad --t"),
+    ("tables parking --k 0", "k >= 1"),
+    ("verify simplex --simplex-k 1", "k >= 2"),
+    ("verify orbits --n 3 --k 5", "n > k"),
+    ("volume --graph caracol:n=5 --netflow unit", "needs k"),
+    ("volume --graph caracol:n=5,k=2 --netflow xy:x=1", "needs y"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+def test_only_input_errors_exit_2(monkeypatch, capsys):
+    """A KeyError from inside the library is a bug: it propagates."""
+
+    def broken(g, a):
+        raise KeyError("n")
+
+    monkeypatch.setattr(lidskii, "volume", broken)
+    with pytest.raises(KeyError):
+        cli.main(["volume", "--graph", "ps:n=4", "--netflow", "ones"])
+
+
+def test_simplex_suite_checks_can_fail(monkeypatch, capsys):
+    """Both simplex checks compare two computed values: a wrong multinomial
+    breaks the block totals."""
+    monkeypatch.setattr(cli.combinat, "multinomial", lambda n, d: 1)
+    code, doc, _ = run_json(capsys, "verify", "simplex", "--N", "3", "--simplex-k", "2")
+    assert code == 1
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert by_name["disjoint covers for all base points (N=3, k=2)"]["pass"]
+    assert by_name["base points whose block totals differ from k^N"]["got"] == [
+        [3, 0], [2, 1], [1, 2], [0, 3]
+    ]

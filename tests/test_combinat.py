@@ -6,6 +6,7 @@ import math
 import pytest
 
 from flowpoly import combinat as C
+from flowpoly import paths as P
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -213,6 +214,14 @@ def test_dominating_compositions_matches_filter():
                 listed = list(C.dominating_compositions(t))
                 assert listed == sorted(listed, reverse=True)
                 assert len(set(listed)) == len(listed)
+
+
+def test_count_dominating():
+    shapes = [(), (0,), (4,), (1, 0), (0, 1), (1, 1, 0), (2, 0, 1, 3), (0, 2, 2), (1,) * 6]
+    for t in shapes:
+        assert C.count_dominating(t) == sum(1 for _ in C.dominating_compositions(t)), t
+    for a, b in [(1, 4), (3, 5), (5, 3), (4, 7), (7, 11)]:
+        assert C.count_dominating(P.rational_shape(a, b)) == C.rational_catalan(a, b)
 
 
 def test_compositions_dominating_prefixes():

@@ -1,10 +1,21 @@
 """Kostant partition function against direct flow enumeration."""
 from __future__ import annotations
 
+import gc
+import importlib
+import tracemalloc
+
 import pytest
 
 from flowpoly import graphs as G
-from flowpoly.kostant import SumNonzero, integral_flows, kostant, vector_partitions
+from flowpoly import lidskii as L
+from flowpoly.kostant import (
+    KostantEvaluator,
+    SumNonzero,
+    integral_flows,
+    kostant,
+    vector_partitions,
+)
 
 
 def small_zoo():
@@ -116,3 +127,39 @@ def test_restricted_graph_carries_the_in_degree_count():
         vec = (k - 1,) + (k,) * (a - 1) + (-(k * a - 1),)
         assert kostant(sub, vec) == rational_catalan(a, k * a - 1)
         assert kostant(sub, vec) == kostant(g, G.v_in(g))
+
+
+@pytest.mark.parametrize("call", ["kostant", "volume"])
+def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
+    """kostant() and lidskii.volume free their memo as they return, with the
+    cyclic garbage collector off: the memo is empty afterwards and no large
+    block (its hash table) is still allocated.  Small blocks are not
+    counted, since the interpreter's tuple free lists keep thousands."""
+    memos = []
+
+    class Recording(KostantEvaluator):
+        def __init__(self, graph):
+            super().__init__(graph)
+            memos.append(self.memo)
+
+    # the package attribute flowpoly.kostant is the function, not the module
+    monkeypatch.setattr(importlib.import_module("flowpoly.kostant"), "KostantEvaluator", Recording)
+    monkeypatch.setattr(L, "KostantEvaluator", Recording)
+    if call == "kostant":
+        g = G.caracol_k(8, 2)
+        run = lambda: kostant(g, G.v_out(g))
+    else:
+        g = G.caracol_k(7, 3)
+        run = lambda: L.volume(g, G.ones_flow(g))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run()
+        held = [len(memo) for memo in memos]  # before gc.enable() can collect
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held == [0]
+    assert sum(t.size for t in snapshot.traces if t.size >= 1024) < 100_000

@@ -1,13 +1,16 @@
-"""Property tests on random small DAGs: a shared Kostant memo and the
-lattice-point forms against independent counts."""
+"""Property tests on random small DAGs: a shared Kostant memo, vector
+partitions and the lattice-point forms against independent counts."""
 from __future__ import annotations
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
-from flowpoly.kostant import KostantEvaluator, integral_flows, kostant
+from flowpoly.combinat import multichoose
+from flowpoly.kostant import KostantEvaluator, integral_flows, kostant, vector_partitions
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -52,3 +55,24 @@ def test_lattice_point_forms_agree(data):
     want = kostant(g, a)
     assert L.lattice_points_binomial(g, a) == want
     assert L.lattice_points_multiset(g, a) == want
+
+
+@SETTINGS
+@given(st.data())
+def test_vector_partitions_are_the_flows_up_to_parallel_copies(data):
+    """Each partition is distinct and sums to v; weighted by the ways to
+    spread each count over an edge's parallel copies, they number the
+    integral flows."""
+    g = data.draw(small_dags())
+    v = data.draw(netflows(g, -1))
+    parts = list(vector_partitions(g, v))
+    assert len(set(parts)) == len(parts)
+    for part in parts:
+        net = [0] * g.num_vertices
+        for (i, j), c in part:
+            net[i - 1] += c
+            net[j - 1] -= c
+        assert tuple(net) == v, part
+    copies = dict(g.distinct_edges())
+    weighted = sum(math.prod(multichoose(copies[e], c) for e, c in part) for part in parts)
+    assert weighted == sum(1 for _ in integral_flows(g, v))

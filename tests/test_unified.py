@@ -234,10 +234,10 @@ def test_level_identity():
 
 def test_count_unified_examples():
     c61 = G.caracol_k(5, 1)
-    assert U.count_unified(c61, (1, 0, 0, 0, 0, -1)) == 5
-    assert U.count_unified(c61, (1, 1, 1, 1, 1, -5)) == 625
+    assert L.volume(c61, (1, 0, 0, 0, 0, -1)) == 5
+    assert L.volume(c61, (1, 1, 1, 1, 1, -5)) == 625
     ps4 = G.pitman_stanley(4)
-    assert U.count_unified(ps4, (1, 1, 1, -3)) == 3
+    assert L.volume(ps4, (1, 1, 1, -3)) == 3
 
 
 def test_unified_iterate_matches_count():
@@ -251,7 +251,7 @@ def test_unified_iterate_matches_count():
         (G.multicaracol(2, 2), (2, 1, 1, -4)),
     ]
     for g, nf in cases:
-        count = U.count_unified(g, nf)
+        count = L.volume(g, nf)
         items = list(U.unified_diagrams(g, nf))
         assert len(items) == count
         assert len(set(items)) == count
