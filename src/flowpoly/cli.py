@@ -90,6 +90,28 @@ def _parse_kv(body: str, spec: str, keys: Sequence[str]) -> tuple[int, ...]:
     return tuple(out[key] for key in keys)
 
 
+def _int_list(text: str, what: str, pairs: bool = False) -> tuple:
+    """The JSON list `text` of integers, or with `pairs` of [i, j] integer
+    pairs, as a tuple (of tuples).  Only JSON integers are accepted: int()
+    would truncate 2.5 to 2 and read true as 1."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad {what}: {exc}") from None
+
+    def ints(x) -> bool:
+        return isinstance(x, list) and all(type(e) is int for e in x)
+
+    if pairs:
+        ok = isinstance(value, list) and all(ints(p) and len(p) == 2 for p in value)
+    else:
+        ok = ints(value)
+    if not ok:
+        shape = "[i, j] pairs of integers" if pairs else "integers"
+        raise InputError(f"bad {what}: expected a JSON list of {shape}")
+    return tuple(tuple(p) for p in value) if pairs else tuple(value)
+
+
 # graph kind -> (constructor in graphs, its spec keys in argument order).
 # Functions in these tables are looked up by name when called, so a
 # function rebound on its module (a wrapper, a monkeypatch) is the one run.
@@ -106,11 +128,9 @@ def parse_graph_spec(spec: str) -> tuple[gr.DirectedMultigraph, tuple]:
     "edges:[(1,2),(1,3)]"; returns the graph and its family tag."""
     kind, _, body = spec.partition(":")
     if kind == "edges":
-        try:
-            pairs = json.loads(body.replace("(", "[").replace(")", "]"))
-            edges = [(int(i), int(j)) for i, j in pairs]
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise InputError(f"bad edge list in {spec!r}: {exc}") from None
+        edges = _int_list(
+            body.replace("(", "[").replace(")", "]"), f"edge list in {spec!r}", pairs=True
+        )
         num = max((max(e) for e in edges), default=0)
         return gr.from_edge_list(num, edges), ("edges",)
     if kind not in _FAMILIES:
@@ -135,11 +155,7 @@ def parse_netflow_spec(
             return gr.mcar_xy_flow(family[1], family[2], x, y)
         raise InputError("xy net flows need a caracol or mcar graph")
     if spec.startswith("custom:"):
-        try:
-            entries = tuple(int(v) for v in json.loads(spec[len("custom:"):]))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise InputError(f"bad custom net flow {spec!r}: {exc}") from None
-        return entries
+        return _int_list(spec[len("custom:"):], f"custom net flow {spec!r}")
     raise InputError(f"unknown net flow spec {spec!r} at position 0")
 
 
@@ -199,10 +215,7 @@ def cmd_volume(args: argparse.Namespace) -> RunReport:
 def cmd_kostant(args: argparse.Namespace) -> RunReport:
     g, family = parse_graph_spec(args.graph)
     if args.vector:
-        try:
-            v = tuple(int(x) for x in json.loads(args.vector))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise InputError(f"bad vector {args.vector!r}: {exc}") from None
+        v = _int_list(args.vector, f"vector {args.vector!r}")
     elif args.netflow:
         v = parse_netflow_spec(args.netflow, g, family)
     else:
@@ -569,8 +582,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             payload = report.to_text()
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     return 0 if report.ok else 1

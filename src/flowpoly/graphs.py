@@ -240,6 +240,14 @@ def restrict(g: DirectedMultigraph, lo: int, hi: int) -> DirectedMultigraph:
     return DirectedMultigraph(hi - lo + 1, edges)
 
 
+def reverse(g: DirectedMultigraph) -> DirectedMultigraph:
+    """g read from the sink back: every edge (i, j) becomes (N+1-j, N+1-i),
+    N = num_vertices.  A net flow v on g is (-v_N, ..., -v_1) on reverse(g)."""
+    top = g.num_vertices + 1
+    edges = tuple(sorted((top - j, top - i) for i, j in g.edges))
+    return DirectedMultigraph(g.num_vertices, edges)
+
+
 def unit_flow(g: DirectedMultigraph) -> tuple[int, ...]:
     return (1,) + (0,) * (g.n - 1) + (-1,)
 

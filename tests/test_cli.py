@@ -245,6 +245,11 @@ BAD_INPUTS = [
     ("verify orbits --n 3 --k 5", "n > k"),
     ("volume --graph caracol:n=5 --netflow unit", "needs k"),
     ("volume --graph caracol:n=5,k=2 --netflow xy:x=1", "needs y"),
+    ("kostant --graph ps:n=4 --vector [2.5,-0.5,1,-3]", "list of integers"),
+    ("kostant --graph ps:n=4 --vector [true,0,0,-1]", "list of integers"),
+    ("volume --graph ps:n=4 --netflow custom:[2.5,-0.5,1,-3]", "list of integers"),
+    ("volume --graph edges:[(1,2),(2,3.9)] --netflow unit", "pairs of integers"),
+    ("tables parking --k 2 --rmax 3 --out /nonexistent/x.txt", "cannot write"),
 ]
 
 

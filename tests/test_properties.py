@@ -1,5 +1,6 @@
 """Property tests on random small DAGs: a shared Kostant memo, vector
-partitions and the lattice-point forms against independent counts."""
+partitions, the lattice-point forms and the reversed graph against
+independent counts."""
 from __future__ import annotations
 
 import math
@@ -76,3 +77,26 @@ def test_vector_partitions_are_the_flows_up_to_parallel_copies(data):
     copies = dict(g.distinct_edges())
     weighted = sum(math.prod(multichoose(copies[e], c) for e, c in part) for part in parts)
     assert weighted == sum(1 for _ in integral_flows(g, v))
+
+
+def flip(v: tuple[int, ...]) -> tuple[int, ...]:
+    """A net flow on g as a net flow on G.reverse(g)."""
+    return tuple(-x for x in reversed(v))
+
+
+@SETTINGS
+@given(st.data())
+def test_reversed_graph_counts_the_same_flows(data):
+    """reverse(g) is a valid graph and reverse(reverse(g)) is g;
+    K_G(v) = K_{G^r}(v^r) on whichever side of kostant()'s choice v lies;
+    and K(v_out) = K(v_in), which kostant() evaluates in opposite
+    orientations when v_out is nonzero."""
+    g = data.draw(small_dags())
+    r = G.reverse(g)
+    assert G.from_edge_list(r.num_vertices, r.edges) == r
+    assert G.reverse(r) == g
+    v = data.draw(netflows(g, -1))
+    want = sum(1 for _ in integral_flows(g, v))
+    assert KostantEvaluator(g)(v) == KostantEvaluator(r)(flip(v)) == want
+    assert kostant(g, v) == want
+    assert kostant(g, G.v_out(g)) == kostant(g, G.v_in(g))
