@@ -1,19 +1,13 @@
 """Exact flow-polytope volumes, Kostant partition functions, and the
-caracol-family combinatorial model (gravity, unified, parking objects)."""
+caracol-family combinatorial model (gravity, unified, parking objects).
 
-from .combinat import (
-    InputError,
-    binomial,
-    catalan,
-    dominates,
-    dominating_compositions,
-    is_log_concave,
-    k_parking_number,
-    multichoose,
-    multinomial,
-    rational_catalan,
-    weak_compositions,
-)
+The package top level holds the graph constructors, the two net-flow
+vectors of the unit-flow identity, the Lidskii volume and lattice-point
+counts, and vector partitions; every other name is reached through its
+submodule, e.g. `flowpoly.kostant.kostant`.
+"""
+
+from .combinat import InputError
 from .graphs import (
     DirectedMultigraph,
     caracol_k,
@@ -21,110 +15,24 @@ from .graphs import (
     from_edge_list,
     multicaracol,
     pitman_stanley,
-    restrict,
-    shifted_indegree,
-    shifted_outdegree,
     v_in,
     v_out,
 )
-from .gravity import (
-    GravityDiagram,
-    enumerate_in_gravity,
-    enumerate_out_gravity,
-    enumerate_out_gravity_mcar,
-    in_out_correspondence,
-    psi_in,
-    psi_in_inverse,
-    psi_out,
-    psi_out_inverse,
-    xi,
-    xi_inverse,
-)
-from .kostant import integral_flows, kostant, vector_partitions
-from .lidskii import (
-    lattice_points_binomial,
-    lattice_points_multiset,
-    volume,
-    volume_unit_flow,
-)
-from .paths import (
-    MultiLabeledDyckPath,
-    TDyckPath,
-    circular_park,
-    enumerate_labeled,
-    enumerate_multilabeled,
-    enumerate_t_dyck,
-    rational_shape,
-)
-from .unified import (
-    TruncatedDiagram,
-    completions,
-    enumerate_truncated,
-    k_hull,
-    simplex_partition,
-    standardized_count,
-    theta,
-    theta_inverse,
-    volume_closed_form,
-    volume_closed_form_mcar,
-)
+from .kostant import vector_partitions
+from .lidskii import lattice_points_binomial, lattice_points_multiset, volume
 
 __all__ = [
     "DirectedMultigraph",
-    "GravityDiagram",
     "InputError",
-    "MultiLabeledDyckPath",
-    "TDyckPath",
-    "TruncatedDiagram",
-    "binomial",
     "caracol_k",
-    "catalan",
-    "circular_park",
     "complete_graph",
-    "completions",
-    "dominates",
-    "dominating_compositions",
-    "enumerate_in_gravity",
-    "enumerate_labeled",
-    "enumerate_multilabeled",
-    "enumerate_out_gravity",
-    "enumerate_out_gravity_mcar",
-    "enumerate_t_dyck",
-    "enumerate_truncated",
     "from_edge_list",
-    "in_out_correspondence",
-    "integral_flows",
-    "is_log_concave",
-    "k_hull",
-    "k_parking_number",
-    "kostant",
     "lattice_points_binomial",
     "lattice_points_multiset",
     "multicaracol",
-    "multichoose",
-    "multinomial",
     "pitman_stanley",
-    "psi_in",
-    "psi_in_inverse",
-    "psi_out",
-    "psi_out_inverse",
-    "rational_catalan",
-    "rational_shape",
-    "restrict",
-    "shifted_indegree",
-    "shifted_outdegree",
-    "simplex_partition",
-    "standardized_count",
-    "theta",
-    "theta_inverse",
     "v_in",
     "v_out",
     "vector_partitions",
     "volume",
-    "volume_closed_form",
-    "volume_closed_form_mcar",
-    "volume_unit_flow",
-    "weak_compositions",
-    "xi",
-    "xi_inverse",
 ]

@@ -3,14 +3,15 @@
 Every run produces a RunReport (inputs, results, named checks); --format
 json emits it as one JSON document, text prints results followed by one
 PASS/FAIL line per check.  Exit status: 0 on success, 1 when any check
-fails, 2 on a usage error or an InputError; any other exception is a bug
-and propagates.  No randomness anywhere: identical invocations produce
-identical bytes.
+fails, 2 on an InputError (usage errors are raised as one); any other
+exception is a bug and propagates.  No randomness anywhere: identical
+invocations produce identical bytes.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -69,8 +70,17 @@ class RunReport:
 # spec-string parsing
 
 
+def integer(text: str) -> int:
+    """A decimal integer: an optional '-', then ASCII digits.  int() alone
+    would also read '1_0', '+5' and surrounding whitespace."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise InputError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def _parse_kv(body: str, spec: str, keys: Sequence[str]) -> tuple[int, ...]:
-    """The integer values of `keys`, in order, from a "key=value,..." body."""
+    """The integer values of `keys`, in order, from a "key=value,..." body
+    that names each of them once and nothing else."""
     out = {}
     for field_ in body.split(",") if body else ():
         if "=" not in field_:
@@ -78,9 +88,14 @@ def _parse_kv(body: str, spec: str, keys: Sequence[str]) -> tuple[int, ...]:
                 f"bad field {field_!r} at position {spec.index(field_)} in {spec!r}"
             )
         key, _, val = field_.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise InputError(f"unknown key {key!r} in {spec!r}; expected {', '.join(keys)}")
+        if key in out:
+            raise InputError(f"repeated key {key!r} in {spec!r}")
         try:
-            out[key.strip()] = int(val)
-        except ValueError:
+            out[key] = integer(val)
+        except InputError:
             raise InputError(
                 f"non-integer value {val!r} at position {spec.index(val)} in {spec!r}"
             ) from None
@@ -433,8 +448,8 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
     elif args.object == "dyck":
         if args.t:
             try:
-                t = tuple(int(x) for x in args.t.split(","))
-            except ValueError:
+                t = tuple(integer(x) for x in args.t.split(","))
+            except InputError:
                 raise InputError(f"bad --t {args.t!r}: expected comma-separated integers") from None
         else:
             t = paths.rational_shape(args.a, args.b)
@@ -453,7 +468,7 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
     elif args.object == "truncated":
         n, k, i = args.n, args.k, args.i
         items = unified.enumerate_truncated(n, k, i)
-        estimated = unified.count_truncated(n, k, i)
+        estimated = combinat.k_parking_number(k, n - k - 1, i)
         to_text = unified.render_truncated_text
         to_json_line = lambda u: u.to_json()
         report.inputs.update({"n": n, "k": k, "i": i})
@@ -485,8 +500,16 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError, so that it too ends in one
+    `error:` line and exit 2."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowpoly",
         description="Exact flow-polytope volumes and the caracol-family combinatorial model",
     )
@@ -515,9 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("tables", parents=[common], help="k-parking triangles and count tables")
     p_tab.add_argument("kind", choices=("parking", "gravity-counts"))
-    p_tab.add_argument("--k", type=int, default=2)
-    p_tab.add_argument("--rmax", type=int, default=5)
-    p_tab.add_argument("--nmax", type=int, default=7)
+    p_tab.add_argument("--k", type=integer, default=2)
+    p_tab.add_argument("--rmax", type=integer, default=5)
+    p_tab.add_argument("--nmax", type=integer, default=7)
     p_tab.add_argument("--family", choices=("caracol",), default="caracol")
     p_tab.set_defaults(func=cmd_tables)
 
@@ -525,12 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "suite", choices=("bijections", "lidskii", "simplex", "orbits", "all")
     )
-    p_ver.add_argument("--n", type=int, default=6)
-    p_ver.add_argument("--k", type=int, default=2)
-    p_ver.add_argument("--N", type=int, default=6)
-    p_ver.add_argument("--simplex-k", type=int, default=3)
-    p_ver.add_argument("--orbit-n", type=int, default=5)
-    p_ver.add_argument("--orbit-k", type=int, default=2)
+    p_ver.add_argument("--n", type=integer, default=6)
+    p_ver.add_argument("--k", type=integer, default=2)
+    p_ver.add_argument("--N", type=integer, default=6)
+    p_ver.add_argument("--simplex-k", type=integer, default=3)
+    p_ver.add_argument("--orbit-n", type=integer, default=5)
+    p_ver.add_argument("--orbit-k", type=integer, default=2)
     p_ver.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream combinatorial objects")
@@ -538,17 +561,17 @@ def build_parser() -> argparse.ArgumentParser:
         "object", choices=("gravity", "dyck", "unified", "truncated", "multilabeled")
     )
     p_enum.add_argument("--kind", choices=("in", "out", "mcar-out"), default="out")
-    p_enum.add_argument("--n", type=int)
-    p_enum.add_argument("--k", type=int)
-    p_enum.add_argument("--r", type=int)
-    p_enum.add_argument("--i", type=int)
-    p_enum.add_argument("--a", type=int)
-    p_enum.add_argument("--b", type=int)
+    p_enum.add_argument("--n", type=integer)
+    p_enum.add_argument("--k", type=integer)
+    p_enum.add_argument("--r", type=integer)
+    p_enum.add_argument("--i", type=integer)
+    p_enum.add_argument("--a", type=integer)
+    p_enum.add_argument("--b", type=integer)
     p_enum.add_argument("--t", help="comma-separated reference shape")
     p_enum.add_argument("--graph")
     p_enum.add_argument("--netflow")
     p_enum.add_argument("--render", choices=("text", "json"), default="text")
-    p_enum.add_argument("--cap", type=int, default=10**6)
+    p_enum.add_argument("--cap", type=integer, default=10**6)
     p_enum.set_defaults(func=cmd_enumerate)
     return parser
 
@@ -557,11 +580,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         report = args.func(args)
+    except SystemExit:  # --help has printed its text
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -105,13 +105,6 @@ def k_parking_number(k: int, r: int, i: int) -> int:
     return (r + 1) ** (i - 1) * mc
 
 
-def is_log_concave(seq: Sequence[int]) -> bool:
-    """True iff seq[i]^2 >= seq[i-1]*seq[i+1] at every interior index."""
-    return all(
-        seq[i] * seq[i] >= seq[i - 1] * seq[i + 1] for i in range(1, len(seq) - 1)
-    )
-
-
 def prefix_sums(parts: Iterable[int]) -> tuple[int, ...]:
     total = 0
     out = []
@@ -190,29 +183,3 @@ def count_dominating(t: Sequence[int]) -> int:
         heights = nxt
     return heights.get(total, 0)
 
-
-def compositions_dominating_prefixes(
-    total: int, parts: int, floor_prefixes: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of `total` whose j-th prefix sum is >= floor_prefixes[j].
-
-    Only the first len(floor_prefixes) prefixes are constrained; lex
-    decreasing order, same convention as dominating_compositions.
-    """
-    def rec(j: int, running: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if j == parts - 1:
-            last = total - running
-            if last >= 0 and (j >= len(floor_prefixes) or total >= floor_prefixes[j]):
-                yield prefix + (last,)
-            return
-        low = 0
-        if j < len(floor_prefixes):
-            low = max(0, floor_prefixes[j] - running)
-        for sj in range(total - running, low - 1, -1):
-            yield from rec(j + 1, running + sj, prefix + (sj,))
-
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, 0, ())

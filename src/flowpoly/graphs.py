@@ -216,30 +216,6 @@ def alpha_coordinates(v: Sequence[int]) -> tuple[int, ...]:
     return prefix_sums(v[:-1])
 
 
-def from_alpha_coordinates(coords: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of alpha_coordinates."""
-    v = []
-    prev = 0
-    for c in coords:
-        v.append(c - prev)
-        prev = c
-    v.append(-prev)
-    return tuple(v)
-
-
-def restrict(g: DirectedMultigraph, lo: int, hi: int) -> DirectedMultigraph:
-    """Induced sub-multigraph on the contiguous range lo..hi, relabelled to 1..
-
-    No structural validation: restrictions are only used for their roots.
-    """
-    if not (1 <= lo <= hi <= g.num_vertices):
-        raise BadParameters(f"bad vertex range {lo}..{hi}")
-    edges = tuple(
-        (i - lo + 1, j - lo + 1) for i, j in g.edges if lo <= i and j <= hi
-    )
-    return DirectedMultigraph(hi - lo + 1, edges)
-
-
 def reverse(g: DirectedMultigraph) -> DirectedMultigraph:
     """g read from the sink back: every edge (i, j) becomes (N+1-j, N+1-i),
     N = num_vertices.  A net flow v on g is (-v_N, ..., -v_1) on reverse(g)."""

@@ -221,14 +221,6 @@ def psi_out(d: GravityDiagram) -> TDyckPath:
     return _path_from_crossings([0] + rps, a, b)
 
 
-def psi_out_subpartition(d: GravityDiagram) -> tuple[int, ...]:
-    """The embedded right endpoints read top row first: the subpartition of
-    ((a-1)k-1, ..., 2k-1, k-1) cut out by the rectilinear hull."""
-    k = d.k
-    rps = [(r - k) * (k - 1) + (r - l) for l, r in out_segments_by_row(d)]
-    return tuple(rp for rp in reversed(rps) if rp)
-
-
 def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
     """Recover row i's segment from the crossing x = rp: with j = rp // k the
     segment is [k + j - d, k + j] where d = rp - j(k-1)."""

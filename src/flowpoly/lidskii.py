@@ -16,20 +16,8 @@ import math
 from typing import Callable, Sequence
 
 from .combinat import InputError, binomial, dominating_compositions, exact_div, multinomial
-from .graphs import (
-    DirectedMultigraph,
-    check_netflow,
-    shifted_indegree,
-    shifted_outdegree,
-    unit_flow,
-    v_in,
-    v_out,
-)
-from .kostant import KostantEvaluator, kostant
-
-
-class InternalMismatch(AssertionError):
-    pass
+from .graphs import DirectedMultigraph, check_netflow, shifted_indegree, shifted_outdegree
+from .kostant import KostantEvaluator
 
 
 def _check_netflow(g: DirectedMultigraph, a: Sequence[int]) -> tuple[int, ...]:
@@ -99,22 +87,3 @@ def lattice_points_multiset(g: DirectedMultigraph, a: Sequence[int]) -> int:
         lambda s, t: math.prod(_gmultichoose(ai - ui, si) for ai, ui, si in zip(a, u, s)),
     )
 
-
-def volume_unit_flow(g: DirectedMultigraph) -> int:
-    """Volume at net flow (1, 0, ..., 0, -1), by Kostant evaluation of both
-    the out-degree and the in-degree vector; the two must agree.  Each of
-    the three values has its own evaluator, so no check shares a memo, and
-    kostant() runs K(v_out) on the reversed graph (unless v_out is zero)
-    and K(v_in) on g itself, so their equality compares two different DFSs."""
-    out_count = kostant(g, v_out(g))
-    in_count = kostant(g, v_in(g))
-    if out_count != in_count:
-        raise InternalMismatch(
-            f"K(v_out) = {out_count} but K(v_in) = {in_count} on {g}"
-        )
-    also = volume(g, unit_flow(g))
-    if also != out_count:
-        raise InternalMismatch(
-            f"Lidskii volume {also} disagrees with Kostant value {out_count} on {g}"
-        )
-    return out_count

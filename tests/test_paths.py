@@ -2,12 +2,93 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from flowpoly import combinat as C
 from flowpoly import paths as P
+from oracles import parking_preferences
+
+
+def rational_row_signature(a: int, b: int) -> tuple[int, ...]:
+    """r_i = number of squares in row i of the b x a grid that meet the line
+    y = (a/b)x: the transpose route to P.rational_shape."""
+    return tuple(-(-b * i // a) - (b * (i - 1) // a) for i in range(1, a + 1))
+
+
+def transpose_signature(rows) -> tuple[int, ...]:
+    """Turn a row signature (r_1, ..., r_a) into the column shape: one north
+    step lands at the start of each row's run of columns, with run lengths
+    (r_1-1, ..., r_{a-1}-1, r_a).  A zero-length run stacks its step on the
+    same column."""
+    runs = tuple(r - 1 for r in rows[:-1]) + (rows[-1],)
+    t = [0] * sum(runs)
+    pos = 0
+    for run in runs:
+        t[pos] += 1
+        pos += run
+    return tuple(t)
+
+
+def labeled_paths(t):
+    """Labeled t-Dyck paths (generalized parking functions PF_t): each
+    t-Dyck path with the labels 1..|t| split over its columns, ascending
+    inside each column, as per-column label tuples."""
+
+    def split(pool, shape):
+        if not shape:
+            yield ()
+            return
+        for chosen in combinations(pool, shape[0]):
+            rest = tuple(x for x in pool if x not in chosen)
+            for tail in split(rest, shape[1:]):
+                yield (chosen,) + tail
+
+    for path in P.enumerate_t_dyck(t):
+        yield from split(tuple(range(1, sum(t) + 1)), path.shape)
+
+
+def count_labeled(t) -> int:
+    """|PF_t| = sum of multinomial(|t|; s) over t-Dyck paths s."""
+    return sum(C.multinomial(sum(t), s) for s in C.dominating_compositions(t))
+
+
+def circular_park(k: int, r: int, motorcycle_prefs, car_prefs) -> tuple:
+    """Park r vehicles on r+1 circular spaces and return the occupancy.
+
+    Groups of identical model-bar(s) motorcycles arrive first (model
+    bar(k-1) down to bar(0)), then the cars in order.  A vehicle whose
+    preferred space is taken rolls forward cyclically to the next free one.
+    Spaces are 1..r+1; the result holds ("m", s) or ("c", j) per space and
+    exactly one None.
+    """
+    assert len(motorcycle_prefs) == k
+    assert sum(len(p) for p in motorcycle_prefs) + len(car_prefs) == r
+    spaces: list = [None] * (r + 1)
+
+    def park(pref: int, vehicle) -> None:
+        pos = pref - 1
+        while spaces[pos] is not None:
+            pos = (pos + 1) % (r + 1)
+        spaces[pos] = vehicle
+
+    for s in range(k - 1, -1, -1):
+        for pref in sorted(motorcycle_prefs[k - 1 - s]):
+            park(pref, ("m", s))
+    for j, pref in enumerate(car_prefs, start=1):
+        park(pref, ("c", j))
+    return tuple(spaces)
+
+
+def shift_preferences(z: int, r: int, motorcycle_prefs, car_prefs) -> tuple:
+    """The Z/(r+1)Z action: add z to every preference mod r+1 (spaces 1..r+1)."""
+
+    def roll(p: int) -> int:
+        return (p - 1 + z) % (r + 1) + 1
+
+    moto = tuple(tuple(sorted(roll(p) for p in prefs)) for prefs in motorcycle_prefs)
+    return moto, tuple(roll(p) for p in car_prefs)
 
 
 def test_rational_shape_examples():
@@ -17,12 +98,12 @@ def test_rational_shape_examples():
     for k in range(2, 5):
         for a in range(2, 6):
             b = k * a - 1
-            sig = P.rational_row_signature(a, b)
+            sig = rational_row_signature(a, b)
             assert sig == (k,) + (k + 1,) * (a - 2) + (k,)
             assert (sig[0] - 1,) + tuple(s - 1 for s in sig[1:-1]) + (sig[-1],) == (
                 k - 1,
             ) + (k,) * (a - 2) + (k,)
-            assert P.rational_shape(a, b) == P.transpose_signature(sig)
+            assert P.rational_shape(a, b) == transpose_signature(sig)
 
 
 def test_rational_shape_not_coprime():
@@ -43,31 +124,23 @@ def test_t_dyck_counts():
                 assert count == C.rational_catalan(a, b), (a, b)
 
 
-def test_area():
-    t = P.rational_shape(3, 5)
-    assert P.TDyckPath(t, t).area() == 0
-    assert P.TDyckPath((3, 0, 0, 0, 0), t).area() == sum(
-        3 - h for h in (1, 2, 2, 3, 3)
-    )
-
-
 def test_labeled_counts():
-    assert sum(1 for _ in P.enumerate_labeled((1,))) == 1
-    got = sum(1 for _ in P.enumerate_labeled((1, 1, 0)))
+    assert sum(1 for _ in labeled_paths((1,))) == 1
+    got = sum(1 for _ in labeled_paths((1, 1, 0)))
     assert got == C.multinomial(2, (2, 0, 0)) + C.multinomial(2, (1, 1, 0)) == 3
-    assert got == P.count_labeled((1, 1, 0))
+    assert got == count_labeled((1, 1, 0))
     # classical parking functions from the staircase
     for r in range(1, 5):
         t = (1,) * r
-        assert P.count_labeled(t) == (r + 1) ** (r - 1)
-        assert sum(1 for _ in P.enumerate_labeled(t)) == (r + 1) ** (r - 1)
+        assert count_labeled(t) == (r + 1) ** (r - 1)
+        assert sum(1 for _ in labeled_paths(t)) == (r + 1) ** (r - 1)
 
 
 def test_labels_ascending_in_columns():
-    for lp in P.enumerate_labeled((2, 1, 0)):
-        word = lp.word()
+    for labels in labeled_paths((2, 1, 0)):
+        word = [x for col in labels for x in col]
         assert sorted(word) == [1, 2, 3]
-        for col in lp.labels:
+        for col in labels:
             assert list(col) == sorted(col)
             assert len(set(col)) == len(col)
 
@@ -103,12 +176,12 @@ def test_multilabeled_examples():
 
 
 def test_circular_park_example():
-    occ = P.circular_park(3, 5, [(1,), (), (1, 3)], (4, 1))
+    occ = circular_park(3, 5, [(1,), (), (1, 3)], (4, 1))
     assert occ == (("m", 2), ("m", 0), ("m", 0), ("c", 1), ("c", 2), None)
 
 
 def test_circular_park_all_prefer_first():
-    occ = P.circular_park(1, 4, [(1, 1)], (1, 1))
+    occ = circular_park(1, 4, [(1, 1)], (1, 1))
     assert occ == (("m", 0), ("m", 0), ("c", 1), ("c", 2), None)
 
 
@@ -131,9 +204,9 @@ def test_shift_moves_occupancy():
     for (k, r, i) in [(2, 3, 1), (3, 4, 2), (1, 4, 2)]:
         count = 0
         for motos, cars in all_preferences(k, r, i):
-            occ = P.circular_park(k, r, motos, cars)
-            sm, sc = P.shift_preferences(1, r, motos, cars)
-            shifted = P.circular_park(k, r, sm, sc)
+            occ = circular_park(k, r, motos, cars)
+            sm, sc = shift_preferences(1, r, motos, cars)
+            shifted = circular_park(k, r, sm, sc)
             assert shifted == occ[-1:] + occ[:-1]
             count += 1
             if count >= 400:
@@ -157,12 +230,12 @@ def test_orbit_property():
                     while cur not in seen:
                         seen.add(cur)
                         orbit.append(cur)
-                        cur = canonical(*P.shift_preferences(1, r, *cur))
+                        cur = canonical(*shift_preferences(1, r, *cur))
                     assert len(orbit) == r + 1
                     top_free = [
                         pp
                         for pp in orbit
-                        if P.circular_park(k, r, pp[0], pp[1])[r] is None
+                        if circular_park(k, r, pp[0], pp[1])[r] is None
                     ]
                     assert len(top_free) == 1
                     orbit_count += 1
@@ -172,8 +245,8 @@ def test_orbit_property():
 
 def test_parking_preferences_round():
     for m in P.enumerate_multilabeled(3, 5, 2):
-        motos, cars = P.parking_preferences(m, 3)
-        occ = P.circular_park(3, 5, motos, cars)
+        motos, cars = parking_preferences(m, 3)
+        occ = circular_park(3, 5, motos, cars)
         assert occ[5] is None
         break
 
@@ -192,7 +265,7 @@ def test_every_multilabeled_path_parks_clean():
     for (k, r) in [(2, 3), (3, 4), (1, 4)]:
         for i in range(r + 1):
             for m in P.enumerate_multilabeled(k, r, i):
-                motos, cars = P.parking_preferences(m, k)
-                occ = P.circular_park(k, r, motos, cars)
+                motos, cars = parking_preferences(m, k)
+                occ = circular_park(k, r, motos, cars)
                 assert occ[r] is None
                 assert sum(1 for v in occ if v is not None) == r

@@ -1,6 +1,6 @@
 """Property tests on random small DAGs: a shared Kostant memo, vector
 partitions, the lattice-point forms and the reversed graph against
-independent counts."""
+independent counts, and the degree of the volume."""
 from __future__ import annotations
 
 import math
@@ -56,6 +56,16 @@ def test_lattice_point_forms_agree(data):
     want = kostant(g, a)
     assert L.lattice_points_binomial(g, a) == want
     assert L.lattice_points_multiset(g, a) == want
+
+
+@SETTINGS
+@given(st.data())
+def test_volume_is_homogeneous_of_degree_m_minus_n(data):
+    g = data.draw(small_dags())
+    a = data.draw(netflows(g, 0))
+    base = L.volume(g, a)
+    for c in (2, 3):
+        assert L.volume(g, tuple(c * x for x in a)) == c ** (g.num_edges - g.n) * base
 
 
 @SETTINGS

@@ -9,14 +9,25 @@ from flowpoly import graphs as G
 from flowpoly import lidskii as L
 from flowpoly import paths as P
 from flowpoly import unified as U
+from oracles import (
+    completions_by_enumeration,
+    is_log_concave,
+    parking_preferences,
+    standardized_count_enumerated,
+)
+
+
+def column_level(shape, col: int) -> int:
+    """Height below the top at which the col-th east step sits."""
+    return sum(shape) - sum(shape[:col])
 
 
 def test_column_level():
     shape = (5, 4, 0, 1, 0, 0)
-    assert U.column_level(shape, 1) == 5
-    assert U.column_level(shape, 3) == 1
-    assert U.column_level(shape, 6) == 0
-    assert U.column_level((3, 0), 1) == 0
+    assert column_level(shape, 1) == 5
+    assert column_level(shape, 3) == 1
+    assert column_level(shape, 6) == 0
+    assert column_level((3, 0), 1) == 0
 
 
 def test_truncated_counts():
@@ -60,7 +71,7 @@ def test_theta_figure_example():
     m = U.theta(u)
     assert m.shape == (3, 0, 1, 1, 0)
     assert m.labels == ((-2, 0, 2), (), (0,), (1,), ())
-    assert P.parking_preferences(m, 3) == (((1,), (), (1, 3)), (4, 1))
+    assert parking_preferences(m, 3) == (((1,), (), (1, 3)), (4, 1))
     assert U.theta_inverse(m, 9, 3) == u
 
 
@@ -95,7 +106,7 @@ def test_completions_match_enumeration():
         r = n - k - 1
         for i in range(r + 1):
             for u in U.enumerate_truncated(n, k, i):
-                assert U.completions(u) == U.completions_by_enumeration(u)
+                assert U.completions(u) == completions_by_enumeration(u)
 
 
 def test_completions_k1_always_one():
@@ -113,19 +124,10 @@ def test_standardized_counts():
             for i in range(n - k):
                 got = U.standardized_count(n, k, i)
                 assert got == U.standardized_count_formula(n, k, i), (n, k, i)
-                assert got == U.standardized_count_enumerated(n, k, i)
+                assert got == standardized_count_enumerated(n, k, i)
     # Pitman-Stanley endpoint: (n-1)^(n-3) at level 0
     for n in (4, 5, 6):
         assert U.standardized_count(n, n - 1, 0) == (n - 1) ** (n - 3)
-
-
-def test_cyclic_rho():
-    rho = (3, 2, 0)
-    orbit = [rho]
-    for _ in range(3):
-        orbit.append(U.cyclic_shift_rho(1, orbit[-1], 4))
-    assert orbit == [(3, 2, 0), (2, 1, 3), (1, 0, 2), (0, 3, 1)]
-    assert U.cyclic_shift_rho(0, rho, 4) == rho
 
 
 def test_orbits_car62():
@@ -267,7 +269,7 @@ def test_parking_row_log_concavity():
     for k in range(1, 5):
         for r in range(0, 7):
             row = [C.k_parking_number(k, r, i) for i in range(r + 1)]
-            assert C.is_log_concave(row)
+            assert is_log_concave(row)
 
 
 def test_truncated_json_round_trip():
@@ -287,7 +289,7 @@ def test_stratification_against_raw_enumeration():
     m = g.num_edges
     per_level = {}
     for s, _, _, _ in U.unified_diagrams(g, G.ones_flow(g)):
-        i = U.column_level(s, k)
+        i = column_level(s, k)
         per_level[i] = per_level.get(i, 0) + 1
     assert sum(per_level.values()) == 2800
     for i in range(n - k):
