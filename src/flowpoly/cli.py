@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -78,15 +79,16 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _parse_kv(body: str, spec: str, keys: Sequence[str]) -> tuple[int, ...]:
-    """The integer values of `keys`, in order, from a "key=value,..." body
-    that names each of them once and nothing else."""
+def _parse_kv(spec: str, start: int, keys: Sequence[str]) -> tuple[int, ...]:
+    """The integer values of `keys`, in order, from the "key=value,..."
+    body spec[start:], which names each of them once and nothing else.
+    Error positions are offsets into spec."""
     out = {}
+    body = spec[start:]
+    pos = start
     for field_ in body.split(",") if body else ():
         if "=" not in field_:
-            raise InputError(
-                f"bad field {field_!r} at position {spec.index(field_)} in {spec!r}"
-            )
+            raise InputError(f"bad field {field_!r} at position {pos} in {spec!r}")
         key, _, val = field_.partition("=")
         key = key.strip()
         if key not in keys:
@@ -96,9 +98,9 @@ def _parse_kv(body: str, spec: str, keys: Sequence[str]) -> tuple[int, ...]:
         try:
             out[key] = integer(val)
         except InputError:
-            raise InputError(
-                f"non-integer value {val!r} at position {spec.index(val)} in {spec!r}"
-            ) from None
+            at = pos + field_.index("=") + 1
+            raise InputError(f"non-integer value {val!r} at position {at} in {spec!r}") from None
+        pos += len(field_) + 1
     missing = [key for key in keys if key not in out]
     if missing:
         raise InputError(f"{spec!r} needs {', '.join(missing)}")
@@ -151,7 +153,7 @@ def parse_graph_spec(spec: str) -> tuple[gr.DirectedMultigraph, tuple]:
     if kind not in _FAMILIES:
         raise InputError(f"unknown graph kind {kind!r} at position 0 in {spec!r}")
     make, keys = _FAMILIES[kind]
-    params = _parse_kv(body, spec, keys)
+    params = _parse_kv(spec, len(kind) + 1, keys)
     return getattr(gr, make)(*params), (kind, *params)
 
 
@@ -163,7 +165,7 @@ def parse_netflow_spec(
     if spec == "ones":
         return gr.ones_flow(g)
     if spec.startswith("xy:"):
-        x, y = _parse_kv(spec[3:], spec, ("x", "y"))
+        x, y = _parse_kv(spec, len("xy:"), ("x", "y"))
         if family[0] == "caracol":
             return gr.caracol_xy_flow(family[1], family[2], x, y)
         if family[0] == "mcar":
@@ -611,7 +613,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
             return 2
     else:
-        print(payload)
+        try:
+            print(payload)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader is gone; send what is still buffered to devnull,
+            # so that the interpreter's final flush of stdout cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 

@@ -168,9 +168,14 @@ def dominating_compositions(t: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0, ())
 
 
-def count_dominating(t: Sequence[int]) -> int:
+def count_dominating(t: Sequence[int], labelled: bool = False) -> int:
     """The number of compositions dominating t, without listing them: a
-    dynamic program over the running prefix sum."""
+    dynamic program over the running prefix sum.
+
+    With `labelled`, each composition s counts multinomial(|t|; s) times,
+    once per way to label its |t| steps 1..|t| ascending inside each part:
+    a step of the prefix sum from H to H' then weighs binom(|t| - H, H' - H).
+    """
     total = sum(t)
     heights = {0: 1}
     floor = 0
@@ -179,7 +184,8 @@ def count_dominating(t: Sequence[int]) -> int:
         nxt: dict[int, int] = {}
         for h, ways in heights.items():
             for h2 in range(max(h, floor), total + 1):
-                nxt[h2] = nxt.get(h2, 0) + ways
+                step = math.comb(total - h, h2 - h) if labelled else 1
+                nxt[h2] = nxt.get(h2, 0) + ways * step
         heights = nxt
     return heights.get(total, 0)
 

@@ -14,6 +14,12 @@ level-(k, i) diagram is a triple (q, kappa, segments):
 * segments is a multiset of r-i pairs (h, l): a segment from column l into
   column k+h, trivial ones stored as (0, k).  Column k+j of the grid offers
   r - i + prefix_j(q) - j dots, which caps #{segments with h >= j}.
+
+completions(u) depends only on the k-hull, and the hull only on how many
+segments start in each column l < k, so standardized_count lists no
+diagram: a dynamic program over the columns, with the state (tail steps
+placed, segments placed, segments per column l < k), polynomial in n and
+independent of the Kostant and Lidskii routes.
 """
 from __future__ import annotations
 
@@ -26,9 +32,9 @@ from typing import Iterator, Sequence
 from .combinat import (
     InputError,
     binomial,
+    count_dominating,
     dominating_compositions,
     k_parking_number,
-    multinomial,
     prefix_sums,
     rational_catalan,
     weak_compositions,
@@ -140,16 +146,23 @@ def _segment_multisets(
             yield combo
 
 
-def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
-    """All truncated level-(k, i) diagrams; there are T_k(n-k-1, i)."""
+def _check_level(n: int, k: int, i: int) -> int:
+    """r = n-k-1, once (n, k, i) names a level of the caracol graph."""
     r = n - k - 1
     if not (n > k >= 1):
         raise InputError(f"need n > k >= 1, got n={n}, k={k}")
     if not 0 <= i <= r:
         raise InputError(f"need 0 <= i <= {r}, got {i}")
+    return r
+
+
+def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
+    """All truncated level-(k, i) diagrams; there are T_k(n-k-1, i)."""
+    r = _check_level(n, k, i)
     for tail in dominating_compositions((0,) * (r - i) + (1,) * i):
+        multisets = list(_segment_multisets(k, r, i, tail))  # shared by all labels
         for labels in _column_label_sets(tuple(range(1, i + 1)), tail):
-            for segs in _segment_multisets(k, r, i, tail):
+            for segs in multisets:
                 yield TruncatedDiagram(n, k, i, tail, labels, segs)
 
 
@@ -206,20 +219,29 @@ def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
 def k_hull(u: TruncatedDiagram) -> tuple[int, ...]:
     """The minimal-area completing path: the empty-diagram hull
     (n-k, ..., n-k, 2(n-k-1)-i) bumped by e_l - e_k per segment."""
-    n, k, i = u.n, u.k, u.level
-    hull = [n - k] * k
-    hull[-1] = 2 * (n - k - 1) - i
+    low = [0] * (u.k - 1)
     for _, l in u.segments:
-        hull[l - 1] += 1
-        hull[-1] -= 1
-    return tuple(hull)
+        if l < u.k:
+            low[l - 1] += 1
+    return _hull(u.n, u.k, u.level, low)
+
+
+def _hull(n: int, k: int, i: int, low: Sequence[int]) -> tuple[int, ...]:
+    """k_hull of a level-i diagram with low[l-1] segments from column l < k;
+    a segment from column k leaves the hull as it is."""
+    return tuple(n - k + c for c in low) + (2 * (n - k - 1) - i - sum(low),)
+
+
+@functools.cache
+def _hull_completions(hull: tuple[int, ...]) -> int:
+    return count_dominating(hull, labelled=True)
 
 
 def completions(u: TruncatedDiagram) -> int:
     """Number of ways to complete u to a standardized diagram: labeled
-    initial paths, the compositions of m-n-i dominating the hull."""
-    hull = k_hull(u)
-    return sum(multinomial(sum(hull), d) for d in dominating_compositions(hull))
+    initial paths, sum of multinomial(|hull|; s) over the compositions s
+    dominating the hull, counted once per distinct hull."""
+    return _hull_completions(k_hull(u))
 
 
 @functools.cache
@@ -229,9 +251,43 @@ def _caracol_outdegree(n: int, k: int) -> tuple[int, ...]:
 
 
 def standardized_count(n: int, k: int, i: int) -> int:
-    """Number of standardized level-(k, i) diagrams, summed via the hull
-    formula; equals k^((k+1)(n-k)-3-i) * T_k(n-k-1, i)."""
-    return sum(completions(u) for u in enumerate_truncated(n, k, i))
+    """Number of standardized level-(k, i) diagrams, the sum of
+    completions(u) over the truncated diagrams u, counted without listing
+    them; equals k^((k+1)(n-k)-3-i) * T_k(n-k-1, i).
+
+    A dynamic program over the columns h = r-1, ..., 0.  Its state is
+    (S, |c|, low): S tail steps placed in columns >= h, so prefix_h(q) =
+    i - S; |c| segments placed at heights >= h; low[l-1] of them from
+    column l < k, the only ones that move the hull.  Column h adds q_h
+    tail steps, weighted by binom(i - S, q_h) label choices, and any
+    number of segments from each column l, one multiset per choice; then
+    the caps keep S <= r - h (the tail dominates (0^(r-i), 1^i)) and
+    |c| <= r - i + (i - S) - h (column k+h's dots).  A finished state
+    with S = i and |c| = r - i weighs completions over _hull(low).
+    """
+    r = _check_level(n, k, i)
+    segs = r - i
+    states: dict[tuple[int, int, tuple[int, ...]], int] = {(0, 0, (0,) * (k - 1)): 1}
+    for h in range(r - 1, -1, -1):
+        grown: dict[tuple[int, int, tuple[int, ...]], int] = {}
+        for (s, c, low), w in states.items():
+            # q tail steps in column h, under the dominance cap S <= r - h
+            for q in range(min(i, r - h) - s + 1):
+                key = (s + q, c, low)
+                grown[key] = grown.get(key, 0) + w * binomial(i - s, q)
+        for l in range(k):  # segments (h, l+1), under the dot cap
+            states, grown = grown, {}
+            for (s, c, low), w in states.items():
+                for extra in range(min(segs, segs + i - s - h) - c + 1):
+                    bumped = low if l == k - 1 else low[:l] + (low[l] + extra,) + low[l + 1 :]
+                    key = (s, c + extra, bumped)
+                    grown[key] = grown.get(key, 0) + w
+        states = grown
+    return sum(
+        w * _hull_completions(_hull(n, k, i, low))
+        for (s, c, low), w in states.items()
+        if s == i and c == segs
+    )
 
 
 def standardized_count_formula(n: int, k: int, i: int) -> int:

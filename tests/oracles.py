@@ -12,7 +12,7 @@ from flowpoly.combinat import multinomial, prefix_sums, weak_compositions
 from flowpoly.gravity import GravityDiagram, out_segments_by_row
 from flowpoly.kostant import kostant
 from flowpoly.paths import MultiLabeledDyckPath
-from flowpoly.unified import TruncatedDiagram, enumerate_truncated
+from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
 
 
 def is_log_concave(seq: Sequence[int]) -> bool:
@@ -74,16 +74,20 @@ def completions_by_enumeration(u: TruncatedDiagram) -> int:
     """unified.completions by brute force: test every candidate initial path
     against the shaded region and the segments' dot demands, column by
     column, in place of the hull."""
-    n, k, i = u.n, u.k, u.level
+    return _completions_by_enumeration(u.n, u.k, u.level, tuple(sorted(l for _, l in u.segments)))
+
+
+@functools.cache
+def _completions_by_enumeration(n: int, k: int, i: int, lefts: tuple[int, ...]) -> int:
+    """The brute force reads only the segments' left columns, so it runs
+    once per multiset of them."""
     big_n = (k + 1) * (n - k) - 2 - i  # m - n - i
     pt = prefix_sums(_caracol_outdegree(n, k)[:k])
+    # column j must hold the shaded cells and one dot per segment from l <= j
+    need = [pt[j - 1] + sum(1 for l in lefts if l <= j) for j in range(1, k + 1)]
     total = 0
     for p in weak_compositions(big_n, k):
-        pp = prefix_sums(p)
-        if all(
-            pp[j - 1] - pt[j - 1] >= sum(1 for _, l in u.segments if l <= j)
-            for j in range(1, k + 1)
-        ):
+        if all(h >= floor for h, floor in zip(prefix_sums(p), need)):
             total += multinomial(big_n, p)
     return total
 
@@ -91,3 +95,9 @@ def completions_by_enumeration(u: TruncatedDiagram) -> int:
 def standardized_count_enumerated(n: int, k: int, i: int) -> int:
     """unified.standardized_count with the brute-force completions."""
     return sum(completions_by_enumeration(u) for u in enumerate_truncated(n, k, i))
+
+
+def standardized_count_listed(n: int, k: int, i: int) -> int:
+    """unified.standardized_count by listing every truncated diagram and
+    completing each over its k-hull."""
+    return sum(completions(u) for u in enumerate_truncated(n, k, i))

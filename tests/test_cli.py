@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +262,10 @@ BAD_INPUTS = [
     ("volume --graph caracol:n=5,k=2 --netflow xy:x=1,y=1,q=3", "unknown key 'q'"),
     ("enumerate dyck --t 1_0,2", "bad --t"),
     ("tables parking --k 1_0", "invalid integer value: '1_0'"),
+    # positions are offsets into the spec, not the first match of the text
+    ("volume --graph caracol:n=c,k=2 --netflow unit", "value 'c' at position 10 in"),
+    ("volume --graph caracol:n=5,k=2 --netflow xy:x=y,y=1", "value 'y' at position 5 in"),
+    ("volume --graph mcar:a=3,a --netflow unit", "bad field 'a' at position 9 in"),
 ]
 
 
@@ -267,6 +275,25 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    """A reader that has gone away is an unwritable report: one error line,
+    exit 2, and no traceback or "Exception ignored" at shutdown."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the report is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowpoly.cli", "tables", "parking"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    err = proc.stderr
+    assert err.startswith("error: cannot write the report") and err.count("\n") == 1, err
 
 
 def test_only_input_errors_exit_2(monkeypatch, capsys):

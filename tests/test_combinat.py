@@ -221,6 +221,10 @@ def test_count_dominating():
     shapes = [(), (0,), (4,), (1, 0), (0, 1), (1, 1, 0), (2, 0, 1, 3), (0, 2, 2), (1,) * 6]
     for t in shapes:
         assert C.count_dominating(t) == sum(1 for _ in C.dominating_compositions(t)), t
+        labelled = sum(C.multinomial(sum(t), s) for s in C.dominating_compositions(t))
+        assert C.count_dominating(t, labelled=True) == labelled, t
+    # every composition of 6 into 3 parts, each labelled: 3^6 words
+    assert C.count_dominating((0, 0, 6), labelled=True) == 3**6
     for a, b in [(1, 4), (3, 5), (5, 3), (4, 7), (7, 11)]:
         assert C.count_dominating(P.rational_shape(a, b)) == C.rational_catalan(a, b)
 

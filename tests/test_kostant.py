@@ -148,6 +148,31 @@ def test_one_shot_evaluation_runs_from_the_lighter_end(monkeypatch):
     assert len(evaluator.memo) <= 1000
 
 
+def test_vector_partitions_walk_from_the_lighter_end(monkeypatch):
+    """At v_out the partitions are listed on the reversed graph, as kostant()
+    counts them, and each root of reverse(g) is reported as its edge of g."""
+    made = []
+
+    class Recording(KostantEvaluator):
+        def __init__(self, graph):
+            super().__init__(graph)
+            made.append(graph)
+
+    monkeypatch.setattr(K, "KostantEvaluator", Recording)
+    g = G.caracol_k(8, 2)
+    v = G.v_out(g)
+    parts = list(vector_partitions(g, v))
+    assert made == [G.reverse(g)]
+    assert len(set(parts)) == len(parts) == kostant(g, v) == 728
+    for part in parts:
+        net = [0] * g.num_vertices
+        for (i, j), c in part:
+            assert (i, j) in g.edges and c > 0
+            net[i - 1] += c
+            net[j - 1] -= c
+        assert tuple(net) == v, part
+
+
 def test_restricted_graph_carries_the_in_degree_count():
     """The in-degree vector is supported past vertex k, so evaluating on the
     restriction to the tail vertices gives the same count."""

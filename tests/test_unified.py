@@ -14,6 +14,7 @@ from oracles import (
     is_log_concave,
     parking_preferences,
     standardized_count_enumerated,
+    standardized_count_listed,
 )
 
 
@@ -119,15 +120,31 @@ def test_completions_k1_always_one():
 def test_standardized_counts():
     assert U.standardized_count(5, 2, 0) == 448
     assert U.standardized_count(6, 2, 1) == 2**8 * 36 == 9216
-    for n in range(2, 7):
+    for n in range(2, 9):
         for k in range(1, n):
             for i in range(n - k):
                 got = U.standardized_count(n, k, i)
                 assert got == U.standardized_count_formula(n, k, i), (n, k, i)
-                assert got == standardized_count_enumerated(n, k, i)
+                assert got == standardized_count_listed(n, k, i), (n, k, i)
+                if n < 8:  # the brute force alone takes a second at n = 8
+                    assert got == standardized_count_enumerated(n, k, i), (n, k, i)
     # Pitman-Stanley endpoint: (n-1)^(n-3) at level 0
     for n in (4, 5, 6):
         assert U.standardized_count(n, n - 1, 0) == (n - 1) ** (n - 3)
+
+
+def test_stratified_count_lists_no_diagram(monkeypatch):
+    """The column DP never lists a truncated diagram, so it reaches sizes
+    that listing cannot: caracol(12,4) has 16,806,508 of them over its
+    levels."""
+
+    def unlisted(n, k, i):
+        raise AssertionError("enumerate_truncated was called")
+
+    monkeypatch.setattr(U, "enumerate_truncated", unlisted)
+    for n, k in [(10, 3), (11, 3), (12, 4)]:
+        for x, y in [(1, 1), (2, 3)]:
+            assert U.count_unified_stratified(n, k, x, y) == U.volume_closed_form(n, k, x, y)
 
 
 def test_orbits_car62():
