@@ -381,14 +381,10 @@ def _suite_simplex(report: RunReport, total: int, k: int) -> None:
 def _suite_orbits(report: RunReport, n: int, k: int) -> None:
     m = gr.caracol_k(n, k).num_edges  # rejects n <= k, which would run no check
     for i in range(n - k):
-        orbits = unified.truncated_orbits(n, k, i)
-        ok = True
-        for orbit in orbits:
-            got = sum(unified.completions(u) for u in orbit)
-            if k > 1 and got * k != len(orbit) * k ** (m - n - i):
-                ok = False
-            if k == 1 and got != len(orbit):
-                ok = False
+        ok = all(
+            sum(unified.completions(u) for u in orbit) * k == len(orbit) * k ** (m - n - i)
+            for orbit in unified.truncated_orbits(n, k, i)
+        )
         report.check(f"orbit completion sums at level {i}", True, ok)
         report.check(
             f"standardized count at level {i}",

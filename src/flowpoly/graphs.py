@@ -6,7 +6,7 @@ vectors whose Kostant evaluations both give the unit-flow volume.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .combinat import InputError, prefix_sums
@@ -29,13 +29,11 @@ class DirectedMultigraph:
     """Loopless acyclic multigraph on 1..num_vertices, every edge (i, j) has i < j.
 
     Edges are stored as a sorted tuple, so parallel copies are adjacent and
-    equality is canonical.  `display_offset` only affects printed vertex
-    labels (the multicaracol family is conventionally labelled from 0).
+    equality is canonical.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    display_offset: int = field(default=0, compare=False)
 
     @property
     def n(self) -> int:
@@ -61,15 +59,6 @@ class DirectedMultigraph:
                 out.append((e, 1))
         return out
 
-    def display_label(self, v: int) -> int:
-        return v + self.display_offset
-
-    def __str__(self) -> str:
-        parts = ",".join(
-            f"({self.display_label(i)},{self.display_label(j)})" for i, j in self.edges
-        )
-        return f"graph(n+1={self.num_vertices}; {parts})"
-
 
 def _validate(num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
     n = num_vertices - 1
@@ -86,31 +75,15 @@ def _validate(num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
     for v in range(2, n + 2):
         if not any(j == v for _, j in edges):
             raise InvalidGraph(f"vertex {v} violates condition (b): in-degree 0")
-    # undirected connectivity
-    adj: dict[int, set[int]] = {v: set() for v in range(1, num_vertices + 1)}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != num_vertices:
-        raise InvalidGraph("graph is not connected")
+    # (a) and (c) imply connectivity: following out-edges from any vertex
+    # climbs until it stops at the sink, the one vertex with none
 
 
-def from_edge_list(
-    num_vertices: int,
-    edges: Sequence[tuple[int, int]],
-    display_offset: int = 0,
-) -> DirectedMultigraph:
+def from_edge_list(num_vertices: int, edges: Sequence[tuple[int, int]]) -> DirectedMultigraph:
     """Build and validate a graph from an explicit edge multiset."""
     edges = tuple(sorted(tuple(e) for e in edges))
     _validate(num_vertices, edges)
-    return DirectedMultigraph(num_vertices, edges, display_offset)
+    return DirectedMultigraph(num_vertices, edges)
 
 
 def caracol_k(n: int, k: int) -> DirectedMultigraph:
@@ -149,8 +122,8 @@ def multicaracol(a: int, k: int) -> DirectedMultigraph:
     """The k-multicaracol graph: PS_{a+1} plus a new source joined to each of
     its first a vertices by k parallel edges.
 
-    Internally the vertices are 1..a+2 (the new source is vertex 1);
-    printed labels follow the 0-based convention.
+    The vertices are 1..a+2 and the new source is vertex 1 (the family is
+    conventionally labelled from 0).
     """
     if a < 1 or k < 1:
         raise BadParameters(f"multicaracol needs a, k >= 1, got a={a}, k={k}")
@@ -163,7 +136,7 @@ def multicaracol(a: int, k: int) -> DirectedMultigraph:
         edges.append((2, 3))
     for i in range(2, a + 2):
         edges.extend([(1, i)] * k)
-    g = from_edge_list(a + 2, edges, display_offset=-1)
+    g = from_edge_list(a + 2, edges)
     assert g.num_edges == (k + 2) * a - 1
     return g
 

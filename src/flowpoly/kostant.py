@@ -8,7 +8,6 @@ serves as the ground truth the rest of the package is checked against.
 """
 from __future__ import annotations
 
-import weakref
 from typing import Iterator, Sequence
 
 from .combinat import multichoose, weak_compositions
@@ -33,23 +32,18 @@ class KostantEvaluator:
     already have residual zero, which prunes hard.  `count(idx, residual)`
     is the number of ways to finish a DFS state with roots idx, idx+1, ...
 
-    Memoized on (root index, residual suffix).  That key names a DFS state
-    of g alone, whatever vector led to it, so one memo serves every vector
-    asked of this evaluator; it is freed when the evaluator is.  Once the
-    memo holds `memo_cap` entries (read at construction), further states
-    are computed but not stored, and `uncached` counts them, so a caller
-    can tell that the cap was hit.
+    `memos[idx]` memoizes root idx on the residual suffix from that root's
+    first column on (the columns before it are zero).  That names a DFS
+    state of g alone, whatever vector led to it, so the memos serve every
+    vector asked of this evaluator.  They hold one entry per distinct
+    state entered, with no cap, and are freed with the evaluator.
     """
-
-    memo_cap = 1 << 20
 
     def __init__(self, g: DirectedMultigraph) -> None:
         self._g = g
-        self.memo: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.uncached = 0
         self.roots = roots = _root_intervals(g)
-        memo, cap = self.memo, self.memo_cap
-        me = weakref.proxy(self)  # a strong reference would put self in a cycle
+        memos: list[dict[tuple[int, ...], int]] = [{} for _ in roots]
+        self.memos = memos
 
         def count(idx: int, residual: tuple[int, ...]) -> int:
             # columns before the current root's start are now untouchable
@@ -58,7 +52,7 @@ class KostantEvaluator:
                 return 0
             if idx == len(roots):
                 return 1
-            key = (idx, residual[lo:])
+            memo, key = memos[idx], residual[lo:]
             hit = memo.get(key)
             if hit is not None:
                 return hit
@@ -69,18 +63,16 @@ class KostantEvaluator:
                 sub = count(idx + 1, head + tuple(r - c for r in mid) + tail)
                 if sub:
                     total += multichoose(mult, c) * sub
-            if len(memo) < cap:
-                memo[key] = total
-            else:
-                me.uncached += 1
+            memo[key] = total
             return total
 
         self.count = count
 
     def __del__(self) -> None:
         # `count` reaches itself through its closure cell, a cycle that only
-        # the cyclic collector would free; emptying the memo frees it now
-        self.memo.clear()
+        # the cyclic collector would free; emptying the memos frees them now
+        for memo in self.memos:
+            memo.clear()
 
     def __call__(self, v: Sequence[int]) -> int:
         coords = alpha_coordinates(check_netflow(self._g, v))
@@ -108,12 +100,12 @@ def _lighter_end(
 def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
     """K_G(v), the number of vector partitions of v into the roots of G.
 
-    A one-shot KostantEvaluator: its memo starts empty and ends with the
+    A one-shot KostantEvaluator: its memos start empty and end with the
     call.  It runs from the lighter end of the graph (_lighter_end): K(v_out)
     on caracol(10,2) fills 523 memo entries reversed and 45,217 forward.
 
-    A KostantEvaluator keeps its graph's own orientation, since one memo
-    serves every vector asked of it: over the 9,779 Lidskii terms of
+    A KostantEvaluator keeps its graph's own orientation, since its memos
+    serve every vector asked of it: over the 9,779 Lidskii terms of
     caracol(9,3), one forward evaluator is about 2.4x faster than one on
     the reversed graph.
     """

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
-from .combinat import InputError, dominates, dominating_compositions
+from .combinat import InputError, dominates, dominating_compositions, weak_compositions
 
 
 class NotCoprime(InputError):
@@ -127,28 +127,9 @@ def _barred_distributions(
         return
     cap, rest = slots[0], slots[1:]
     for here in range(min(cap, count), -1, -1):
-        # multisets of size `here` over the barred alphabet, ascending
-        for combo in combinations(range(here + values - 1), here):
-            labs = tuple(
-                sorted(c - pos for pos, c in enumerate(combo))
-            )  # stars-and-bars decode to a multiset over 0..values-1
-            col = tuple(lab - (values - 1) for lab in labs)
+        for col in combinations_with_replacement(range(1 - values, 1), here):
             for tail in _barred_distributions(rest, count - here, values):
                 yield (col,) + tail
-
-
-def _capped_compositions(
-    total: int, caps: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of `total` with part j at most caps[j]."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    first, rest = caps[0], caps[1:]
-    for here in range(min(first, total), -1, -1):
-        for tail in _capped_compositions(total - here, rest):
-            yield (here,) + tail
 
 
 def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckPath]:
@@ -160,7 +141,9 @@ def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckP
         raise InputError(f"need k >= 1, got {k}")
     staircase = (1,) * r
     for path in dominating_compositions(staircase):
-        for car_counts in _capped_compositions(i, path):
+        for car_counts in weak_compositions(i, r):
+            if any(c > s for c, s in zip(car_counts, path)):
+                continue
             free = tuple(s - c for s, c in zip(path, car_counts))
             for car_cols in _column_label_sets(tuple(range(1, i + 1)), car_counts):
                 for barred_cols in _barred_distributions(free, r - i, k):

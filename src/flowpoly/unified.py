@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 from .combinat import (
@@ -69,26 +69,12 @@ def unified_diagrams(
         gammas = list(integral_flows(g, shifted))
         if not gammas:
             continue
-        alphas = _netflow_labelings(a, s)
+        # per column, an s_j-tuple of net-flow labels in 1..a_j
+        alphas = list(product(*(product(range(1, aj + 1), repeat=sj) for aj, sj in zip(a, s))))
         for sigma in _column_label_sets(tuple(range(1, q + 1)), s):
             for alpha in alphas:
                 for gamma in gammas:
                     yield s, sigma, alpha, gamma
-
-
-def _netflow_labelings(
-    a: Sequence[int], s: Sequence[int]
-) -> list[tuple[tuple[int, ...], ...]]:
-    cols: list[list[tuple[int, ...]]] = []
-    for aj, sj in zip(a, s):
-        options = [()]
-        for _ in range(sj):
-            options = [tup + (v,) for tup in options for v in range(1, aj + 1)]
-        cols.append([tuple(o) for o in options])
-    out: list[tuple[tuple[int, ...], ...]] = [()]
-    for options in cols:
-        out = [done + (o,) for done in out for o in options]
-    return out
 
 
 # ---------------------------------------------------------------------------

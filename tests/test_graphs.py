@@ -1,6 +1,8 @@
 """Graph constructors, degree vectors, and net-flow vectors."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from flowpoly import graphs as G
@@ -56,7 +58,6 @@ def test_multicaracol():
     assert G.shifted_outdegree(mc) == (3 * 2 - 1, 1, 1, 0)
     assert G.shifted_indegree(mc) == (2 - 1, 2, 2, 3 - 1)
     assert mc.edges.count((1, 2)) == 2  # parallel source edges
-    assert mc.display_label(1) == 0
     for a in range(1, 6):
         for k in range(1, 4):
             mc = G.multicaracol(a, k)
@@ -64,6 +65,30 @@ def test_multicaracol():
             t, u = G.shifted_outdegree(mc), G.shifted_indegree(mc)
             assert t == (a * k - 1,) + (1,) * (a - 1) + (0,)
             assert u == (k - 1,) + (k,) * (a - 1) + (a - 1,)
+
+
+def test_valid_graphs_are_connected():
+    """Conditions (a)-(c) imply connectivity, so _validate runs no search:
+    every valid simple graph on at most 5 vertices is connected."""
+    valid = 0
+    for num_vertices in range(2, 6):
+        pairs = list(combinations(range(1, num_vertices + 1), 2))
+        for size in range(len(pairs) + 1):
+            for edges in combinations(pairs, size):
+                try:
+                    G.from_edge_list(num_vertices, edges)
+                except G.InvalidGraph:
+                    continue
+                valid += 1
+                seen, stack = {1}, [1]
+                while stack:
+                    v = stack.pop()
+                    for w in {j for i, j in edges if i == v} | {i for i, j in edges if j == v}:
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                assert len(seen) == num_vertices, edges
+    assert valid == 135
 
 
 def test_complete_graph():

@@ -138,14 +138,14 @@ def test_one_shot_evaluation_runs_from_the_lighter_end(monkeypatch):
     class Recording(KostantEvaluator):
         def __init__(self, graph):
             super().__init__(graph)
-            made.append((graph, self))  # keeps the memo past the call
+            made.append((graph, self))  # keeps the memos past the call
 
     monkeypatch.setattr(K, "KostantEvaluator", Recording)
     g = G.caracol_k(10, 2)
     assert kostant(g, G.v_out(g)) == rational_catalan(8, 15)
     [(graph, evaluator)] = made
     assert graph == G.reverse(g)
-    assert len(evaluator.memo) <= 1000
+    assert sum(map(len, evaluator.memos)) <= 1000
 
 
 def test_vector_partitions_walk_from_the_lighter_end(monkeypatch):
@@ -189,16 +189,16 @@ def test_restricted_graph_carries_the_in_degree_count():
 
 @pytest.mark.parametrize("call", ["kostant", "volume"])
 def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
-    """kostant() and lidskii.volume free their memo as they return, with the
-    cyclic garbage collector off: the memo is empty afterwards and no large
-    block (its hash table) is still allocated.  Small blocks are not
+    """kostant() and lidskii.volume free their memos as they return, with the
+    cyclic garbage collector off: the memos are empty afterwards and no large
+    block (a hash table) is still allocated.  Small blocks are not
     counted, since the interpreter's tuple free lists keep thousands."""
     memos = []
 
     class Recording(KostantEvaluator):
         def __init__(self, graph):
             super().__init__(graph)
-            memos.append(self.memo)
+            memos.append(self.memos)
 
     monkeypatch.setattr(K, "KostantEvaluator", Recording)
     monkeypatch.setattr(L, "KostantEvaluator", Recording)
@@ -215,7 +215,7 @@ def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
     tracemalloc.start()
     try:
         run()
-        held = [len(memo) for memo in memos]  # before gc.enable() can collect
+        held = [sum(map(len, m)) for m in memos]  # before gc.enable() can collect
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

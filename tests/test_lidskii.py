@@ -122,30 +122,21 @@ def test_ones_flow_volume_caracol_8_3():
     assert L.volume(g, G.ones_flow(g)) == volume_closed_form(8, 3, 1, 1)
 
 
-def test_memo_cap_keeps_every_value_exact(monkeypatch):
-    """With the memo cap shrunk to a handful of entries, a full Lidskii sum
-    takes the uncached path for most states and must still be exact."""
-    g = G.caracol_k(6, 2)
-    a = tuple(range(1, g.n + 1)) + (-sum(range(1, g.n + 1)),)
-    want = L.volume(g, a)
-    evaluators, values = [], []
+@pytest.mark.parametrize(
+    "n, k, states", [(5, 2, 98), (7, 3, 2_903), (8, 3, 15_213)]
+)
+def test_memo_stores_every_state_once(monkeypatch, n, k, states):
+    """The ones-flow Lidskii sum shares one evaluator, whose per-root memos
+    hold exactly one entry per distinct DFS state it entered."""
+    evaluators = []
 
-    class TinyMemo(KostantEvaluator):
-        memo_cap = 8
-
+    class Recording(KostantEvaluator):
         def __init__(self, graph):
             super().__init__(graph)
-            evaluators.append(self)
+            evaluators.append(self)  # keeps the memos past the call
 
-        def __call__(self, v):
-            values.append((tuple(v), super().__call__(v)))
-            return values[-1][1]
-
-    monkeypatch.setattr(L, "KostantEvaluator", TinyMemo)
-    assert L.volume(g, a) == want
+    monkeypatch.setattr(L, "KostantEvaluator", Recording)
+    g = G.caracol_k(n, k)
+    assert L.volume(g, G.ones_flow(g)) == volume_closed_form(n, k, 1, 1)
     (ev,) = evaluators
-    assert len(ev.memo) == 8 and ev.uncached > 0
-    # every term of the sum was evaluated, since a has no zero entry
-    assert len(values) == sum(1 for _ in C.dominating_compositions(G.shifted_outdegree(g)))
-    for v, got in values:
-        assert got == kostant(g, v), v
+    assert sum(map(len, ev.memos)) == states
