@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import combinat, gravity, lidskii, paths, unified
 from . import graphs as gr
-from .combinat import InputError
+from .combinat import InputError, Record
 from .kostant import integral_flows, kostant
 
 
@@ -50,8 +50,7 @@ class RunReport:
                 "checks": self.checks,
                 "wall_time": round(self.wall_time, 6),
                 "ok": self.ok,
-            },
-            default=str,
+            }
         )
 
     def to_text(self) -> str:
@@ -429,7 +428,7 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
     items: Iterator
     estimated: int
     to_text: Callable = str
-    to_json_line: Callable = str
+    to_json_line: Callable = Record.to_json
 
     if args.object == "gravity":
         n, k = args.n, args.k
@@ -441,7 +440,6 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
             items = gravity.enumerate_out_gravity_mcar(n, k)
         estimated = gravity.count_gravity(n + k, k) if args.kind == "mcar-out" else gravity.count_gravity(n, k)
         to_text = gravity.render_text
-        to_json_line = lambda d: d.to_json()
         report.inputs.update({"kind": args.kind, "n": n, "k": k})
     elif args.object == "dyck":
         if args.t:
@@ -454,21 +452,18 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
         items = paths.enumerate_t_dyck(t)
         estimated = combinat.count_dominating(t)
         to_text = lambda p: f"{p.word()}  shape={p.shape}"
-        to_json_line = lambda p: p.to_json()
         report.inputs.update({"t": list(t)})
     elif args.object == "multilabeled":
         k, r, i = args.k, args.r, args.i
         items = paths.enumerate_multilabeled(k, r, i)
         estimated = combinat.k_parking_number(k, r, i)
         to_text = lambda m: m.word()
-        to_json_line = lambda m: m.to_json()
         report.inputs.update({"k": k, "r": r, "i": i})
     elif args.object == "truncated":
         n, k, i = args.n, args.k, args.i
         items = unified.enumerate_truncated(n, k, i)
         estimated = combinat.k_parking_number(k, n - k - 1, i)
         to_text = unified.render_truncated_text
-        to_json_line = lambda u: u.to_json()
         report.inputs.update({"n": n, "k": k, "i": i})
     else:  # unified
         g, family = parse_graph_spec(args.graph)
@@ -477,8 +472,7 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
         estimated = lidskii.volume(g, a)
         to_text = lambda q: f"s={q[0]} sigma={q[1]} alpha={q[2]} flow={q[3]}"
         to_json_line = lambda q: json.dumps(
-            {"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]},
-            default=list,
+            {"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]}
         )
         report.inputs.update({"graph": args.graph, "netflow": list(a)})
 

@@ -1,4 +1,6 @@
-"""Exact integer combinatorics: binomials, compositions, dominance order.
+"""Exact integer combinatorics: binomials, compositions, dominance order;
+and the two things every module shares, the input-error base and the JSON
+codec of the enumerated objects.
 
 Every count in this package is a plain Python int, so all arithmetic is
 arbitrary-precision and exact.  Divisions only happen where exactness is
@@ -6,7 +8,9 @@ provable and are asserted at runtime.
 """
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -24,6 +28,27 @@ class SumMismatch(InputError):
 
 class NonIntegral(ValueError):
     """An exact division left a remainder: a broken invariant, not bad input."""
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+@dataclass(frozen=True)
+class Record:
+    """An enumerated object, written as one JSON object: its fields in
+    declaration order, a field holding None left out, tuples as arrays.
+    from_json reads such a line back, each array as a tuple."""
+
+    def to_json(self) -> str:
+        # __dataclass_fields__ is in declaration order; fields() would build
+        # a tuple on every call
+        names = self.__dataclass_fields__
+        return json.dumps({n: v for n in names if (v := getattr(self, n)) is not None})
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls(**{name: _tuples(v) for name, v in json.loads(text).items()})
 
 
 def binomial(n: int, k: int) -> int:

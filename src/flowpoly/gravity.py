@@ -20,11 +20,10 @@ below pick one drawing per class:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .combinat import InputError, rational_catalan
+from .combinat import InputError, Record, rational_catalan
 from .paths import TDyckPath, rational_shape
 
 
@@ -33,38 +32,17 @@ class MalformedDiagram(InputError):
 
 
 @dataclass(frozen=True)
-class GravityDiagram:
+class GravityDiagram(Record):
     """kind is "in", "out" or "mcar-out"; n holds the family's first
     parameter (a for the multicaracol family).  segments are (row, left,
-    right) triples; colors align with segments for the multicaracol kind."""
+    right) triples; colors align with segments for the multicaracol kind
+    and are None for the other two."""
 
     kind: str
     n: int
     k: int
     segments: tuple[tuple[int, int, int], ...]
-    colors: tuple[int, ...] = ()
-
-    def to_json(self) -> str:
-        payload: dict = {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "segments": [list(s) for s in self.segments],
-        }
-        if self.kind == "mcar-out":
-            payload["colors"] = list(self.colors)
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GravityDiagram":
-        data = json.loads(text)
-        return cls(
-            data["kind"],
-            data["n"],
-            data["k"],
-            tuple(tuple(s) for s in data["segments"]),
-            tuple(data.get("colors", ())),
-        )
+    colors: tuple[int, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +344,6 @@ def render_text(d: GravityDiagram) -> str:
             else:
                 cells.append("o   ")
         lines.append("".join(cells).rstrip())
-    if d.kind == "mcar-out" and d.colors:
+    if d.colors:
         lines.append("colors (top row first): " + ",".join(map(str, d.colors)))
     return "\n".join(lines)

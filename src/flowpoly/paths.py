@@ -11,13 +11,12 @@ integer order.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .combinat import InputError, dominates, dominating_compositions, weak_compositions
+from .combinat import InputError, Record, dominates, dominating_compositions, weak_compositions
 
 
 class NotCoprime(InputError):
@@ -25,7 +24,7 @@ class NotCoprime(InputError):
 
 
 @dataclass(frozen=True)
-class TDyckPath:
+class TDyckPath(Record):
     """A weak composition dominating a reference shape."""
 
     shape: tuple[int, ...]
@@ -37,14 +36,6 @@ class TDyckPath:
 
     def word(self) -> str:
         return "".join("N" * sj + "E" for sj in self.shape)
-
-    def to_json(self) -> str:
-        return json.dumps({"shape": list(self.shape), "reference": list(self.reference)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TDyckPath":
-        d = json.loads(text)
-        return cls(tuple(d["shape"]), tuple(d["reference"]))
 
 
 def enumerate_t_dyck(t: Sequence[int]) -> Iterator[TDyckPath]:
@@ -71,22 +62,21 @@ def rational_shape(a: int, b: int) -> tuple[int, ...]:
 
 def _column_label_sets(
     pool: Sequence[int], shape: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> list[tuple[tuple[int, ...], ...]]:
     """Split a set of distinct labels into per-column ascending tuples with
-    the given sizes."""
-    if not shape:
-        if not pool:
-            yield ()
-        return
-    first, rest = shape[0], shape[1:]
-    for chosen in combinations(pool, first):
-        remaining = tuple(x for x in pool if x not in chosen)
-        for tail in _column_label_sets(remaining, rest):
-            yield (chosen,) + tail
+    the given sizes, in lex order of the columns."""
+    partial = [((), tuple(pool))]  # (columns so far, labels left)
+    for size in shape:
+        partial = [
+            (cols + (chosen,), tuple(x for x in left if x not in chosen))
+            for cols, left in partial
+            for chosen in combinations(left, size)
+        ]
+    return [cols for cols, left in partial if not left]
 
 
 @dataclass(frozen=True)
-class MultiLabeledDyckPath:
+class MultiLabeledDyckPath(Record):
     """A classical (r x r) Dyck path whose north-step labels use 1..i once
     each plus r-i barred labels (encoded <= 0), ascending within columns."""
 
@@ -107,30 +97,6 @@ class MultiLabeledDyckPath:
             out.append("E")
         return "".join(out)
 
-    def to_json(self) -> str:
-        return json.dumps({"shape": list(self.shape), "labels": [list(c) for c in self.labels]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiLabeledDyckPath":
-        d = json.loads(text)
-        return cls(tuple(d["shape"]), tuple(tuple(c) for c in d["labels"]))
-
-
-def _barred_distributions(
-    slots: Sequence[int], count: int, values: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Assign `count` barred labels (multisets over -(values-1)..0) to columns
-    with the given capacities."""
-    if not slots:
-        if count == 0:
-            yield ()
-        return
-    cap, rest = slots[0], slots[1:]
-    for here in range(min(cap, count), -1, -1):
-        for col in combinations_with_replacement(range(1 - values, 1), here):
-            for tail in _barred_distributions(rest, count - here, values):
-                yield (col,) + tail
-
 
 def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckPath]:
     """All k-multi-labeled Dyck paths with car labels 1..i; there are
@@ -144,9 +110,13 @@ def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckP
         for car_counts in weak_compositions(i, r):
             if any(c > s for c, s in zip(car_counts, path)):
                 continue
-            free = tuple(s - c for s, c in zip(path, car_counts))
+            # the free slots sum to r - i, so every one holds a barred label
+            barred = list(product(*(
+                combinations_with_replacement(range(1 - k, 1), s - c)
+                for s, c in zip(path, car_counts)
+            )))
             for car_cols in _column_label_sets(tuple(range(1, i + 1)), car_counts):
-                for barred_cols in _barred_distributions(free, r - i, k):
+                for barred_cols in barred:
                     labels = tuple(
                         bar + car for bar, car in zip(barred_cols, car_cols)
                     )

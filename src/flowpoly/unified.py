@@ -24,13 +24,13 @@ independent of the Kostant and Lidskii routes.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 from .combinat import (
     InputError,
+    Record,
     binomial,
     count_dominating,
     dominating_compositions,
@@ -82,7 +82,7 @@ def unified_diagrams(
 
 
 @dataclass(frozen=True)
-class TruncatedDiagram:
+class TruncatedDiagram(Record):
     n: int
     k: int
     level: int
@@ -93,30 +93,6 @@ class TruncatedDiagram:
     @property
     def r(self) -> int:
         return self.n - self.k - 1
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "level": self.level,
-                "tail": list(self.tail),
-                "tail_labels": [list(c) for c in self.tail_labels],
-                "segments": [list(s) for s in self.segments],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedDiagram":
-        d = json.loads(text)
-        return cls(
-            d["n"],
-            d["k"],
-            d["level"],
-            tuple(d["tail"]),
-            tuple(tuple(c) for c in d["tail_labels"]),
-            tuple(tuple(s) for s in d["segments"]),
-        )
 
 
 def _segment_multisets(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flowpoly import cli, lidskii
-from flowpoly.gravity import GravityDiagram
+from flowpoly.gravity import GravityDiagram, enumerate_out_gravity_mcar
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
 from flowpoly.unified import TruncatedDiagram
 
@@ -183,6 +183,40 @@ def test_enumerate_dyck(capsys):
     for line in doc["results"]["items"]:
         p = TDyckPath.from_json(line)
         assert TDyckPath.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize(
+    "obj, line",
+    [
+        (
+            GravityDiagram("in", 6, 2, ((1, 3, 6), (2, 4, 6), (3, 4, 6), (4, 5, 6), (5, 5, 6))),
+            '{"kind": "in", "n": 6, "k": 2, "segments": '
+            "[[1, 3, 6], [2, 4, 6], [3, 4, 6], [4, 5, 6], [5, 5, 6]]}",
+        ),
+        (
+            next(enumerate_out_gravity_mcar(1, 2)),
+            '{"kind": "mcar-out", "n": 1, "k": 2, "segments": [], "colors": []}',
+        ),
+        (
+            TDyckPath((3, 0, 0, 1), (1, 0, 2, 1)),
+            '{"shape": [3, 0, 0, 1], "reference": [1, 0, 2, 1]}',
+        ),
+        (
+            MultiLabeledDyckPath((2, 1, 0), ((-2, 1), (0,), ())),
+            '{"shape": [2, 1, 0], "labels": [[-2, 1], [0], []]}',
+        ),
+        (
+            TruncatedDiagram(6, 2, 1, (1, 0, 0), ((1,), (), ()), ((0, 1), (2, 2))),
+            '{"n": 6, "k": 2, "level": 1, "tail": [1, 0, 0], '
+            '"tail_labels": [[1], [], []], "segments": [[0, 1], [2, 2]]}',
+        ),
+    ],
+)
+def test_record_json_lines_are_pinned(obj, line):
+    """The exact line `enumerate --render json` writes for each record
+    type, and the object it reads back as."""
+    assert obj.to_json() == line
+    assert type(obj).from_json(line) == obj
 
 
 def test_enumerate_unified(capsys):

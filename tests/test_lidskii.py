@@ -117,11 +117,6 @@ def test_lattice_point_forms_larger_graphs():
         assert L.lattice_points_multiset(g, a) == want
 
 
-def test_ones_flow_volume_caracol_8_3():
-    g = G.caracol_k(8, 3)
-    assert L.volume(g, G.ones_flow(g)) == volume_closed_form(8, 3, 1, 1)
-
-
 @pytest.mark.parametrize(
     "n, k, states", [(5, 2, 98), (7, 3, 2_903), (8, 3, 15_213)]
 )
