@@ -263,7 +263,7 @@ def cmd_tables(args: argparse.Namespace) -> RunReport:
         rows = []
         for n in range(2, nmax + 1):
             rows.append([gravity.count_gravity(n, k) for k in range(1, n)])
-        report.inputs.update({"family": args.family, "nmax": nmax})
+        report.inputs.update({"nmax": nmax})
         report.results["rows"] = rows
         report.results["rendered"] = _render_table(
             rows, "gravity-diagram counts (rows n=2.., columns k=1..)", args.format
@@ -333,14 +333,12 @@ def _small_zoo() -> list[tuple[str, gr.DirectedMultigraph]]:
     return zoo
 
 
-def _suite_lidskii(report: RunReport, entries: int) -> None:
+def _suite_lidskii(report: RunReport) -> None:
     zoo = _small_zoo()
     flows_ok = True
     for name, g in zoo:
-        flows = [gr.unit_flow(g), gr.ones_flow(g)]
         two = tuple(min(2, 1 + (v % 2)) for v in range(g.n))
-        flows.append(two + (-sum(two),))
-        for a in flows[:entries]:
+        for a in (gr.unit_flow(g), gr.ones_flow(g), two + (-sum(two),)):
             want = kostant(g, a)
             got_b = lidskii.lattice_points_binomial(g, a)
             got_m = lidskii.lattice_points_multiset(g, a)
@@ -397,7 +395,7 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
     if args.suite in ("bijections", "all"):
         _suite_bijections(report, args.n, args.k)
     if args.suite in ("lidskii", "all"):
-        _suite_lidskii(report, entries=3)
+        _suite_lidskii(report)
     if args.suite in ("simplex", "all"):
         _suite_simplex(report, args.N, args.simplex_k)
     if args.suite in ("orbits", "all"):
@@ -533,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--k", type=integer, default=2)
     p_tab.add_argument("--rmax", type=integer, default=5)
     p_tab.add_argument("--nmax", type=integer, default=7)
-    p_tab.add_argument("--family", choices=("caracol",), default="caracol")
     p_tab.set_defaults(func=cmd_tables)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run invariant suites at desk scale")

@@ -166,31 +166,45 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def monotone_sequences(lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every weakly increasing x with lo[p] <= x[p] <= hi[p], lex increasing.
+
+    lo and hi must be nondecreasing, so x = lo comes first when it fits.
+    An odometer: raise the rightmost entry below its bound, then reset each
+    later entry q to max(that entry, lo[q]), which hi[q] cannot be below.
+    """
+    if any(a > b for a, b in zip(lo, hi)):
+        return
+    x = list(lo)
+    size = len(x)
+    while True:
+        yield tuple(x)
+        p = size - 1
+        while p >= 0 and x[p] == hi[p]:
+            p -= 1
+        if p < 0:
+            return
+        v = x[p] = x[p] + 1
+        for q in range(p + 1, size):
+            x[q] = max(v, lo[q])
+
+
 def dominating_compositions(t: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All compositions s with |s| = |t| that dominate t, lex decreasing.
 
-    These are exactly the t-Dyck paths.  The order is deterministic:
-    decreasing in the first differing part.
+    These are exactly the t-Dyck paths.  Encoded as x[u], the part that
+    holds the u-th unit: s dominates t iff x[u] never exceeds the same
+    sequence for t, and lex-increasing x is lex-decreasing s.
     """
     t = tuple(t)
-    pt = prefix_sums(t)
-    total = pt[-1] if pt else 0
-
-    def rec(j: int, running: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if j == len(t) - 1:
-            last = total - running
-            if last >= 0:
-                yield prefix + (last,)
-            return
-        # s_j may not dip below the dominance floor, nor exceed the budget
-        low = max(0, pt[j] - running)
-        for sj in range(total - running, low - 1, -1):
-            yield from rec(j + 1, running + sj, prefix + (sj,))
-
-    if not t:
-        yield ()
-        return
-    yield from rec(0, 0, ())
+    if any(tj < 0 for tj in t):
+        raise InputError(f"composition parts must be nonnegative, got {t}")
+    units = [j for j, tj in enumerate(t) for _ in range(tj)]
+    for x in monotone_sequences([0] * len(units), units):
+        s = [0] * len(t)
+        for j in x:
+            s[j] += 1
+        yield tuple(s)
 
 
 def count_dominating(t: Sequence[int], labelled: bool = False) -> int:

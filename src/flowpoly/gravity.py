@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .combinat import InputError, Record, rational_catalan
+from .combinat import InputError, Record, monotone_sequences, rational_catalan
 from .paths import TDyckPath, rational_shape
 
 
@@ -59,27 +59,21 @@ def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     A diagram is a multiset of left endpoints j (each segment is [j, n]);
     with the segments sorted longest first into rows 1, 2, ..., the i-th
     one needs i <= (j_i - k)k - 1 free dots in its leftmost column.
+    Encoded as x[j], the number of segments starting in columns k+1..j for
+    j = k+1..n-1, so x[j] <= (j-k)k - 1 and column j holds rows
+    x[j-1]+1..x[j]; listed by the per-column counts, lex increasing.
     """
     if not (n > k >= 1):
         raise InputError(f"need n > k >= 1, got n={n}, k={k}")
-
-    def rec(col: int, row: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if col > n - 1:
-            yield tuple(acc)
-            return
-        cap = _in_capacity(n, k, col)
-        # all segments starting at `col` occupy consecutive rows from `row`
-        count = 0
-        while True:
-            if row + count - 1 <= cap:
-                yield from rec(col + 1, row + count, acc + [col] * count)
-            else:
-                break
-            count += 1
-
-    for lefts in rec(k + 1, 1, []):
-        segs = tuple((i + 1, j, n) for i, j in enumerate(lefts))
-        yield GravityDiagram("in", n, k, segs)
+    cols = range(k + 1, n)
+    for x in monotone_sequences([0] * len(cols), [_in_capacity(n, k, j) for j in cols]):
+        segs = []
+        row = 1
+        for j, top in zip(cols, x):
+            while row <= top:
+                segs.append((row, j, n))
+                row += 1
+        yield GravityDiagram("in", n, k, tuple(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +86,14 @@ def enumerate_out_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     Rows run 1..n-k-1 from the bottom; row i holds [l_i, r_i] with
     l_i in 1..k and k <= r_i <= k+i-1, trivial rows stored as [k, k], and
     (r_i, r_i - l_i) weakly increasing.  Only nontrivial rows are kept in
-    `segments`.
+    `segments`.  Encoded as x_i = (r_i - k)k + (k - l_i) < ik, the crossing
+    of psi_out, with x_i = 0 the trivial row; listed lex increasing in x.
     """
     if not (n > k >= 1):
         raise InputError(f"need n > k >= 1, got n={n}, k={k}")
-    rows = n - k - 1
-
-    def rec(i: int, prev: tuple[int, int], acc: list) -> Iterator[tuple]:
-        if i > rows:
-            yield tuple(acc)
-            return
-        for r in range(k, k + i):
-            for d in range(max(0, r - k), r):
-                if (r, d) >= prev:
-                    yield from rec(i + 1, (r, d), acc + [(i, r - d, r)])
-
-    for row_segs in rec(1, (k, 0), []):
-        segs = tuple((i, l, r) for i, l, r in row_segs if not (l == k and r == k))
+    rows = range(1, n - k)
+    for x in monotone_sequences([0] * len(rows), [k * i - 1 for i in rows]):
+        segs = tuple((i, k - xi % k, k + xi // k) for i, xi in zip(rows, x) if xi)
         yield GravityDiagram("out", n, k, segs)
 
 
@@ -238,23 +223,15 @@ def in_out_correspondence(n: int, k: int) -> list[tuple[GravityDiagram, GravityD
 def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     """Canonical coloured out-degree diagrams for the (a, k) multicaracol
     graph: rows 1..a-1 from the top, row i holding [0, c_i] with
-    c_i <= a-1-i, lengths descending and colours ascending on ties."""
+    c_i <= a-1-i, lengths descending and colours ascending on ties.
+    Encoded as x_i = (a-2-c_i)k + colour_i - 1, within k(i-1)..k(a-1)-1;
+    listed lex increasing in x, that is by (-c_i, colour_i) row by row."""
     if a < 1 or k < 1:
         raise InputError(f"need a, k >= 1, got a={a}, k={k}")
-    rows = a - 1
-
-    def rec(i: int, prev: tuple[int, int], acc: list) -> Iterator[tuple]:
-        if i > rows:
-            yield tuple(acc)
-            return
-        for c in range(min(a - 1 - i, prev[0]), -1, -1):
-            col_lo = prev[1] if c == prev[0] else 1
-            for col in range(col_lo, k + 1):
-                yield from rec(i + 1, (c, col), acc + [(i, c, col)])
-
-    for rows_out in rec(1, (a - 1, 1), []):
-        segs = tuple((i, 0, c) for i, c, _ in rows_out)
-        cols = tuple(col for _, _, col in rows_out)
+    rows = range(1, a)
+    for x in monotone_sequences([k * (i - 1) for i in rows], [k * (a - 1) - 1] * len(rows)):
+        segs = tuple((i, 0, a - 2 - xi // k) for i, xi in zip(rows, x))
+        cols = tuple(xi % k + 1 for xi in x)
         yield GravityDiagram("mcar-out", a, k, segs, cols)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Iterator, Sequence
 
 from .combinat import (
@@ -35,6 +35,7 @@ from .combinat import (
     count_dominating,
     dominating_compositions,
     k_parking_number,
+    monotone_sequences,
     prefix_sums,
     rational_catalan,
     weak_compositions,
@@ -98,14 +99,17 @@ class TruncatedDiagram(Record):
 def _segment_multisets(
     k: int, r: int, i: int, tail: Sequence[int]
 ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Multisets of r-i segments (h, l) obeying the per-column dot caps."""
-    caps = [r - i + sum(tail[:j]) - j for j in range(1, r)]
-    pool = [(h, l) for h in range(r) for l in range(1, k + 1)]
-    for combo in combinations_with_replacement(pool, r - i):
-        if all(
-            sum(1 for h, _ in combo if h >= j) <= caps[j - 1] for j in range(1, r)
-        ):
-            yield combo
+    """Multisets of r-i segments (h, l) obeying the per-column dot caps,
+    as sorted tuples in lex order.  A segment is encoded as x = hk + l - 1;
+    the cap of column k+j holds iff the p-th smallest segment, counted
+    from 0, has h < j for every p < j - prefix_j(tail)."""
+    prefix = (0,) + prefix_sums(tail)
+    hi = [
+        min((j * k - 1 for j in range(1, r) if p < j - prefix[j]), default=r * k - 1)
+        for p in range(r - i)
+    ]
+    for x in monotone_sequences([0] * (r - i), hi):
+        yield tuple((xp // k, xp % k + 1) for xp in x)
 
 
 def _check_level(n: int, k: int, i: int) -> int:

@@ -278,6 +278,7 @@ BAD_INPUTS = [
     ("enumerate truncated --n 6 --k 2", "needs --i"),
     ("enumerate dyck --a 4 --b 6", "not coprime"),
     ("enumerate dyck --t 1,x", "bad --t"),
+    ("enumerate dyck --t 2,-1,1", "must be nonnegative"),
     ("tables parking --k 0", "k >= 1"),
     ("verify simplex --simplex-k 1", "k >= 2"),
     ("verify orbits --n 3 --k 5", "n > k"),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import pytest
 
@@ -215,6 +216,21 @@ def test_dominating_compositions_matches_filter():
                 listed = list(C.dominating_compositions(t))
                 assert listed == sorted(listed, reverse=True)
                 assert len(set(listed)) == len(listed)
+
+
+def test_monotone_sequences_match_filter():
+    """Every pair of nondecreasing bounds up to length 4 and bound 4,
+    infeasible ones included: the lister gives the weakly increasing
+    members of the product of the bound ranges, in the product's lex order."""
+    for length in range(5):
+        bounds = [b for b in product(range(5), repeat=length) if list(b) == sorted(b)]
+        for lo in bounds:
+            for hi in bounds:
+                ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+                expect = [x for x in product(*ranges) if list(x) == sorted(x)]
+                assert list(C.monotone_sequences(lo, hi)) == expect, (lo, hi)
+    assert list(C.monotone_sequences((), ())) == [()]
+    assert list(C.monotone_sequences((0, 3), (2, 2))) == []
 
 
 def test_count_dominating():

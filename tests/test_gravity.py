@@ -1,6 +1,8 @@
 """Gravity diagrams and the three bijections onto rational Dyck paths."""
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from flowpoly import combinat as C
@@ -224,6 +226,61 @@ def test_enumeration_order_is_stable():
         ((1, 1, 2), (2, 1, 3)),
     ]
     assert first == [d.segments for d in GR.enumerate_out_gravity(5, 2)]
+
+
+ORDER_FAMILIES = [(2, 1), (5, 1), (7, 1), (5, 2), (6, 2), (8, 2), (7, 3), (6, 4)]
+
+
+@pytest.mark.parametrize("n,k", ORDER_FAMILIES)
+def test_in_gravity_order(n, k):
+    """Every multiset of left ends whose i-th longest segment fits under the
+    capacity (j-k)k - 1 of its column, listed by its per-column counts
+    ascending."""
+    cols = range(k + 1, n)
+    most = (n - 1 - k) * k - 1 if cols else 0
+    lefts = [
+        ls
+        for size in range(most + 1)
+        for ls in combinations_with_replacement(cols, size)
+        if all(row <= (j - k) * k - 1 for row, j in enumerate(ls, start=1))
+    ]
+    lefts.sort(key=lambda ls: tuple(ls.count(j) for j in cols))
+    want = [tuple((row, j, n) for row, j in enumerate(ls, start=1)) for ls in lefts]
+    assert [d.segments for d in GR.enumerate_in_gravity(n, k)] == want
+
+
+@pytest.mark.parametrize("n,k", ORDER_FAMILIES)
+def test_out_gravity_order(n, k):
+    """Every choice of [l, r] per row with (r, r-l) weakly increasing up the
+    rows, listed by the per-row (r, r-l) ascending."""
+    rows = range(1, n - k)
+    choices = [
+        [(r, r - l) for r in range(k, k + i) for l in range(1, k + 1)] for i in rows
+    ]
+    keys = sorted(ks for ks in product(*choices) if list(ks) == sorted(ks))
+    want = [
+        tuple((i, r - d, r) for i, (r, d) in zip(rows, ks) if (r, d) != (k, 0))
+        for ks in keys
+    ]
+    assert [d.segments for d in GR.enumerate_out_gravity(n, k)] == want
+
+
+@pytest.mark.parametrize("a,k", [(1, 2), (2, 1), (4, 1), (3, 2), (5, 2), (4, 3)])
+def test_mcar_gravity_order(a, k):
+    """Every choice of (length c, colour) per row with c <= a-1-i and the
+    per-row (-c, colour) weakly increasing, listed by them ascending."""
+    rows = range(1, a)
+    choices = [
+        [(-c, col) for c in range(a - i) for col in range(1, k + 1)] for i in rows
+    ]
+    keys = sorted(ks for ks in product(*choices) if list(ks) == sorted(ks))
+    got = [
+        tuple((-c, col) for (_, _, c), col in zip(d.segments, d.colors))
+        for d in GR.enumerate_out_gravity_mcar(a, k)
+    ]
+    assert got == keys
+    for d in GR.enumerate_out_gravity_mcar(a, k):
+        assert [(row, left) for row, left, _ in d.segments] == [(i, 0) for i in rows]
 
 
 def test_xi_figure_instance():

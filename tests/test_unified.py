@@ -2,6 +2,8 @@
 closed-form volumes."""
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from flowpoly import combinat as C
@@ -63,6 +65,28 @@ def test_theta_round_trip_everywhere():
             for i in range(n - k):
                 for u in U.enumerate_truncated(n, k, i):
                     assert U.theta_inverse(U.theta(u), n, k) == u
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (7, 1), (5, 2), (7, 2), (7, 3), (6, 4)])
+def test_segment_multisets_match_filter(n, k):
+    """Every tail and level: the multisets of r-i segments (h, l) whose
+    count at heights >= j stays within column k+j's dots, as sorted tuples
+    in lex order."""
+    r = n - k - 1
+    pool = [(h, l) for h in range(r) for l in range(1, k + 1)]
+    for i in range(r + 1):
+        for tail in C.dominating_compositions((0,) * (r - i) + (1,) * i):
+            caps = [r - i + sum(tail[:j]) - j for j in range(1, r)]
+            want = [
+                combo
+                for combo in combinations_with_replacement(pool, r - i)
+                if all(
+                    sum(1 for h, _ in combo if h >= j) <= caps[j - 1]
+                    for j in range(1, r)
+                )
+            ]
+            got = list(U._segment_multisets(k, r, i, tail))
+            assert got == sorted(want), (n, k, i, tail)
 
 
 def test_theta_figure_example():
