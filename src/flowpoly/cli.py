@@ -253,29 +253,24 @@ def cmd_tables(args: argparse.Namespace) -> RunReport:
             [combinat.k_parking_number(k, r, i) for i in range(r + 1)]
             for r in range(rmax + 1)
         ]
+        title = f"{k}-parking triangle"
         report.inputs.update({"k": k, "rmax": rmax})
-        report.results["rows"] = rows
-        report.results["rendered"] = _render_table(
-            rows, f"{k}-parking triangle", args.format
-        )
     else:
         nmax = args.nmax
         rows = []
         for n in range(2, nmax + 1):
             rows.append([gravity.count_gravity(n, k) for k in range(1, n)])
+        title = "gravity-diagram counts (rows n=2.., columns k=1..)"
         report.inputs.update({"nmax": nmax})
-        report.results["rows"] = rows
-        report.results["rendered"] = _render_table(
-            rows, "gravity-diagram counts (rows n=2.., columns k=1..)", args.format
-        )
+    report.results["rows"] = rows
+    if args.format != "json":  # the JSON report holds the rows already
+        report.results["rendered"] = _render_table(rows, title, args.format)
     return report
 
 
 def _render_table(rows: list[list[int]], title: str, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(",".join(str(v) for v in row) for row in rows)
-    if fmt == "json":
-        return json.dumps(rows)
     width = max((len(str(v)) for row in rows for v in row), default=1)
     lines = [title]
     for r, row in enumerate(rows):
@@ -288,6 +283,9 @@ def _render_table(rows: list[list[int]], title: str, fmt: str) -> str:
 
 
 def _suite_bijections(report: RunReport, n: int, k: int) -> None:
+    gr.check_caracol(n, k)
+    if k * (n - k) < 2:  # the (n-k, k(n-k)-1)-Dyck paths need a column
+        raise InputError(f"the bijections suite needs k(n-k) >= 2, got n={n}, k={k}")
     count = gravity.count_gravity(n, k)
     ins = list(gravity.enumerate_in_gravity(n, k))
     outs = list(gravity.enumerate_out_gravity(n, k))
@@ -399,7 +397,7 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
     if args.suite in ("simplex", "all"):
         _suite_simplex(report, args.N, args.simplex_k)
     if args.suite in ("orbits", "all"):
-        _suite_orbits(report, args.orbit_n if args.suite == "all" else args.n, args.orbit_k if args.suite == "all" else args.k)
+        _suite_orbits(report, args.n, args.k)
     return report
 
 
@@ -541,8 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k", type=integer, default=2)
     p_ver.add_argument("--N", type=integer, default=6)
     p_ver.add_argument("--simplex-k", type=integer, default=3)
-    p_ver.add_argument("--orbit-n", type=integer, default=5)
-    p_ver.add_argument("--orbit-k", type=integer, default=2)
     p_ver.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="stream combinatorial objects")

@@ -1,6 +1,6 @@
 """Exact integer combinatorics: binomials, compositions, dominance order;
-and the two things every module shares, the input-error base and the JSON
-codec of the enumerated objects.
+and the two things every module shares, the one input-error class and the
+JSON codec of the enumerated objects.
 
 Every count in this package is a plain Python int, so all arithmetic is
 arbitrary-precision and exact.  Divisions only happen where exactness is
@@ -16,14 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 class InputError(ValueError):
     """A bad argument from outside the package; every validator raises it."""
-
-
-class LengthMismatch(InputError):
-    pass
-
-
-class SumMismatch(InputError):
-    pass
 
 
 class NonIntegral(ValueError):
@@ -75,12 +67,19 @@ def multichoose(n: int, k: int) -> int:
     return math.comb(n + k - 1, k)
 
 
+def check_composition(t: Sequence[int]) -> tuple[int, ...]:
+    """t as a tuple, once no part of it is negative."""
+    t = tuple(t)
+    if any(tj < 0 for tj in t):
+        raise InputError(f"composition parts must be nonnegative, got {t}")
+    return t
+
+
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / (parts[0]! * parts[1]! * ...), requiring sum(parts) == n."""
-    if any(p < 0 for p in parts):
-        raise InputError(f"multinomial parts must be nonnegative, got {tuple(parts)}")
+    parts = check_composition(parts)
     if sum(parts) != n:
-        raise SumMismatch(f"multinomial parts {tuple(parts)} do not sum to {n}")
+        raise InputError(f"multinomial parts {parts} do not sum to {n}")
     result = 1
     remaining = n
     for p in parts:
@@ -112,6 +111,15 @@ def catalan(n: int) -> int:
     return exact_div(math.comb(2 * n, n), n + 1)
 
 
+def check_parking_level(k: int, r: int, i: int) -> None:
+    """Reject (k, r, i) unless it names entry (r, i) of the k-parking
+    triangle: k >= 1 and 0 <= i <= r."""
+    if k < 1:
+        raise InputError(f"the k-parking triangle needs k >= 1, got {k}")
+    if not 0 <= i <= r:
+        raise InputError(f"the k-parking triangle needs 0 <= i <= r, got i={i}, r={r}")
+
+
 def k_parking_number(k: int, r: int, i: int) -> int:
     """Entry (r, i) of the k-parking triangle.
 
@@ -120,10 +128,7 @@ def k_parking_number(k: int, r: int, i: int) -> int:
     Fuss-Catalan number); at i = r the value is (r+1)^(r-1), the number
     of parking functions of length r.
     """
-    if k < 1:
-        raise InputError(f"k_parking_number needs k >= 1, got {k}")
-    if not 0 <= i <= r:
-        raise InputError(f"k_parking_number needs 0 <= i <= r, got i={i}, r={r}")
+    check_parking_level(k, r, i)
     mc = multichoose(k * (r + 1), r - i)
     if i == 0:
         return exact_div(mc, r + 1)
@@ -145,10 +150,10 @@ def dominates(s: Sequence[int], t: Sequence[int]) -> bool:
     Both compositions must have the same length and the same total.
     """
     if len(s) != len(t):
-        raise LengthMismatch(f"lengths differ: {len(s)} vs {len(t)}")
+        raise InputError(f"lengths differ: {len(s)} vs {len(t)}")
     ps, pt = prefix_sums(s), prefix_sums(t)
     if ps and ps[-1] != pt[-1]:
-        raise SumMismatch(f"sums differ: {ps[-1]} vs {pt[-1]}")
+        raise InputError(f"sums differ: {ps[-1]} vs {pt[-1]}")
     return all(a >= b for a, b in zip(ps, pt))
 
 
@@ -196,9 +201,7 @@ def dominating_compositions(t: Sequence[int]) -> Iterator[tuple[int, ...]]:
     holds the u-th unit: s dominates t iff x[u] never exceeds the same
     sequence for t, and lex-increasing x is lex-decreasing s.
     """
-    t = tuple(t)
-    if any(tj < 0 for tj in t):
-        raise InputError(f"composition parts must be nonnegative, got {t}")
+    t = check_composition(t)
     units = [j for j, tj in enumerate(t) for _ in range(tj)]
     for x in monotone_sequences([0] * len(units), units):
         s = [0] * len(t)
@@ -215,6 +218,7 @@ def count_dominating(t: Sequence[int], labelled: bool = False) -> int:
     once per way to label its |t| steps 1..|t| ascending inside each part:
     a step of the prefix sum from H to H' then weighs binom(|t| - H, H' - H).
     """
+    t = check_composition(t)
     total = sum(t)
     heights = {0: 1}
     floor = 0

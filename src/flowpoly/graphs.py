@@ -12,18 +12,6 @@ from typing import Sequence
 from .combinat import InputError, prefix_sums
 
 
-class InvalidGraph(InputError):
-    pass
-
-
-class BadParameters(InputError):
-    pass
-
-
-class SumNonzero(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class DirectedMultigraph:
     """Loopless acyclic multigraph on 1..num_vertices, every edge (i, j) has i < j.
@@ -63,18 +51,18 @@ class DirectedMultigraph:
 def _validate(num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
     n = num_vertices - 1
     if num_vertices < 2:
-        raise InvalidGraph("need at least 2 vertices")
+        raise InputError("need at least 2 vertices")
     for i, j in edges:
         if not (1 <= i < j <= num_vertices):
-            raise InvalidGraph(
+            raise InputError(
                 f"edge ({i},{j}) violates condition (c): edges run i -> j with i < j"
             )
     for v in range(1, n + 1):
         if not any(i == v for i, _ in edges):
-            raise InvalidGraph(f"vertex {v} violates condition (a): out-degree 0")
+            raise InputError(f"vertex {v} violates condition (a): out-degree 0")
     for v in range(2, n + 2):
         if not any(j == v for _, j in edges):
-            raise InvalidGraph(f"vertex {v} violates condition (b): in-degree 0")
+            raise InputError(f"vertex {v} violates condition (b): in-degree 0")
     # (a) and (c) imply connectivity: following out-edges from any vertex
     # climbs until it stops at the sink, the one vertex with none
 
@@ -86,14 +74,25 @@ def from_edge_list(num_vertices: int, edges: Sequence[tuple[int, int]]) -> Direc
     return DirectedMultigraph(num_vertices, edges)
 
 
+def check_caracol(n: int, k: int) -> None:
+    """Reject (n, k) unless it names a k-caracol graph: n > k >= 1."""
+    if not n > k >= 1:
+        raise InputError(f"the k-caracol graph needs n > k >= 1, got n={n}, k={k}")
+
+
+def check_multicaracol(a: int, k: int) -> None:
+    """Reject (a, k) unless it names a k-multicaracol graph: a, k >= 1."""
+    if a < 1 or k < 1:
+        raise InputError(f"the k-multicaracol graph needs a, k >= 1, got a={a}, k={k}")
+
+
 def caracol_k(n: int, k: int) -> DirectedMultigraph:
     """The k-caracol graph on n+1 vertices (a simple graph).
 
     Sources 1..k each reach k+1..n plus their successor; vertices k+1..n
     reach their successor and the sink.  Edge count (k+1)(n-k) + n - 2.
     """
-    if k < 1 or n <= k:
-        raise BadParameters(f"caracol_k needs n > k >= 1, got n={n}, k={k}")
+    check_caracol(n, k)
     edges = set()
     for i in range(1, k + 1):
         edges.add((i, i + 1))
@@ -110,7 +109,7 @@ def caracol_k(n: int, k: int) -> DirectedMultigraph:
 def pitman_stanley(n: int) -> DirectedMultigraph:
     """The Pitman-Stanley graph on n vertices; the edge (n-1, n) is not doubled."""
     if n < 2:
-        raise BadParameters(f"pitman_stanley needs n >= 2, got {n}")
+        raise InputError(f"pitman_stanley needs n >= 2, got {n}")
     edges = set()
     for i in range(1, n):
         edges.add((i, i + 1))
@@ -125,8 +124,7 @@ def multicaracol(a: int, k: int) -> DirectedMultigraph:
     The vertices are 1..a+2 and the new source is vertex 1 (the family is
     conventionally labelled from 0).
     """
-    if a < 1 or k < 1:
-        raise BadParameters(f"multicaracol needs a, k >= 1, got a={a}, k={k}")
+    check_multicaracol(a, k)
     edges: list[tuple[int, int]] = []
     # PS_{a+1} shifted up by one
     if a >= 2:
@@ -144,7 +142,7 @@ def multicaracol(a: int, k: int) -> DirectedMultigraph:
 def complete_graph(n: int) -> DirectedMultigraph:
     """K_{n+1}, every pair i < j joined."""
     if n < 1:
-        raise BadParameters(f"complete_graph needs n >= 1, got {n}")
+        raise InputError(f"complete_graph needs n >= 1, got {n}")
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 2)]
     return from_edge_list(n + 1, edges)
 
@@ -179,7 +177,7 @@ def check_netflow(g: DirectedMultigraph, v: Sequence[int]) -> tuple[int, ...]:
     if len(v) != g.num_vertices:
         raise InputError(f"net flow must have {g.num_vertices} entries, got {len(v)}")
     if sum(v) != 0:
-        raise SumNonzero(f"net flow {v} does not sum to zero")
+        raise InputError(f"net flow {v} does not sum to zero")
     return v
 
 

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .combinat import InputError, Record, monotone_sequences, rational_catalan
+from .graphs import check_caracol, check_multicaracol
 from .paths import TDyckPath, rational_shape
-
-
-class MalformedDiagram(InputError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -63,8 +60,7 @@ def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     j = k+1..n-1, so x[j] <= (j-k)k - 1 and column j holds rows
     x[j-1]+1..x[j]; listed by the per-column counts, lex increasing.
     """
-    if not (n > k >= 1):
-        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
+    check_caracol(n, k)
     cols = range(k + 1, n)
     for x in monotone_sequences([0] * len(cols), [_in_capacity(n, k, j) for j in cols]):
         segs = []
@@ -89,8 +85,7 @@ def enumerate_out_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     `segments`.  Encoded as x_i = (r_i - k)k + (k - l_i) < ik, the crossing
     of psi_out, with x_i = 0 the trivial row; listed lex increasing in x.
     """
-    if not (n > k >= 1):
-        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
+    check_caracol(n, k)
     rows = range(1, n - k)
     for x in monotone_sequences([0] * len(rows), [k * i - 1 for i in rows]):
         segs = tuple((i, k - xi % k, k + xi // k) for i, xi in zip(rows, x) if xi)
@@ -139,14 +134,14 @@ def psi_in(d: GravityDiagram) -> TDyckPath:
     the remaining columns sit at full height a.
     """
     if d.kind != "in":
-        raise MalformedDiagram(f"psi_in expects an in-degree diagram, got {d.kind}")
+        raise InputError(f"psi_in expects an in-degree diagram, got {d.kind}")
     a, b = _family_ab(d.n, d.k)
     heights = [seg[1] - d.k for seg in sorted(d.segments)]
     if len(heights) > b:
-        raise MalformedDiagram("more segments than grid columns")
+        raise InputError("more segments than grid columns")
     heights += [a] * (b - len(heights))
     if any(h2 < h1 for h1, h2 in zip(heights, heights[1:])):
-        raise MalformedDiagram("segment lengths must be sorted")
+        raise InputError("segment lengths must be sorted")
     shape = tuple(h2 - h1 for h1, h2 in zip([0] + heights, heights))
     return TDyckPath(shape, rational_shape(a, b))
 
@@ -156,7 +151,7 @@ def psi_in_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
     height h < a recovers the segment [k + h, n]."""
     a, b = _family_ab(n, k)
     if len(path.shape) != b or sum(path.shape) != a:
-        raise MalformedDiagram(f"path is not an ({a},{b})-Dyck path")
+        raise InputError(f"path is not an ({a},{b})-Dyck path")
     heights = 0
     segs = []
     row = 1
@@ -173,14 +168,14 @@ def psi_out(d: GravityDiagram) -> TDyckPath:
     (r-k)(k-1); the right endpoints, weakly increasing up the rows, are the
     crossing x-coordinates of the associated rational Dyck path."""
     if d.kind != "out":
-        raise MalformedDiagram(f"psi_out expects an out-degree diagram, got {d.kind}")
+        raise InputError(f"psi_out expects an out-degree diagram, got {d.kind}")
     a, b = _family_ab(d.n, d.k)
     k = d.k
     rps = []
     for l, r in out_segments_by_row(d):
         rps.append((r - k) * (k - 1) + (r - l))
     if any(y < x for x, y in zip(rps, rps[1:])):
-        raise MalformedDiagram("embedded right endpoints must weakly increase")
+        raise InputError("embedded right endpoints must weakly increase")
     return _path_from_crossings([0] + rps, a, b)
 
 
@@ -189,10 +184,10 @@ def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
     segment is [k + j - d, k + j] where d = rp - j(k-1)."""
     a, b = _family_ab(n, k)
     if len(path.shape) != b or sum(path.shape) != a:
-        raise MalformedDiagram(f"path is not an ({a},{b})-Dyck path")
+        raise InputError(f"path is not an ({a},{b})-Dyck path")
     crossings = _crossings_from_path(path)
     if crossings[0] != 0:
-        raise MalformedDiagram("a rational (a, ka-1)-Dyck path must start north")
+        raise InputError("a rational (a, ka-1)-Dyck path must start north")
     segs = []
     for i, rp in enumerate(crossings[1:], start=1):
         j = rp // k
@@ -200,7 +195,7 @@ def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
         r = k + j
         l = r - d
         if not (1 <= l <= k <= r <= k + i - 1):
-            raise MalformedDiagram(f"crossing {rp} cannot sit in row {i}")
+            raise InputError(f"crossing {rp} cannot sit in row {i}")
         if (l, r) != (k, k):
             segs.append((i, l, r))
     return GravityDiagram("out", n, k, tuple(segs))
@@ -226,8 +221,7 @@ def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     c_i <= a-1-i, lengths descending and colours ascending on ties.
     Encoded as x_i = (a-2-c_i)k + colour_i - 1, within k(i-1)..k(a-1)-1;
     listed lex increasing in x, that is by (-c_i, colour_i) row by row."""
-    if a < 1 or k < 1:
-        raise InputError(f"need a, k >= 1, got a={a}, k={k}")
+    check_multicaracol(a, k)
     rows = range(1, a)
     for x in monotone_sequences([k * (i - 1) for i in rows], [k * (a - 1) - 1] * len(rows)):
         segs = tuple((i, 0, a - 2 - xi // k) for i, xi in zip(rows, x))
@@ -240,7 +234,7 @@ def xi(d: GravityDiagram) -> GravityDiagram:
     k columns collapse to column 0 and a segment starting in column l is
     coloured l."""
     if d.kind != "out":
-        raise MalformedDiagram(f"xi expects an out-degree diagram, got {d.kind}")
+        raise InputError(f"xi expects an out-degree diagram, got {d.kind}")
     a, k = d.n - d.k, d.k
     rows = out_segments_by_row(d)
     segs = []
@@ -254,7 +248,7 @@ def xi(d: GravityDiagram) -> GravityDiagram:
 def xi_inverse(d: GravityDiagram) -> GravityDiagram:
     """Stretch each coloured segment [0, c] of colour l back to [l, k + c]."""
     if d.kind != "mcar-out":
-        raise MalformedDiagram(f"xi_inverse expects a multicaracol diagram, got {d.kind}")
+        raise InputError(f"xi_inverse expects a multicaracol diagram, got {d.kind}")
     a, k = d.n, d.k
     n = a + k
     segs = []

@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .combinat import multichoose, weak_compositions
-# SumNonzero is re-exported: callers of kostant() catch it from here
-from .graphs import DirectedMultigraph, SumNonzero, alpha_coordinates, check_netflow, reverse
+from .graphs import DirectedMultigraph, alpha_coordinates, check_netflow, reverse
 
 
 def _root_intervals(g: DirectedMultigraph) -> list[tuple[int, int, int]]:

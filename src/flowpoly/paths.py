@@ -16,11 +16,14 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .combinat import InputError, Record, dominates, dominating_compositions, weak_compositions
-
-
-class NotCoprime(InputError):
-    pass
+from .combinat import (
+    InputError,
+    Record,
+    check_parking_level,
+    dominates,
+    dominating_compositions,
+    weak_compositions,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def rational_shape(a: int, b: int) -> tuple[int, ...]:
     if a < 1 or b < 1:
         raise InputError(f"rational_shape needs a, b >= 1, got ({a}, {b})")
     if math.gcd(a, b) != 1:
-        raise NotCoprime(f"({a}, {b}) are not coprime")
+        raise InputError(f"({a}, {b}) are not coprime")
     heights = [-(-a * j // b) for j in range(b + 1)]
     return tuple(heights[j] - heights[j - 1] for j in range(1, b + 1))
 
@@ -101,10 +104,7 @@ class MultiLabeledDyckPath(Record):
 def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckPath]:
     """All k-multi-labeled Dyck paths with car labels 1..i; there are
     k_parking_number(k, r, i) of them."""
-    if not 0 <= i <= r:
-        raise InputError(f"need 0 <= i <= r, got i={i}, r={r}")
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
+    check_parking_level(k, r, i)
     staircase = (1,) * r
     for path in dominating_compositions(staircase):
         for car_counts in weak_compositions(i, r):

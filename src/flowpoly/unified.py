@@ -32,6 +32,8 @@ from .combinat import (
     InputError,
     Record,
     binomial,
+    check_composition,
+    check_parking_level,
     count_dominating,
     dominating_compositions,
     k_parking_number,
@@ -40,8 +42,14 @@ from .combinat import (
     rational_catalan,
     weak_compositions,
 )
-from .graphs import DirectedMultigraph, caracol_k, check_netflow, shifted_outdegree
-from .gravity import MalformedDiagram
+from .graphs import (
+    DirectedMultigraph,
+    caracol_k,
+    check_caracol,
+    check_multicaracol,
+    check_netflow,
+    shifted_outdegree,
+)
 from .kostant import integral_flows
 from .paths import MultiLabeledDyckPath, _column_label_sets
 
@@ -114,11 +122,9 @@ def _segment_multisets(
 
 def _check_level(n: int, k: int, i: int) -> int:
     """r = n-k-1, once (n, k, i) names a level of the caracol graph."""
+    check_caracol(n, k)
     r = n - k - 1
-    if not (n > k >= 1):
-        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
-    if not 0 <= i <= r:
-        raise InputError(f"need 0 <= i <= {r}, got {i}")
+    check_parking_level(k, r, i)
     return r
 
 
@@ -157,7 +163,7 @@ def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
     labeled tail."""
     r = n - k - 1
     if m.r != r:
-        raise MalformedDiagram(f"path size {m.r} does not match r={r}")
+        raise InputError(f"path size {m.r} does not match r={r}")
     segs = []
     tail = []
     tail_labels = []
@@ -166,13 +172,13 @@ def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
         for lab in col:
             if lab <= 0:
                 if not 1 <= lab + k <= k:
-                    raise MalformedDiagram(f"label {lab} is out of range")
+                    raise InputError(f"label {lab} is out of range")
                 segs.append((x, lab + k))
         tail.append(len(cars))
         tail_labels.append(cars)
     i = sum(tail)
     if sorted(lab for col in tail_labels for lab in col) != list(range(1, i + 1)):
-        raise MalformedDiagram("car labels must be 1..i, once each")
+        raise InputError("car labels must be 1..i, once each")
     return TruncatedDiagram(
         n, k, i, tuple(tail), tuple(tail_labels), tuple(sorted(segs))
     )
@@ -305,12 +311,10 @@ def simplex_partition(
     against c_j = c0 + e_{k-1} - e_{j-1} (empty when c_j goes negative).
     Disjointness and full coverage are asserted.
     """
-    c0 = tuple(c0)
+    c0 = check_composition(c0)
     k = len(c0)
     if k < 2:
         raise InputError("simplex_partition needs at least 2 parts")
-    if any(x < 0 for x in c0):
-        raise InputError(f"base point {c0} has negative entries")
     n_total = sum(c0)
 
     def rotations(j: int) -> tuple[int, ...]:
@@ -349,8 +353,7 @@ def simplex_partition(
 
 def volume_closed_form(n: int, k: int, x: int, y: int) -> int:
     """Cat(a,b) k^(b-1) x^b (kx + (n-k)y)^(a-1) with a = n-k, b = ka-1."""
-    if not (n > k >= 1):
-        raise InputError(f"need n > k >= 1, got n={n}, k={k}")
+    check_caracol(n, k)
     if x < 0 or y < 0:
         raise InputError("closed forms are evaluated at nonnegative integers")
     a = n - k
@@ -362,8 +365,7 @@ def volume_closed_form(n: int, k: int, x: int, y: int) -> int:
 
 def volume_closed_form_mcar(a: int, k: int, x: int, y: int) -> int:
     """Cat(a, ka-1) (kx)^(ka-1) (kx + ay)^(a-1)."""
-    if a < 1 or k < 1:
-        raise InputError(f"need a, k >= 1, got a={a}, k={k}")
+    check_multicaracol(a, k)
     if x < 0 or y < 0:
         raise InputError("closed forms are evaluated at nonnegative integers")
     b = k * a - 1

@@ -125,6 +125,7 @@ def test_tables_gravity_counts(capsys):
     rows = doc["results"]["rows"]
     assert rows[3][0] == 5 and rows[3][1] == 7  # n = 5 row: k = 1, 2
     assert rows[5][1] == 143  # n = 7, k = 2
+    assert "rendered" not in doc["results"]  # the rows are the table
 
 
 def test_verify_suites_exit_zero(capsys):
@@ -133,6 +134,12 @@ def test_verify_suites_exit_zero(capsys):
         assert code == 0, suite
         assert doc["ok"] is True
         assert doc["checks"]
+
+
+def test_verify_all_runs_orbits_at_n_and_k(capsys):
+    code, doc, _ = run_json(capsys, "verify", "all", "--n", "6", "--k", "2")
+    names = {c["name"] for c in doc["checks"]}
+    assert code == 0 and "standardized count at level 3" in names
 
 
 def test_verify_orbits_standardized_448(capsys):
@@ -282,6 +289,12 @@ BAD_INPUTS = [
     ("tables parking --k 0", "k >= 1"),
     ("verify simplex --simplex-k 1", "k >= 2"),
     ("verify orbits --n 3 --k 5", "n > k"),
+    # the (1, 0)-Dyck path of caracol(2, 1) has no column composition
+    ("verify bijections --n 2 --k 1", "bijections suite needs k(n-k) >= 2, got n=2, k=1"),
+    # one row per shared parameter check: caracol, multicaracol, k-parking level
+    ("enumerate gravity --kind in --n 3 --k 5", "needs n > k >= 1, got n=3, k=5"),
+    ("enumerate gravity --kind mcar-out --n 0 --k 2", "needs a, k >= 1, got a=0, k=2"),
+    ("enumerate multilabeled --k 2 --r 2 --i 3", "needs 0 <= i <= r, got i=3, r=2"),
     ("volume --graph caracol:n=5 --netflow unit", "needs k"),
     ("volume --graph caracol:n=5,k=2 --netflow xy:x=1", "needs y"),
     ("kostant --graph ps:n=4 --vector [2.5,-0.5,1,-3]", "list of integers"),

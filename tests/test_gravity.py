@@ -200,17 +200,17 @@ def test_render_text_golden():
 
 def test_malformed_diagram_errors():
     d_in = GR.GravityDiagram("in", 5, 2, ())
-    with pytest.raises(GR.MalformedDiagram):
+    with pytest.raises(C.InputError, match="expects an out-degree diagram"):
         GR.psi_out(d_in)
     d_out = GR.GravityDiagram("out", 5, 2, ())
-    with pytest.raises(GR.MalformedDiagram):
+    with pytest.raises(C.InputError, match="expects an in-degree diagram"):
         GR.psi_in(d_out)
     bad_path = P.TDyckPath((3,) + (0,) * 4, P.rational_shape(3, 5))
-    with pytest.raises(GR.MalformedDiagram):
+    with pytest.raises(C.InputError, match=r"not an \(5,9\)-Dyck path"):
         GR.psi_in_inverse(bad_path, 7, 2)  # wrong family size
-    with pytest.raises(GR.MalformedDiagram):
+    with pytest.raises(C.InputError, match="expects an out-degree diagram"):
         GR.xi(d_in)
-    with pytest.raises(GR.MalformedDiagram):
+    with pytest.raises(C.InputError, match="expects a multicaracol diagram"):
         GR.xi_inverse(d_out)
 
 

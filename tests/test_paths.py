@@ -107,7 +107,7 @@ def test_rational_shape_examples():
 
 
 def test_rational_shape_not_coprime():
-    with pytest.raises(P.NotCoprime):
+    with pytest.raises(C.InputError, match="not coprime"):
         P.rational_shape(2, 4)
     with pytest.raises(ValueError):
         P.rational_shape(0, 3)

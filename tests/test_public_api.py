@@ -1,10 +1,13 @@
 """The package's surface: the top level exports exactly `__all__`, and every
 public function and class in `src/flowpoly` is reached from the library,
-the CLI or the benchmark, not only from the tests."""
+the CLI or the benchmark, not only from the tests; and InputError is the
+one bad-input class."""
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import flowpoly
@@ -59,3 +62,9 @@ def test_top_level_is_exactly_all():
     }
     assert public == set(flowpoly.__all__)
     assert inspect.ismodule(flowpoly.kostant)
+
+
+def test_input_error_is_the_only_bad_input_class():
+    for info in pkgutil.iter_modules(flowpoly.__path__):
+        importlib.import_module(f"flowpoly.{info.name}")
+    assert flowpoly.InputError.__subclasses__() == []
