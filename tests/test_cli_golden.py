@@ -1,0 +1,136 @@
+"""Golden text output of the CLI: the exact bytes, apart from the run's
+wall_time, of one small case of each enumerable object and renderer, and
+of the `tables` text and csv layouts.  A change to any of these is a change
+to the CLI's output and must be made on purpose."""
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from flowpoly import cli
+
+WALL_TIME = re.compile(r"wall_time: [0-9.]+s")
+
+GOLDEN = [
+    (
+        "enumerate gravity --kind in --n 4 --k 2",
+        "a3  a4\n"
+        "o   o\n"
+        "    o\n"
+        "    o\n"
+        "a3  a4\n"
+        "*---*\n"
+        "    o\n"
+        "    o\n"
+        "# enumerate\n"
+        "count: 2\n"
+        "[PASS] emitted = estimated count: expected 2, got 2\n"
+        "wall_time: -\n"
+    ),
+    (
+        "enumerate gravity --kind out --n 4 --k 2",
+        "a1  a2\n"
+        "o   o\n"
+        "a1  a2\n"
+        "*---*\n"
+        "# enumerate\n"
+        "count: 2\n"
+        "[PASS] emitted = estimated count: expected 2, got 2\n"
+        "wall_time: -\n"
+    ),
+    (
+        "enumerate gravity --kind mcar-out --n 2 --k 2",
+        "a0\n"
+        "*\n"
+        "colors (top row first): 1\n"
+        "a0\n"
+        "*\n"
+        "colors (top row first): 2\n"
+        "# enumerate\n"
+        "count: 2\n"
+        "[PASS] emitted = estimated count: expected 2, got 2\n"
+        "wall_time: -\n"
+    ),
+    (
+        "enumerate truncated --n 4 --k 2 --i 0",
+        "oo#\n"
+        "o##\n"
+        "###\n"
+        "###\n"
+        "tail path: (0,) labels ((),)\n"
+        "segments: [1,2]\n"
+        "oo#\n"
+        "o##\n"
+        "###\n"
+        "###\n"
+        "tail path: (0,) labels ((),)\n"
+        "segments: [2,2]\n"
+        "# enumerate\n"
+        "count: 2\n"
+        "[PASS] emitted = estimated count: expected 2, got 2\n"
+        "wall_time: -\n"
+    ),
+    (
+        "enumerate multilabeled --k 2 --r 2 --i 1",
+        "N[b1]N[1]EE\n"
+        "N[b0]N[1]EE\n"
+        "N[1]EN[b1]E\n"
+        "N[1]EN[b0]E\n"
+        "N[b1]EN[1]E\n"
+        "N[b0]EN[1]E\n"
+        "# enumerate\n"
+        "count: 6\n"
+        "[PASS] emitted = estimated count: expected 6, got 6\n"
+        "wall_time: -\n"
+    ),
+    (
+        "enumerate dyck --a 2 --b 3",
+        "NNEEE  shape=(2, 0, 0)\n"
+        "NENEE  shape=(1, 1, 0)\n"
+        "# enumerate\n"
+        "count: 2\n"
+        "[PASS] emitted = estimated count: expected 2, got 2\n"
+        "wall_time: -\n"
+    ),
+    (
+        "enumerate unified --graph ps:n=4 --netflow custom:[1,1,1,-3]",
+        "s=(2, 0, 0) sigma=((1, 2), (), ()) alpha=((1, 1), (), ()) flow=(1, 0, 0, 0, 0)\n"
+        "s=(1, 1, 0) sigma=((1,), (2,), ()) alpha=((1,), (1,), ()) flow=(0, 0, 0, 0, 0)\n"
+        "s=(1, 1, 0) sigma=((2,), (1,), ()) alpha=((1,), (1,), ()) flow=(0, 0, 0, 0, 0)\n"
+        "# enumerate\n"
+        "count: 3\n"
+        "[PASS] emitted = estimated count: expected 3, got 3\n"
+        "wall_time: -\n"
+    ),
+    (
+        "tables parking --k 2 --rmax 3",
+        "# tables\n"
+        "rows: [[1], [2, 1], [7, 6, 3], [30, 36, 32, 16]]\n"
+        "wall_time: -\n"
+        "2-parking triangle\n"
+        " 1\n"
+        " 2  1\n"
+        " 7  6  3\n"
+        "30 36 32 16\n"
+    ),
+    (
+        "tables parking --k 2 --rmax 3 --format csv",
+        "1\n"
+        "2,1\n"
+        "7,6,3\n"
+        "30,36,32,16\n"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_text_output_is_pinned(capsys, argv, text):
+    assert cli.main(argv.split()) == 0
+    assert WALL_TIME.sub("wall_time: -", capsys.readouterr().out) == text
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: flowpoly")
