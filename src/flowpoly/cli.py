@@ -2,10 +2,18 @@
 
 Every run produces a RunReport (inputs, results, named checks); --format
 json emits it as one JSON document, text prints results followed by one
-PASS/FAIL line per check.  Exit status: 0 on success, 1 when any check
-fails, 2 on an InputError (usage errors are raised as one); any other
-exception is a bug and propagates.  No randomness anywhere: identical
-invocations produce identical bytes.
+PASS/FAIL line per check, inside the lines the command adds (enumerated
+items before, a table after); `tables` alone takes --format csv, the bare
+table.  Exit status: 0 on success, 1 when any check fails, 2 on an
+InputError (usage errors are raised as one); any other exception is a bug
+and propagates.  No randomness anywhere: identical invocations produce
+identical bytes.
+
+Each graph family (_FAMILIES), volume method (_METHODS), gravity kind
+(_GRAVITY_KINDS), enumerable object (_OBJECTS) and verify suite (_SUITES)
+is one table row, and the parser's choices are the table keys.  Rows name
+library functions by module attribute, looked up when called, so a
+function rebound on its module (a wrapper, a monkeypatch) is the one run.
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import combinat, gravity, lidskii, paths, unified
 from . import graphs as gr
@@ -31,6 +39,8 @@ class RunReport:
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     wall_time: float = 0.0
+    # the text payload made from to_text() once the run is timed; JSON ignores it
+    layout: Callable[[str], str] = lambda summary: summary
 
     def check(self, name: str, expected, got) -> None:
         self.checks.append(
@@ -128,15 +138,26 @@ def _int_list(text: str, what: str, pairs: bool = False) -> tuple:
     return tuple(tuple(p) for p in value) if pairs else tuple(value)
 
 
-# graph kind -> (constructor in graphs, its spec keys in argument order).
-# Functions in these tables are looked up by name when called, so a
-# function rebound on its module (a wrapper, a monkeypatch) is the one run.
+class _Family(NamedTuple):
+    """The last four fields are set for families with a block net flow."""
+
+    make: str  # constructor in graphs
+    keys: tuple[str, ...]  # spec keys, in the constructor's argument order
+    xy_flow: str | None = None  # the block net flow at (*params, x, y), in graphs
+    read_xy: Callable | None = None  # (*params, a) -> the one candidate (x, y)
+    unified: str | None = None  # the stratified count at (*params, x, y), in unified
+    closed: str | None = None  # the closed-form volume at (*params, x, y), in unified
+
+
 _FAMILIES = {
-    "caracol": ("caracol_k", ("n", "k")),
-    "mcar": ("multicaracol", ("a", "k")),
-    "ps": ("pitman_stanley", ("n",)),
-    "complete": ("complete_graph", ("n",)),
+    "caracol": _Family("caracol_k", ("n", "k"), "caracol_xy_flow", lambda n, k, a: (a[0], a[k]),
+                       "count_unified_stratified", "volume_closed_form"),
+    "mcar": _Family("multicaracol", ("a", "k"), "mcar_xy_flow", lambda _, k, a: (a[0] // k, a[1]),
+                    "count_unified_stratified_mcar", "volume_closed_form_mcar"),
+    "ps": _Family("pitman_stanley", ("n",)),
+    "complete": _Family("complete_graph", ("n",)),
 }
+_XY_KINDS = [kind for kind, row in _FAMILIES.items() if row.xy_flow]
 
 
 def parse_graph_spec(spec: str) -> tuple[gr.DirectedMultigraph, tuple]:
@@ -151,80 +172,58 @@ def parse_graph_spec(spec: str) -> tuple[gr.DirectedMultigraph, tuple]:
         return gr.from_edge_list(num, edges), ("edges",)
     if kind not in _FAMILIES:
         raise InputError(f"unknown graph kind {kind!r} at position 0 in {spec!r}")
-    make, keys = _FAMILIES[kind]
-    params = _parse_kv(spec, len(kind) + 1, keys)
-    return getattr(gr, make)(*params), (kind, *params)
+    row = _FAMILIES[kind]
+    params = _parse_kv(spec, len(kind) + 1, row.keys)
+    return getattr(gr, row.make)(*params), (kind, *params)
 
 
-def parse_netflow_spec(
-    spec: str, g: gr.DirectedMultigraph, family: tuple
-) -> tuple[int, ...]:
+def parse_netflow_spec(spec: str, g: gr.DirectedMultigraph, family: tuple) -> tuple[int, ...]:
     if spec == "unit":
         return gr.unit_flow(g)
     if spec == "ones":
         return gr.ones_flow(g)
     if spec.startswith("xy:"):
         x, y = _parse_kv(spec, len("xy:"), ("x", "y"))
-        if family[0] == "caracol":
-            return gr.caracol_xy_flow(family[1], family[2], x, y)
-        if family[0] == "mcar":
-            return gr.mcar_xy_flow(family[1], family[2], x, y)
-        raise InputError("xy net flows need a caracol or mcar graph")
+        if family[0] not in _XY_KINDS:
+            raise InputError(f"xy net flows need a {' or '.join(_XY_KINDS)} graph")
+        return getattr(gr, _FAMILIES[family[0]].xy_flow)(*family[1:], x, y)
     if spec.startswith("custom:"):
         return _int_list(spec[len("custom:"):], f"custom net flow {spec!r}")
     raise InputError(f"unknown net flow spec {spec!r} at position 0")
-
-
-def _xy_parameters(family: tuple, a: tuple[int, ...]) -> tuple[int, int] | None:
-    """Recover (x, y) when the net flow matches the family's block pattern."""
-    if family[0] == "caracol":
-        _, n, k = family
-        if len(set(a[:k])) == 1 and len(set(a[k:n])) <= 1:
-            return a[0], a[k]
-    elif family[0] == "mcar":
-        _, fam_a, k = family
-        if a[0] % k == 0 and len(set(a[1 : fam_a + 1])) <= 1:
-            return a[0] // k, a[1]
-    return None
 
 
 # ---------------------------------------------------------------------------
 # volume / kostant
 
 
-# volume method -> (its name in errors, {family: function in unified of
-# (p, k, x, y)}), for caracol and multicaracol graphs at block net flows
-_BLOCK_METHODS = {
-    "unified": ("the stratified count", {"caracol": "count_unified_stratified",
-                                         "mcar": "count_unified_stratified_mcar"}),
-    "closed": ("closed form", {"caracol": "volume_closed_form", "mcar": "volume_closed_form_mcar"}),
-}
+# volume method -> its name in errors.  lidskii applies to every graph; the
+# others are the _Family functions of the same name, at a block net flow.
+_METHODS = {"lidskii": None, "unified": "the stratified count", "closed": "closed form"}
 
 
 def cmd_volume(args: argparse.Namespace) -> RunReport:
     g, family = parse_graph_spec(args.graph)
     a = gr.check_netflow(g, parse_netflow_spec(args.netflow, g, family))
     report = RunReport("volume", {"graph": args.graph, "netflow": list(a)})
+    row, xy = _FAMILIES.get(family[0]), None
+    if args.method != "lidskii" and family[0] in _XY_KINDS:
+        xy = row.read_xy(*family[1:], a)  # a block net flow iff the flow there is a
+        xy = xy if getattr(gr, row.xy_flow)(*family[1:], *xy) == a else None
     methods = {}
-    if args.method in ("lidskii", "all"):
-        methods["lidskii"] = lidskii.volume(g, a)
-    xy = _xy_parameters(family, a)
-    for method, (what, by_family) in _BLOCK_METHODS.items():
+    for method, what in _METHODS.items():
         if args.method not in (method, "all"):
             continue
-        if xy is not None:
-            methods[method] = getattr(unified, by_family[family[0]])(*family[1:], *xy)
+        if method == "lidskii":
+            methods[method] = lidskii.volume(g, a)
+        elif xy is not None:
+            methods[method] = getattr(unified, getattr(row, method))(*family[1:], *xy)
         elif args.method == method:
-            raise InputError(
-                f"{what} needs a caracol/mcar graph with a block net flow, got {args.graph} at {list(a)}"
-            )
+            raise InputError(f"{what} needs a {'/'.join(_XY_KINDS)} graph with a block "
+                             f"net flow, got {args.graph} at {list(a)}")
     report.results.update(methods)
     report.results["volume"] = next(iter(methods.values()))
-    if len(methods) > 1:
-        base = methods["lidskii"]
-        for name, val in methods.items():
-            if name != "lidskii":
-                report.check(f"lidskii = {name}", base, val)
+    for name, val in list(methods.items())[1:]:  # after lidskii, with --method all
+        report.check(f"lidskii = {name}", methods["lidskii"], val)
     return report
 
 
@@ -249,31 +248,27 @@ def cmd_tables(args: argparse.Namespace) -> RunReport:
     report = RunReport("tables", {"kind": args.kind})
     if args.kind == "parking":
         k, rmax = args.k, args.rmax
-        rows = [
-            [combinat.k_parking_number(k, r, i) for i in range(r + 1)]
-            for r in range(rmax + 1)
-        ]
+        rows = [[combinat.k_parking_number(k, r, i) for i in range(r + 1)]
+                for r in range(rmax + 1)]
         title = f"{k}-parking triangle"
         report.inputs.update({"k": k, "rmax": rmax})
     else:
         nmax = args.nmax
-        rows = []
-        for n in range(2, nmax + 1):
-            rows.append([gravity.count_gravity(n, k) for k in range(1, n)])
+        rows = [[gravity.count_gravity(n, k) for k in range(1, n)] for n in range(2, nmax + 1)]
         title = "gravity-diagram counts (rows n=2.., columns k=1..)"
         report.inputs.update({"nmax": nmax})
     report.results["rows"] = rows
-    if args.format != "json":  # the JSON report holds the rows already
-        report.results["rendered"] = _render_table(rows, title, args.format)
+    report.layout = lambda summary: _render_table(rows, title, args.format, summary)
     return report
 
 
-def _render_table(rows: list[list[int]], title: str, fmt: str) -> str:
+def _render_table(rows: list[list[int]], title: str, fmt: str, summary: str) -> str:
+    """The bare rows as csv, or the summary, the title and the rows aligned."""
     if fmt == "csv":
         return "\n".join(",".join(str(v) for v in row) for row in rows)
     width = max((len(str(v)) for row in rows for v in row), default=1)
-    lines = [title]
-    for r, row in enumerate(rows):
+    lines = [summary, title]
+    for row in rows:
         lines.append(" ".join(str(v).rjust(width) for v in row))
     return "\n".join(lines)
 
@@ -388,16 +383,20 @@ def _suite_orbits(report: RunReport, n: int, k: int) -> None:
         )
 
 
+# verify suite -> (report, args) -> None, adding the suite's checks
+_SUITES = {
+    "bijections": lambda report, args: _suite_bijections(report, args.n, args.k),
+    "lidskii": lambda report, args: _suite_lidskii(report),
+    "simplex": lambda report, args: _suite_simplex(report, args.N, args.simplex_k),
+    "orbits": lambda report, args: _suite_orbits(report, args.n, args.k),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> RunReport:
     report = RunReport("verify", {"suite": args.suite})
-    if args.suite in ("bijections", "all"):
-        _suite_bijections(report, args.n, args.k)
-    if args.suite in ("lidskii", "all"):
-        _suite_lidskii(report)
-    if args.suite in ("simplex", "all"):
-        _suite_simplex(report, args.N, args.simplex_k)
-    if args.suite in ("orbits", "all"):
-        _suite_orbits(report, args.n, args.k)
+    for name, suite in _SUITES.items():
+        if args.suite in (name, "all"):
+            suite(report, args)
     return report
 
 
@@ -405,82 +404,101 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 # enumeration
 
 
-# the options each object needs; dyck takes --t in place of --a and --b
-_ENUMERATE_NEEDS = {
-    "gravity": ("n", "k"),
-    "dyck": ("a", "b"),
-    "multilabeled": ("k", "r", "i"),
-    "truncated": ("n", "k", "i"),
-    "unified": ("graph", "netflow"),
+class _Listing(NamedTuple):
+    """An object's items, the count they must reach, the inputs to echo,
+    and a text and a JSON renderer of one item."""
+
+    items: Iterable
+    expected: int
+    inputs: dict
+    to_text: Callable
+    to_json: Callable = Record.to_json
+
+
+# gravity --kind -> (its enumerator in gravity, the count of its diagrams);
+# a multicaracol (a, k) is checked as one before count_gravity(a + k, k)
+_GRAVITY_KINDS = {
+    "in": ("enumerate_in_gravity", lambda n, k: gravity.count_gravity(n, k)),
+    "out": ("enumerate_out_gravity", lambda n, k: gravity.count_gravity(n, k)),
+    "mcar-out": ("enumerate_out_gravity_mcar",
+                 lambda a, k: gr.check_multicaracol(a, k) or gravity.count_gravity(a + k, k)),
+}
+
+
+def _gravity(args: argparse.Namespace) -> _Listing:
+    make, count = _GRAVITY_KINDS[args.kind]
+    return _Listing(
+        getattr(gravity, make)(args.n, args.k), count(args.n, args.k),
+        {"kind": args.kind, "n": args.n, "k": args.k}, gravity.render_text,
+    )
+
+
+def _dyck(args: argparse.Namespace) -> _Listing:
+    if args.t:
+        try:
+            t = tuple(integer(x) for x in args.t.split(","))
+        except InputError:
+            raise InputError(f"bad --t {args.t!r}: expected comma-separated integers") from None
+    else:
+        t = paths.rational_shape(args.a, args.b)
+    return _Listing(
+        paths.enumerate_t_dyck(t), combinat.count_dominating(t), {"t": list(t)},
+        lambda p: f"{p.word()}  shape={p.shape}",
+    )
+
+
+def _unified(args: argparse.Namespace) -> _Listing:
+    g, family = parse_graph_spec(args.graph)
+    a = parse_netflow_spec(args.netflow, g, family)
+    return _Listing(
+        unified.unified_diagrams(g, a), lidskii.volume(g, a),
+        {"graph": args.graph, "netflow": list(a)},
+        lambda q: f"s={q[0]} sigma={q[1]} alpha={q[2]} flow={q[3]}",
+        lambda q: json.dumps({"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]}),
+    )
+
+
+class _Object(NamedTuple):
+    needs: tuple[str, ...]  # the options the builder reads ...
+    build: Callable[[argparse.Namespace], _Listing]
+    unless: str | None = None  # ... unless this option is given instead
+
+
+_OBJECTS = {
+    "gravity": _Object(("n", "k"), _gravity),
+    "dyck": _Object(("a", "b"), _dyck, unless="t"),
+    "unified": _Object(("graph", "netflow"), _unified),
+    "truncated": _Object(("n", "k", "i"), lambda args: _Listing(
+        unified.enumerate_truncated(args.n, args.k, args.i),
+        combinat.k_parking_number(args.k, args.n - args.k - 1, args.i),
+        {"n": args.n, "k": args.k, "i": args.i}, unified.render_truncated_text,
+    )),
+    "multilabeled": _Object(("k", "r", "i"), lambda args: _Listing(
+        paths.enumerate_multilabeled(args.k, args.r, args.i),
+        combinat.k_parking_number(args.k, args.r, args.i),
+        {"k": args.k, "r": args.r, "i": args.i}, paths.MultiLabeledDyckPath.word,
+    )),
 }
 
 
 def cmd_enumerate(args: argparse.Namespace) -> RunReport:
-    needs = () if args.object == "dyck" and args.t else _ENUMERATE_NEEDS[args.object]
+    row = _OBJECTS[args.object]
+    needs = () if row.unless and getattr(args, row.unless) else row.needs
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise InputError(f"enumerate {args.object} needs {', '.join(missing)}")
-    report = RunReport("enumerate", {"object": args.object})
-    items: Iterator
-    estimated: int
-    to_text: Callable = str
-    to_json_line: Callable = Record.to_json
-
-    if args.object == "gravity":
-        n, k = args.n, args.k
-        if args.kind == "in":
-            items = gravity.enumerate_in_gravity(n, k)
-        elif args.kind == "out":
-            items = gravity.enumerate_out_gravity(n, k)
-        else:
-            items = gravity.enumerate_out_gravity_mcar(n, k)
-        estimated = gravity.count_gravity(n + k, k) if args.kind == "mcar-out" else gravity.count_gravity(n, k)
-        to_text = gravity.render_text
-        report.inputs.update({"kind": args.kind, "n": n, "k": k})
-    elif args.object == "dyck":
-        if args.t:
-            try:
-                t = tuple(integer(x) for x in args.t.split(","))
-            except InputError:
-                raise InputError(f"bad --t {args.t!r}: expected comma-separated integers") from None
-        else:
-            t = paths.rational_shape(args.a, args.b)
-        items = paths.enumerate_t_dyck(t)
-        estimated = combinat.count_dominating(t)
-        to_text = lambda p: f"{p.word()}  shape={p.shape}"
-        report.inputs.update({"t": list(t)})
-    elif args.object == "multilabeled":
-        k, r, i = args.k, args.r, args.i
-        items = paths.enumerate_multilabeled(k, r, i)
-        estimated = combinat.k_parking_number(k, r, i)
-        to_text = lambda m: m.word()
-        report.inputs.update({"k": k, "r": r, "i": i})
-    elif args.object == "truncated":
-        n, k, i = args.n, args.k, args.i
-        items = unified.enumerate_truncated(n, k, i)
-        estimated = combinat.k_parking_number(k, n - k - 1, i)
-        to_text = unified.render_truncated_text
-        report.inputs.update({"n": n, "k": k, "i": i})
-    else:  # unified
-        g, family = parse_graph_spec(args.graph)
-        a = parse_netflow_spec(args.netflow, g, family)
-        items = unified.unified_diagrams(g, a)
-        estimated = lidskii.volume(g, a)
-        to_text = lambda q: f"s={q[0]} sigma={q[1]} alpha={q[2]} flow={q[3]}"
-        to_json_line = lambda q: json.dumps(
-            {"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]}
-        )
-        report.inputs.update({"graph": args.graph, "netflow": list(a)})
-
-    if estimated > args.cap:
-        raise InputError(
-            f"would emit {estimated} items, more than the cap {args.cap}; raise --cap"
-        )
-    render = to_json_line if args.render == "json" else to_text
-    emitted = [render(x) for x in items]
+    listing = row.build(args)
+    report = RunReport("enumerate", {"object": args.object, **listing.inputs})
+    if listing.expected > args.cap:
+        raise InputError(f"would emit {listing.expected} items, more than the cap "
+                         f"{args.cap}; raise --cap")
+    render = listing.to_json if args.render == "json" else listing.to_text
+    emitted = [render(x) for x in listing.items]
     report.results["count"] = len(emitted)
-    report.results["items"] = emitted
-    report.check("emitted = estimated count", estimated, len(emitted))
+    if args.format == "json":
+        report.results["items"] = emitted
+    report.layout = lambda summary: "\n".join([*emitted, summary])
+    report.check("emitted = estimated count", listing.expected, len(emitted))
     return report
 
 
@@ -501,51 +519,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flowpoly",
         description="Exact flow-polytope volumes and the caracol-family combinatorial model",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument(
-        "--out", metavar="FILE", help="write the report here instead of stdout"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_vol = sub.add_parser(
-        "volume", parents=[common], help="normalized volume of a flow polytope"
-    )
+    def command(name, func, what, formats=("text", "json")) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
+        p.set_defaults(func=func)
+        return p
+
+    p_vol = command("volume", cmd_volume, "normalized volume of a flow polytope")
     p_vol.add_argument("--graph", required=True)
     p_vol.add_argument("--netflow", required=True)
-    p_vol.add_argument(
-        "--method", choices=("lidskii", "unified", "closed", "all"), default="lidskii"
-    )
-    p_vol.set_defaults(func=cmd_volume)
+    p_vol.add_argument("--method", choices=(*_METHODS, "all"), default="lidskii")
 
-    p_kos = sub.add_parser("kostant", parents=[common], help="evaluate the Kostant partition function")
+    p_kos = command("kostant", cmd_kostant, "evaluate the Kostant partition function")
     p_kos.add_argument("--graph", required=True)
     p_kos.add_argument("--vector", help="JSON list summing to zero")
     p_kos.add_argument("--netflow")
-    p_kos.set_defaults(func=cmd_kostant)
 
-    p_tab = sub.add_parser("tables", parents=[common], help="k-parking triangles and count tables")
+    p_tab = command("tables", cmd_tables, "k-parking triangles and count tables",
+                    formats=("text", "json", "csv"))
     p_tab.add_argument("kind", choices=("parking", "gravity-counts"))
     p_tab.add_argument("--k", type=integer, default=2)
     p_tab.add_argument("--rmax", type=integer, default=5)
     p_tab.add_argument("--nmax", type=integer, default=7)
-    p_tab.set_defaults(func=cmd_tables)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run invariant suites at desk scale")
-    p_ver.add_argument(
-        "suite", choices=("bijections", "lidskii", "simplex", "orbits", "all")
-    )
+    p_ver = command("verify", cmd_verify, "run invariant suites at desk scale")
+    p_ver.add_argument("suite", choices=(*_SUITES, "all"))
     p_ver.add_argument("--n", type=integer, default=6)
     p_ver.add_argument("--k", type=integer, default=2)
     p_ver.add_argument("--N", type=integer, default=6)
     p_ver.add_argument("--simplex-k", type=integer, default=3)
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_enum = sub.add_parser("enumerate", parents=[common], help="stream combinatorial objects")
-    p_enum.add_argument(
-        "object", choices=("gravity", "dyck", "unified", "truncated", "multilabeled")
-    )
-    p_enum.add_argument("--kind", choices=("in", "out", "mcar-out"), default="out")
+    p_enum = command("enumerate", cmd_enumerate, "stream combinatorial objects")
+    p_enum.add_argument("object", choices=tuple(_OBJECTS))
+    p_enum.add_argument("--kind", choices=tuple(_GRAVITY_KINDS), default="out")
     p_enum.add_argument("--n", type=integer)
     p_enum.add_argument("--k", type=integer)
     p_enum.add_argument("--r", type=integer)
@@ -557,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--netflow")
     p_enum.add_argument("--render", choices=("text", "json"), default="text")
     p_enum.add_argument("--cap", type=integer, default=10**6)
-    p_enum.set_defaults(func=cmd_enumerate)
     return parser
 
 
@@ -573,20 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_time = time.perf_counter() - start
-
-    if args.format == "json":
-        payload = report.to_json()
-    elif args.format == "csv" and "rendered" in report.results:
-        payload = report.results["rendered"]
-    else:
-        if "rendered" in report.results:
-            body = report.results.pop("rendered")
-            payload = report.to_text() + "\n" + body
-        elif "items" in report.results:
-            items = report.results.pop("items")
-            payload = "\n".join(items + [report.to_text()])
-        else:
-            payload = report.to_text()
+    payload = report.to_json() if args.format == "json" else report.layout(report.to_text())
 
     if args.out:
         try:

@@ -262,6 +262,7 @@ def xi_inverse(d: GravityDiagram) -> GravityDiagram:
 
 def count_gravity(n: int, k: int) -> int:
     """The common count of in- and out-degree diagrams, Cat(n-k, k(n-k)-1)."""
+    check_caracol(n, k)
     a, b = _family_ab(n, k)
     if b < 1:
         return 1

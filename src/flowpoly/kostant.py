@@ -137,10 +137,6 @@ def integral_flows(
         if supply < 0:
             return
         slots = out_slots.get(v, [])
-        if not slots:
-            if supply == 0:
-                yield from assign(v + 1)
-            return
         for comp in weak_compositions(supply, len(slots)):
             for p, f in zip(slots, comp):
                 flow[p] = f

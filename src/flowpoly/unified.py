@@ -377,6 +377,7 @@ def count_unified_stratified(n: int, k: int, x: int, y: int) -> int:
     """|U_G((x^k, y^(n-k), .))| via the level stratification: choose the
     label set for each level, weight by net-flow labels, and count
     standardized diagrams."""
+    check_caracol(n, k)
     m = (k + 1) * (n - k) + n - 2
     total = 0
     for i in range(n - k):
@@ -388,6 +389,7 @@ def count_unified_stratified(n: int, k: int, x: int, y: int) -> int:
 def count_unified_stratified_mcar(a: int, k: int, x: int, y: int) -> int:
     """Multicaracol analogue; the truncated diagrams at the source column
     are counted by the k-parking numbers and complete uniquely."""
+    check_multicaracol(a, k)
     mn = (k + 1) * a - 2
     total = 0
     for i in range(a):

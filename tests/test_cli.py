@@ -12,7 +12,7 @@ import pytest
 from flowpoly import cli, lidskii
 from flowpoly.gravity import GravityDiagram, enumerate_out_gravity_mcar
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
-from flowpoly.unified import TruncatedDiagram
+from flowpoly.unified import TruncatedDiagram, volume_closed_form, volume_closed_form_mcar
 
 
 def run(capsys, *argv):
@@ -55,6 +55,25 @@ def test_volume_xy_netflow(capsys):
         "--method", "all",
     )
     assert code == 0 and doc["results"]["volume"] == 448
+
+
+@pytest.mark.parametrize(
+    "graph, closed_form, params",
+    [
+        ("caracol:n=5,k=2", volume_closed_form, (5, 2)),
+        ("mcar:a=3,k=2", volume_closed_form_mcar, (3, 2)),
+    ],
+)
+def test_volume_xy_netflow_runs_every_method(capsys, graph, closed_form, params):
+    """x != y, so (x, y) must be read off the right entries of the flow."""
+    code, doc, _ = run_json(
+        capsys, "volume", "--graph", graph, "--netflow", "xy:x=2,y=3", "--method", "all"
+    )
+    assert code == 0 and [c["name"] for c in doc["checks"]] == [
+        "lidskii = unified", "lidskii = closed"
+    ]
+    assert all(c["pass"] for c in doc["checks"])
+    assert doc["results"]["volume"] == closed_form(*params, 2, 3)
 
 
 def test_volume_custom_netflow(capsys):
@@ -280,6 +299,9 @@ BAD_INPUTS = [
     ("volume --graph edges:[] --netflow unit", "at least 2 vertices"),
     ("volume --graph ps:n=4 --netflow custom:[2,-1,1,-2]", "negative entry"),
     ("volume --graph caracol:n=5,k=2 --netflow custom:[1,1] --method closed", "6 entries"),
+    # a multicaracol source entry that k does not divide is no block flow
+    ("volume --graph mcar:a=3,k=2 --netflow custom:[3,1,1,1,-6] --method closed",
+     "closed form needs a caracol/mcar graph with a block net flow"),
     ("enumerate gravity", "needs --n, --k"),
     ("enumerate dyck", "needs --a, --b"),
     ("enumerate truncated --n 6 --k 2", "needs --i"),
@@ -302,6 +324,11 @@ BAD_INPUTS = [
     ("volume --graph ps:n=4 --netflow custom:[2.5,-0.5,1,-3]", "list of integers"),
     ("volume --graph edges:[(1,2),(2,3.9)] --netflow unit", "pairs of integers"),
     ("tables parking --k 2 --rmax 3 --out /nonexistent/x.txt", "cannot write"),
+    # only tables writes csv
+    ("volume --graph ps:n=4 --netflow ones --format csv", "invalid choice: 'csv'"),
+    ("kostant --graph ps:n=4 --netflow ones --format csv", "invalid choice: 'csv'"),
+    ("verify simplex --N 2 --format csv", "invalid choice: 'csv'"),
+    ("enumerate dyck --a 2 --b 3 --format csv", "invalid choice: 'csv'"),
     # Python's int() reads digit-group underscores and a leading '+'
     ("volume --graph caracol:n=1_0,k=2 --netflow unit", "non-integer value '1_0'"),
     ("volume --graph caracol:n=+5,k=2 --netflow unit", "non-integer value '+5'"),

@@ -212,6 +212,16 @@ def test_malformed_diagram_errors():
         GR.xi(d_in)
     with pytest.raises(C.InputError, match="expects a multicaracol diagram"):
         GR.xi_inverse(d_out)
+    # (4, 2) has a (2, 3)-Dyck grid: three columns, so four segments overflow it
+    crowded = GR.GravityDiagram("in", 4, 2, tuple((row, 3, 4) for row in range(1, 5)))
+    with pytest.raises(C.InputError, match="more segments than grid columns"):
+        GR.psi_in(crowded)
+
+
+def test_count_gravity_checks_the_caracol_parameters():
+    with pytest.raises(C.InputError, match="needs n > k >= 1, got n=3, k=5"):
+        GR.count_gravity(3, 5)
+    assert GR.count_gravity(2, 1) == 1  # the (1, 0) grid has one empty diagram
 
 
 def test_enumeration_order_is_stable():

@@ -102,6 +102,9 @@ def test_volume_rejects_bad_flows():
         L.volume(g, (1, -1, 1, 0, -1))
     with pytest.raises(ValueError):
         L.volume(g, (1, 0, 0, 0, 0))
+    # the last entry checked is the one just before the sink
+    with pytest.raises(C.InputError, match="negative entry before the sink"):
+        L.volume(G.caracol_k(4, 2), (1, 1, 1, -1, -2))
 
 
 def test_lattice_point_forms_larger_graphs():

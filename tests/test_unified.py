@@ -283,6 +283,13 @@ def test_count_unified_examples():
     assert L.volume(ps4, (1, 1, 1, -3)) == 3
 
 
+def test_stratified_counts_check_the_family_parameters():
+    with pytest.raises(C.InputError, match="needs n > k >= 1, got n=3, k=5"):
+        U.count_unified_stratified(3, 5, 1, 1)
+    with pytest.raises(C.InputError, match="needs a, k >= 1, got a=0, k=2"):
+        U.count_unified_stratified_mcar(0, 2, 1, 1)
+
+
 def test_unified_iterate_matches_count():
     cases = [
         (G.caracol_k(4, 1), (1, 1, 1, 1, -4)),
