@@ -196,9 +196,15 @@ def parse_netflow_spec(spec: str, g: gr.DirectedMultigraph, family: tuple) -> tu
 # volume / kostant
 
 
-# volume method -> its name in errors.  lidskii applies to every graph; the
-# others are the _Family functions of the same name, at a block net flow.
-_METHODS = {"lidskii": None, "unified": "the stratified count", "closed": "closed form"}
+# volume method -> its function in lidskii, which applies to every graph,
+# or the name in errors of the _Family function of the same name, which
+# applies at a block net flow
+_METHODS = {
+    "lidskii": lambda g, a: lidskii.volume(g, a),
+    "terms": lambda g, a: lidskii.term_sum(g, a, "volume"),
+    "unified": "the stratified count",
+    "closed": "closed form",
+}
 
 
 def cmd_volume(args: argparse.Namespace) -> RunReport:
@@ -206,19 +212,19 @@ def cmd_volume(args: argparse.Namespace) -> RunReport:
     a = gr.check_netflow(g, parse_netflow_spec(args.netflow, g, family))
     report = RunReport("volume", {"graph": args.graph, "netflow": list(a)})
     row, xy = _FAMILIES.get(family[0]), None
-    if args.method != "lidskii" and family[0] in _XY_KINDS:
+    if family[0] in _XY_KINDS:
         xy = row.read_xy(*family[1:], a)  # a block net flow iff the flow there is a
         xy = xy if getattr(gr, row.xy_flow)(*family[1:], *xy) == a else None
     methods = {}
-    for method, what in _METHODS.items():
+    for method, how in _METHODS.items():
         if args.method not in (method, "all"):
             continue
-        if method == "lidskii":
-            methods[method] = lidskii.volume(g, a)
+        if callable(how):
+            methods[method] = how(g, a)
         elif xy is not None:
             methods[method] = getattr(unified, getattr(row, method))(*family[1:], *xy)
         elif args.method == method:
-            raise InputError(f"{what} needs a {'/'.join(_XY_KINDS)} graph with a block "
+            raise InputError(f"{how} needs a {'/'.join(_XY_KINDS)} graph with a block "
                              f"net flow, got {args.graph} at {list(a)}")
     report.results.update(methods)
     report.results["volume"] = next(iter(methods.values()))
@@ -328,7 +334,7 @@ def _small_zoo() -> list[tuple[str, gr.DirectedMultigraph]]:
 
 def _suite_lidskii(report: RunReport) -> None:
     zoo = _small_zoo()
-    flows_ok = True
+    flows_ok = terms_ok = True
     for name, g in zoo:
         two = tuple(min(2, 1 + (v % 2)) for v in range(g.n))
         for a in (gr.unit_flow(g), gr.ones_flow(g), two + (-sum(two),)):
@@ -339,7 +345,13 @@ def _suite_lidskii(report: RunReport) -> None:
             if not (want == got_b == got_m == got_f):
                 flows_ok = False
                 report.check(f"lattice points on {name} at {list(a)}", want, (got_b, got_m, got_f))
+            sweep = (lidskii.volume(g, a), got_b, got_m)
+            terms = tuple(lidskii.term_sum(g, a, form) for form in lidskii.FORMS)
+            if sweep != terms:
+                terms_ok = False
+                report.check(f"Lidskii sweep on {name} at {list(a)}", terms, sweep)
     report.check("lattice-point formulas agree with flow counts", True, flows_ok)
+    report.check("Lidskii sweep agrees with the term sum", True, terms_ok)
     hom_ok = True
     for name, g in zoo[:6]:
         base = lidskii.volume(g, gr.ones_flow(g))

@@ -8,16 +8,33 @@ out-degree vector t, weighting the Kostant value K_G(s-t, 0):
   lattice points:  prod multichoose(a_i - u_i, s_i)  (multiset form)
 
 In the multiset form u_i is the shifted in-degree of vertex i, which is -1
-for the source.
+for the source.  Each weight is a product over the vertices; read from the
+sink back, the factor of vertex j is weight(j, r, s_j), with r the part of
+m-n left for vertices 1..j, since multinomial(m-n; s) = prod C(r, s_j).
+
+Two routes compute the same sums:
+
+- `volume`, `lattice_points_binomial` and `lattice_points_multiset` sweep
+  the vertices once from the sink back to the source (`_sweep`), choosing
+  s_j and the flow into j together, so no composition is listed and no
+  Kostant value is computed;
+- `term_sum` lists every dominating s and evaluates K_G(s-t, 0) for each
+  with one KostantEvaluator, term by term: the independent check of the
+  sweep.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
 
-from .combinat import InputError, binomial, dominating_compositions, exact_div, multinomial
+from .combinat import InputError, binomial, dominating_compositions, exact_div
 from .graphs import DirectedMultigraph, check_netflow, shifted_indegree, shifted_outdegree
 from .kostant import KostantEvaluator
+
+FORMS = ("volume", "binomial", "multiset")
+
+# weight(j, r, s_j): the factor of vertex j (1-based) in a term's weight
+Weight = Callable[[int, int, int], int]
 
 
 def _check_netflow(g: DirectedMultigraph, a: Sequence[int]) -> tuple[int, ...]:
@@ -40,50 +57,109 @@ def _gmultichoose(n: int, k: int) -> int:
     return exact_div(num, math.factorial(k))
 
 
-def _lidskii_sum(g: DirectedMultigraph, weight: Callable[..., int]) -> int:
-    """Sum of weight(s, t) * K_G(s - t, 0) over the compositions s dominating t,
-    all K values from one evaluator; a zero weight skips its K evaluation."""
+def _weight(g: DirectedMultigraph, a: Sequence[int], form: str) -> Weight:
+    """The per-vertex factor of `form` at net flow a (0^0 = 1)."""
+    a = _check_netflow(g, a)
+    if form == "volume":
+        return lambda j, r, s: math.comb(r, s) * a[j - 1] ** s
+    if form == "binomial":
+        t = shifted_outdegree(g)
+        return lambda j, r, s: binomial(a[j - 1] + t[j - 1], s)
+    if form == "multiset":
+        u = (-1,) + shifted_indegree(g)
+        return lambda j, r, s: _gmultichoose(a[j - 1] - u[j - 1], s)
+    raise InputError(f"unknown Lidskii form {form!r}; expected one of {', '.join(FORMS)}")
+
+
+def _sweep(g: DirectedMultigraph, weight: Weight) -> int:
+    """The weighted Lidskii sum as one transfer DP from the sink to the source.
+
+    A term's K_G(s-t, 0) counts the integral flows whose outflow minus
+    inflow is s_j - t_j at each j <= n and whose edges into the sink carry
+    nothing.  With vertices j+1..n+1 processed, a state is the flow that
+    each vertex 1..j already sends into them; `states` maps it to the
+    weighted number of ways to reach it.  Vertex j's outflow is then known,
+    so choosing s_j fixes its inflow, sent_j + t_j - s_j, which is split
+    over its distinct in-roots one root at a time (a knapsack): c units on
+    a root of multiplicity mu count multichoose(mu, c) ways.  r, the part
+    of m-n left for vertices 1..j, is sum(t_i + sent_i) over them, so the
+    state carries it.  The source has no in-edge: s_1 = sent_1 + t_1.
+    """
+    t = shifted_outdegree(g)
+    n = g.n
+    in_roots: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), mult in g.distinct_edges():
+        in_roots.setdefault(j, []).append((i - 1, mult))
+    states = {(0,) * n: 1}
+    r_base = sum(t)  # sum of t_i over the unprocessed vertices
+    for j in range(n, 1, -1):
+        tj = t[j - 1]
+        r_base -= tj
+        # (sends of vertices 1..j-1, inflow of j still to split) -> ways
+        split: dict[tuple[tuple[int, ...], int], int] = {}
+        for state, ways in states.items():
+            key = state[: j - 1]
+            most = state[j - 1] + tj  # s_j = most leaves j no inflow
+            r = r_base + sum(key) + most
+            for sj in range(most + 1):
+                w = weight(j, r, sj)
+                if w:
+                    k = (key, most - sj)
+                    split[k] = split.get(k, 0) + ways * w
+        *roots, (last, last_mult) = in_roots[j]
+        for i, mult in roots:
+            nxt: dict[tuple[tuple[int, ...], int], int] = {}
+            for (key, left), ways in split.items():
+                head, here, tail = key[:i], key[i], key[i + 1 :]
+                for c in range(left + 1):
+                    k = (head + (here + c,) + tail, left - c)
+                    nxt[k] = nxt.get(k, 0) + ways * math.comb(mult + c - 1, c)
+            split = nxt
+        states = {}
+        for (key, left), ways in split.items():  # the last root takes what is left
+            k = key[:last] + (key[last] + left,) + key[last + 1 :]
+            states[k] = states.get(k, 0) + ways * math.comb(last_mult + left - 1, left)
+    total = 0
+    for (sent,), ways in states.items():
+        s1 = sent + t[0]
+        total += ways * weight(1, s1, s1)
+    return total
+
+
+def term_sum(g: DirectedMultigraph, a: Sequence[int], form: str = "volume") -> int:
+    """The Lidskii sum of `form` (one of FORMS) at net flow a, term by term.
+
+    Every K_G(s-t, 0) comes from one KostantEvaluator, whose memos serve
+    all the terms; a zero weight skips its Kostant evaluation.  The same
+    values as `volume`, `lattice_points_binomial` and
+    `lattice_points_multiset`, by an independent route.
+    """
+    weight = _weight(g, a, form)
     t = shifted_outdegree(g)
     evaluate = KostantEvaluator(g)
     total = 0
     for s in dominating_compositions(t):
-        w = weight(s, t)
+        w, r = 1, sum(t)
+        for j in range(len(s), 0, -1):
+            w *= weight(j, r, s[j - 1])
+            if not w:
+                break
+            r -= s[j - 1]
         if w:
             total += w * evaluate(tuple(si - ti for si, ti in zip(s, t)) + (0,))
     return total
 
 
 def volume(g: DirectedMultigraph, a: Sequence[int]) -> int:
-    """Normalized volume of the flow polytope of g with net flow a.
-
-    Terms with a zero net-flow entry raised to a positive power vanish and
-    are skipped before any Kostant work (0^0 = 1).
-    """
-    a = _check_netflow(g, a)
-    d = g.num_edges - g.n
-
-    def weight(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        power = math.prod(ai**si for ai, si in zip(a, s))
-        return power and multinomial(d, s) * power
-
-    return _lidskii_sum(g, weight)
+    """Normalized volume of the flow polytope of g with net flow a."""
+    return _sweep(g, _weight(g, a, "volume"))
 
 
 def lattice_points_binomial(g: DirectedMultigraph, a: Sequence[int]) -> int:
     """Number of lattice points of the flow polytope, via the binomial form."""
-    a = _check_netflow(g, a)
-    return _lidskii_sum(
-        g,
-        lambda s, t: math.prod(binomial(ai + ti, si) for ai, ti, si in zip(a, t, s)),
-    )
+    return _sweep(g, _weight(g, a, "binomial"))
 
 
 def lattice_points_multiset(g: DirectedMultigraph, a: Sequence[int]) -> int:
     """Number of lattice points of the flow polytope, via the multiset form."""
-    a = _check_netflow(g, a)
-    u = (-1,) + shifted_indegree(g)[: g.n - 1]
-    return _lidskii_sum(
-        g,
-        lambda s, t: math.prod(_gmultichoose(ai - ui, si) for ai, ui, si in zip(a, u, s)),
-    )
-
+    return _sweep(g, _weight(g, a, "multiset"))

@@ -351,11 +351,17 @@ def simplex_partition(
 # closed-form volumes and the stratified counts
 
 
+def _check_xy(x: int, y: int) -> None:
+    """Reject a negative x or y: the block net flow would have a negative
+    entry before the sink, where the Lidskii sums are not defined."""
+    if x < 0 or y < 0:
+        raise InputError(f"block net flows need x, y >= 0, got x={x}, y={y}")
+
+
 def volume_closed_form(n: int, k: int, x: int, y: int) -> int:
     """Cat(a,b) k^(b-1) x^b (kx + (n-k)y)^(a-1) with a = n-k, b = ka-1."""
     check_caracol(n, k)
-    if x < 0 or y < 0:
-        raise InputError("closed forms are evaluated at nonnegative integers")
+    _check_xy(x, y)
     a = n - k
     b = k * a - 1
     cat = 1 if a == 1 else rational_catalan(a, b)
@@ -366,8 +372,7 @@ def volume_closed_form(n: int, k: int, x: int, y: int) -> int:
 def volume_closed_form_mcar(a: int, k: int, x: int, y: int) -> int:
     """Cat(a, ka-1) (kx)^(ka-1) (kx + ay)^(a-1)."""
     check_multicaracol(a, k)
-    if x < 0 or y < 0:
-        raise InputError("closed forms are evaluated at nonnegative integers")
+    _check_xy(x, y)
     b = k * a - 1
     cat = 1 if a == 1 else rational_catalan(a, b)
     return cat * (k * x) ** b * (k * x + a * y) ** (a - 1)
@@ -378,6 +383,7 @@ def count_unified_stratified(n: int, k: int, x: int, y: int) -> int:
     label set for each level, weight by net-flow labels, and count
     standardized diagrams."""
     check_caracol(n, k)
+    _check_xy(x, y)
     m = (k + 1) * (n - k) + n - 2
     total = 0
     for i in range(n - k):
@@ -390,6 +396,7 @@ def count_unified_stratified_mcar(a: int, k: int, x: int, y: int) -> int:
     """Multicaracol analogue; the truncated diagrams at the source column
     are counted by the k-parking numbers and complete uniquely."""
     check_multicaracol(a, k)
+    _check_xy(x, y)
     mn = (k + 1) * a - 2
     total = 0
     for i in range(a):

@@ -49,6 +49,15 @@ def test_volume_complete_and_mcar(capsys):
     assert code == 0 and doc["results"]["volume"] == 7
 
 
+def test_volume_terms_method(capsys):
+    """The term route alone, on a graph without a block net flow."""
+    code, doc, _ = run_json(
+        capsys, "volume", "--graph", "complete:n=5", "--netflow", "unit", "--method", "terms"
+    )
+    assert code == 0 and doc["results"] == {"terms": 10, "volume": 10}
+    assert doc["checks"] == []
+
+
 def test_volume_xy_netflow(capsys):
     code, doc, _ = run_json(
         capsys, "volume", "--graph", "caracol:n=5,k=2", "--netflow", "xy:x=1,y=0",
@@ -70,7 +79,7 @@ def test_volume_xy_netflow_runs_every_method(capsys, graph, closed_form, params)
         capsys, "volume", "--graph", graph, "--netflow", "xy:x=2,y=3", "--method", "all"
     )
     assert code == 0 and [c["name"] for c in doc["checks"]] == [
-        "lidskii = unified", "lidskii = closed"
+        "lidskii = terms", "lidskii = unified", "lidskii = closed"
     ]
     assert all(c["pass"] for c in doc["checks"])
     assert doc["results"]["volume"] == closed_form(*params, 2, 3)
@@ -121,6 +130,8 @@ def test_method_all_degrades_gracefully(capsys):
     assert code == 0
     assert doc["results"]["volume"] == 3
     assert "closed" not in doc["results"]
+    assert [c["name"] for c in doc["checks"]] == ["lidskii = terms"]
+    assert doc["checks"][0]["pass"] and doc["results"]["terms"] == 3
 
 
 def test_tables_parking_text(capsys):
@@ -153,6 +164,20 @@ def test_verify_suites_exit_zero(capsys):
         assert code == 0, suite
         assert doc["ok"] is True
         assert doc["checks"]
+
+
+def test_verify_lidskii_fails_when_the_routes_disagree(monkeypatch, capsys):
+    """The sweep is checked against the term sum on every zoo graph and
+    flow; a term route that is off by one on the multiset form fails it."""
+    term_sum = lidskii.term_sum
+    monkeypatch.setattr(
+        lidskii, "term_sum", lambda g, a, form: term_sum(g, a, form) + (form == "multiset")
+    )
+    code, doc, _ = run_json(capsys, "verify", "lidskii")
+    failed = [c["name"] for c in doc["checks"] if not c["pass"]]
+    assert code == 1 and failed[-1] == "Lidskii sweep agrees with the term sum"
+    assert len(failed) == 1 + 16 * 3  # one line per zoo graph and flow, then the summary
+    assert failed[0] == "Lidskii sweep on caracol:n=3,k=1 at [1, 0, 0, -1]"
 
 
 def test_verify_all_runs_orbits_at_n_and_k(capsys):
@@ -341,6 +366,11 @@ BAD_INPUTS = [
     ("volume --graph caracol:n=c,k=2 --netflow unit", "value 'c' at position 10 in"),
     ("volume --graph caracol:n=5,k=2 --netflow xy:x=y,y=1", "value 'y' at position 5 in"),
     ("volume --graph mcar:a=3,a --netflow unit", "bad field 'a' at position 9 in"),
+    # the stratified counts take x, y >= 0, as the closed forms do
+    ("volume --graph caracol:n=3,k=1 --netflow xy:x=1,y=-2 --method unified",
+     "need x, y >= 0, got x=1, y=-2"),
+    ("volume --graph mcar:a=2,k=2 --netflow xy:x=1,y=-1 --method unified",
+     "need x, y >= 0, got x=1, y=-1"),
 ]
 
 

@@ -189,7 +189,7 @@ def test_restricted_graph_carries_the_in_degree_count():
 
 @pytest.mark.parametrize("call", ["kostant", "volume"])
 def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
-    """kostant() and lidskii.volume free their memos as they return, with the
+    """kostant() and the Lidskii term sum free their memos as they return, with the
     cyclic garbage collector off: the memos are empty afterwards and no large
     block (a hash table) is still allocated.  Small blocks are not
     counted, since the interpreter's tuple free lists keep thousands."""
@@ -209,7 +209,7 @@ def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
         run = lambda: kostant(g, tuple(2 * x for x in G.ones_flow(g)))
     else:
         g = G.caracol_k(7, 3)
-        run = lambda: L.volume(g, G.ones_flow(g))
+        run = lambda: L.term_sum(g, G.ones_flow(g), "volume")
     gc.collect()
     gc.disable()
     tracemalloc.start()

@@ -1,6 +1,8 @@
 """The three Lidskii sums and the unit-flow identity."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from flowpoly import combinat as C
@@ -55,6 +57,9 @@ def test_lattice_point_forms(g, a):
     assert L.lattice_points_binomial(g, a) == want
     assert L.lattice_points_multiset(g, a) == want
     assert sum(1 for _ in integral_flows(g, a)) == want
+    # the sweep against the term sum, for all three forms
+    sweeps = (L.volume(g, a), want, want)
+    assert sweeps == tuple(L.term_sum(g, a, form) for form in L.FORMS)
 
 
 def test_unit_flow_caracol_family():
@@ -124,7 +129,7 @@ def test_lattice_point_forms_larger_graphs():
     "n, k, states", [(5, 2, 98), (7, 3, 2_903), (8, 3, 15_213)]
 )
 def test_memo_stores_every_state_once(monkeypatch, n, k, states):
-    """The ones-flow Lidskii sum shares one evaluator, whose per-root memos
+    """The ones-flow term sum shares one evaluator, whose per-root memos
     hold exactly one entry per distinct DFS state it entered."""
     evaluators = []
 
@@ -135,6 +140,35 @@ def test_memo_stores_every_state_once(monkeypatch, n, k, states):
 
     monkeypatch.setattr(L, "KostantEvaluator", Recording)
     g = G.caracol_k(n, k)
-    assert L.volume(g, G.ones_flow(g)) == volume_closed_form(n, k, 1, 1)
+    assert L.term_sum(g, G.ones_flow(g), "volume") == volume_closed_form(n, k, 1, 1)
     (ev,) = evaluators
     assert sum(map(len, ev.memos)) == states
+
+
+def test_sweep_builds_no_evaluator(monkeypatch):
+    """The three sweeps compute no Kostant value."""
+
+    def refuse(graph):
+        raise AssertionError("the sweep built a KostantEvaluator")
+
+    monkeypatch.setattr(L, "KostantEvaluator", refuse)
+    g = G.caracol_k(6, 2)
+    a = G.ones_flow(g)
+    assert L.volume(g, a) == volume_closed_form(6, 2, 1, 1)
+    assert L.lattice_points_binomial(g, a) == L.lattice_points_multiset(g, a) == kostant(g, a)
+
+
+def test_ones_flow_volume_caracol_11_3_within_budget():
+    """The sweep on caracol(11,3): the term sum took about 13 s here."""
+    g = G.caracol_k(11, 3)
+    start = time.perf_counter()
+    got = L.volume(g, G.ones_flow(g))
+    elapsed = time.perf_counter() - start
+    assert got == volume_closed_form(11, 3, 1, 1)
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
+
+
+def test_term_sum_rejects_unknown_form():
+    g = G.pitman_stanley(4)
+    with pytest.raises(C.InputError, match="unknown Lidskii form 'area'"):
+        L.term_sum(g, G.ones_flow(g), "area")

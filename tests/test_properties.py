@@ -1,6 +1,6 @@
 """Property tests on random small DAGs: a shared Kostant memo, vector
-partitions, the lattice-point forms and the reversed graph against
-independent counts, and the degree of the volume."""
+partitions, the lattice-point forms, the Lidskii sweep and the reversed
+graph against independent counts, and the degree of the volume."""
 from __future__ import annotations
 
 import math
@@ -56,6 +56,17 @@ def test_lattice_point_forms_agree(data):
     want = kostant(g, a)
     assert L.lattice_points_binomial(g, a) == want
     assert L.lattice_points_multiset(g, a) == want
+
+
+@SETTINGS
+@given(st.data())
+def test_sweep_equals_term_sum(data):
+    """The backward sweep and the term-by-term Kostant sum agree on all
+    three forms, at net flows with zero entries (so volume weights vanish)."""
+    g = data.draw(small_dags())
+    a = data.draw(netflows(g, 0))
+    sweeps = (L.volume(g, a), L.lattice_points_binomial(g, a), L.lattice_points_multiset(g, a))
+    assert sweeps == tuple(L.term_sum(g, a, form) for form in L.FORMS)
 
 
 @SETTINGS
