@@ -127,42 +127,62 @@ def test_stretch_targets():
     assert kostant(g, G.v_out(g)) == kostant(g, G.v_in(g)) == 332972640
 
 
-def test_one_shot_evaluation_runs_from_the_lighter_end(monkeypatch):
+@pytest.fixture
+def recording(monkeypatch):
+    """(graph, evaluator) for each KostantEvaluator that kostant() or
+    vector_partitions() makes, kept with its memos past the call."""
+    made = []
+
+    class Recording(KostantEvaluator):
+        def __init__(self, graph):
+            super().__init__(graph)
+            made.append((graph, self))
+
+    monkeypatch.setattr(K, "KostantEvaluator", Recording)
+    return made
+
+
+def test_one_shot_evaluation_runs_from_the_lighter_end(recording):
     """K(v_out) starts at the source with its whole outflow to split and
     ends in a zero at the sink, so kostant() evaluates it on the reversed
-    graph: 523 memo entries on caracol(10,2), against 45,217 forward."""
+    graph: 298 memo entries on caracol(10,2), against 14,747 forward.  The
+    unit flow is a tie, and ties run forward."""
     from flowpoly.combinat import rational_catalan
 
-    made = []
-
-    class Recording(KostantEvaluator):
-        def __init__(self, graph):
-            super().__init__(graph)
-            made.append((graph, self))  # keeps the memos past the call
-
-    monkeypatch.setattr(K, "KostantEvaluator", Recording)
     g = G.caracol_k(10, 2)
     assert kostant(g, G.v_out(g)) == rational_catalan(8, 15)
-    [(graph, evaluator)] = made
+    [(graph, evaluator)] = recording
     assert graph == G.reverse(g)
     assert sum(map(len, evaluator.memos)) <= 1000
+    unit = G.unit_flow(g)
+    assert kostant(g, unit) == sum(1 for _ in integral_flows(g, unit))
+    assert recording[1][0] == g
 
 
-def test_vector_partitions_walk_from_the_lighter_end(monkeypatch):
+@pytest.mark.parametrize(
+    "g, vector, value, states",
+    [
+        (G.caracol_k(10, 2), G.v_out, 21_318, 298),
+        (G.caracol_k(15, 3), G.v_out, 1_111_731_933, 4_747),
+        (G.complete_graph(9), G.v_out, 332_972_640, 6_238),
+    ],
+)
+def test_one_shot_state_counts(recording, g, vector, value, states):
+    """The DFS states one kostant() call enters, with each column's last
+    root forced and its roots longest first: the memo total of its one
+    evaluator."""
+    assert kostant(g, vector(g)) == value
+    [(_, evaluator)] = recording
+    assert sum(map(len, evaluator.memos)) == states
+
+
+def test_vector_partitions_walk_from_the_lighter_end(recording):
     """At v_out the partitions are listed on the reversed graph, as kostant()
     counts them, and each root of reverse(g) is reported as its edge of g."""
-    made = []
-
-    class Recording(KostantEvaluator):
-        def __init__(self, graph):
-            super().__init__(graph)
-            made.append(graph)
-
-    monkeypatch.setattr(K, "KostantEvaluator", Recording)
     g = G.caracol_k(8, 2)
     v = G.v_out(g)
     parts = list(vector_partitions(g, v))
-    assert made == [G.reverse(g)]
+    assert [graph for graph, _ in recording] == [G.reverse(g)]
     assert len(set(parts)) == len(parts) == kostant(g, v) == 728
     for part in parts:
         net = [0] * g.num_vertices
@@ -187,6 +207,18 @@ def test_restricted_graph_carries_the_in_degree_count():
         assert kostant(sub, vec) == kostant(g, G.v_in(g))
 
 
+def test_a_column_with_no_root_must_be_zero():
+    """Vertex 2 of this unvalidated graph has no out-edge, so no root
+    starts in column 2: the DFS drops it after column 1 and counts only
+    states where it is zero.  At (1, 1, -1, -1) vertex 2 keeps a unit it
+    cannot send on, so there is no flow at all."""
+    g = G.DirectedMultigraph(4, ((1, 2), (1, 3), (3, 4)))
+    for v, want in [((1, 0, 0, -1), 1), ((1, 1, -1, -1), 0), ((0, 1, 0, -1), 0)]:
+        assert sum(1 for _ in integral_flows(g, v)) == want
+        assert KostantEvaluator(g)(v) == kostant(g, v) == want
+        assert len(list(vector_partitions(g, v))) == want
+
+
 @pytest.mark.parametrize("call", ["kostant", "volume"])
 def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
     """kostant() and the Lidskii term sum free their memos as they return, with the
@@ -204,8 +236,8 @@ def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
     monkeypatch.setattr(L, "KostantEvaluator", Recording)
     if call == "kostant":
         g = G.caracol_k(8, 2)
-        # evaluated forward, with 3,541 memo entries (K(v_out) runs on
-        # the reversed graph and fills only 190)
+        # evaluated forward, with 3,005 memo entries (K(v_out) runs on
+        # the reversed graph and fills only 134)
         run = lambda: kostant(g, tuple(2 * x for x in G.ones_flow(g)))
     else:
         g = G.caracol_k(7, 3)

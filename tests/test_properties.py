@@ -1,6 +1,7 @@
 """Property tests on random small DAGs: a shared Kostant memo, vector
-partitions, the lattice-point forms, the Lidskii sweep and the reversed
-graph against independent counts, and the degree of the volume."""
+partitions, the lattice-point forms, the Lidskii sweep, the reversed
+graph and restricted (unvalidated) graphs against independent counts, and
+the degree of the volume."""
 from __future__ import annotations
 
 import math
@@ -12,6 +13,7 @@ from flowpoly import graphs as G
 from flowpoly import lidskii as L
 from flowpoly.combinat import multichoose
 from flowpoly.kostant import KostantEvaluator, integral_flows, kostant, vector_partitions
+from oracles import restrict
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -33,6 +35,13 @@ def small_dags(draw) -> G.DirectedMultigraph:
 def netflows(g: G.DirectedMultigraph, low: int) -> st.SearchStrategy:
     entries = st.lists(st.integers(low, 2), min_size=g.n, max_size=g.n)
     return entries.map(lambda a: tuple(a) + (-sum(a),))
+
+
+def weighted_partitions(g: G.DirectedMultigraph, parts) -> int:
+    """The vector partitions `parts` of g, each weighted by the ways to
+    spread each count over an edge's parallel copies."""
+    copies = dict(g.distinct_edges())
+    return sum(math.prod(multichoose(copies[e], c) for e, c in part) for part in parts)
 
 
 @SETTINGS
@@ -95,9 +104,7 @@ def test_vector_partitions_are_the_flows_up_to_parallel_copies(data):
             net[i - 1] += c
             net[j - 1] -= c
         assert tuple(net) == v, part
-    copies = dict(g.distinct_edges())
-    weighted = sum(math.prod(multichoose(copies[e], c) for e, c in part) for part in parts)
-    assert weighted == sum(1 for _ in integral_flows(g, v))
+    assert weighted_partitions(g, parts) == sum(1 for _ in integral_flows(g, v))
 
 
 def flip(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -121,3 +128,20 @@ def test_reversed_graph_counts_the_same_flows(data):
     assert KostantEvaluator(g)(v) == KostantEvaluator(r)(flip(v)) == want
     assert kostant(g, v) == want
     assert kostant(g, G.v_out(g)) == kostant(g, G.v_in(g))
+
+
+@SETTINGS
+@given(st.data())
+def test_restricted_graphs_count_their_flows(data):
+    """On a restriction of a valid graph, a vertex may have no out-edge, so
+    its column has no root of its own and the DFS must find it zero when
+    it drops it; the evaluator, kostant() and the weighted vector
+    partitions each count the integral flows."""
+    g = data.draw(small_dags())
+    lo = data.draw(st.integers(1, g.n))
+    r = restrict(g, lo, data.draw(st.integers(lo + 1, g.num_vertices)))
+    v = data.draw(netflows(r, -1))
+    want = sum(1 for _ in integral_flows(r, v))
+    assert KostantEvaluator(r)(v) == want
+    assert kostant(r, v) == want
+    assert weighted_partitions(r, list(vector_partitions(r, v))) == want
