@@ -18,7 +18,6 @@ function rebound on its module (a wrapper, a monkeypatch) is the one run.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -527,11 +526,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call (the first main(), not
-    the import) and shared by every later one; parsing leaves it unchanged.
-    Each subcommand binds its cmd_ function as the module holds it then."""
     parser = _Parser(
         prog="flowpoly",
         description="Exact flow-polytope volumes and the caracol-family combinatorial model",

@@ -189,6 +189,8 @@ def integral_flows(
             for p, f in zip(slots, comp):
                 flow[p] = f
             yield from assign(v + 1)
+        for p in slots:
+            flow[p] = 0
 
     yield from assign(1)
 
@@ -213,7 +215,7 @@ def vector_partitions(
     evaluate = KostantEvaluator(walked)
     roots = evaluate.roots
     top = g.num_vertices + 1
-    edges = [(top - i - w, top - i) if flipped else (i, i + w) for i, w, _, _ in roots]
+    edges = [(top - i - width, top - i) if flipped else (i, i + width) for i, width, _, _ in roots]
 
     def rec(
         idx: int, state: tuple[int, ...]

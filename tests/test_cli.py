@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -383,72 +382,23 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     assert message in err
 
 
-def fresh_env() -> dict[str, str]:
-    """The environment for a fresh interpreter that imports this tree's
-    flowpoly."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-
-
 def test_closed_stdout_exits_2_with_one_error_line():
     """A reader that has gone away is an unwritable report: one error line,
     exit 2, and no traceback or "Exception ignored" at shutdown."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the report is written
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "flowpoly.cli", "tables", "parking"],
-            stdout=write_end, stderr=subprocess.PIPE, env=fresh_env(), text=True, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == 2
     err = proc.stderr
     assert err.startswith("error: cannot write the report") and err.count("\n") == 1, err
-
-
-def python(code: str) -> str:
-    """stdout of `code` run by a fresh interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=fresh_env(), text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-MAIN_IN_TURN = """
-import contextlib, io, json
-from flowpoly import cli
-runs = []
-for argv in %r:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        runs.append([cli.main(argv), out.getvalue()])
-print(json.dumps(runs))
-"""
-
-
-def test_the_parser_is_built_once():
-    assert cli.build_parser() is cli.build_parser()
-    assert python("import flowpoly.cli as c; print(c.build_parser.cache_info())") == (
-        "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
-    )
-
-
-def test_the_shared_parser_survives_every_outcome():
-    """In one process, a usage error, --help and a bad spec leave the one
-    parser as it was: the valid run after them prints what it prints
-    first thing in a fresh process."""
-    valid = ["kostant", "--graph", "caracol:n=5,k=2", "--vector", "[4,-2,-1,-1,0,0]"]
-    argvs = [["kostant", "--graph"], ["kostant", "--help"],
-             ["kostant", "--graph", "caracol:n=x,k=2", "--netflow", "unit"], valid]
-    runs = json.loads(python(MAIN_IN_TURN % (argvs,)))
-    assert [code for code, _ in runs] == [2, 0, 2, 0]
-    assert runs[1][1].startswith("usage: flowpoly kostant")
-    [(code, first)] = json.loads(python(MAIN_IN_TURN % ([valid],)))
-    assert code == 0 and "kostant: 7" in first
-    wall_time = re.compile(r"wall_time: [0-9.]+s")
-    assert wall_time.sub("", runs[3][1]) == wall_time.sub("", first)
 
 
 def test_only_input_errors_exit_2(monkeypatch, capsys):
