@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import combinat, gravity, lidskii, paths, unified
 from . import graphs as gr
-from .combinat import InputError, Record
+from .combinat import ElementTexts, InputError, Record
 from .kostant import integral_flows, kostant
 
 
@@ -418,7 +418,7 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 
 class _Listing(NamedTuple):
     """An object's items, the count they must reach, the inputs to echo,
-    and a text and a JSON renderer of one item."""
+    a text renderer of one item, and a JSON one that also takes a text table."""
 
     items: Iterable
     expected: int
@@ -466,7 +466,7 @@ def _unified(args: argparse.Namespace) -> _Listing:
         unified.unified_diagrams(g, a), lidskii.volume(g, a),
         {"graph": args.graph, "netflow": list(a)},
         lambda q: f"s={q[0]} sigma={q[1]} alpha={q[2]} flow={q[3]}",
-        lambda q: json.dumps({"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]}),
+        lambda q, _: json.dumps({"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]}),
     )
 
 
@@ -504,7 +504,8 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
     if listing.expected > args.cap:
         raise InputError(f"would emit {listing.expected} items, more than the cap "
                          f"{args.cap}; raise --cap")
-    render = listing.to_json if args.render == "json" else listing.to_text
+    texts = ElementTexts()
+    render = (lambda x: listing.to_json(x, texts)) if args.render == "json" else listing.to_text
     emitted = [render(x) for x in listing.items]
     report.results["count"] = len(emitted)
     if args.format == "json":

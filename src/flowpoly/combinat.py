@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 
@@ -23,24 +25,46 @@ class NonIntegral(ValueError):
 
 
 def _tuples(value):
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    if type(value) in (int, str):
+        return value
+    raise InputError(f"a record holds ints, strs and arrays of them, not {value!r}")
+
+
+class ElementTexts(dict):
+    """Maps a field name, a scalar or a tuple field's element to its JSON
+    text, made by json.dumps the first time the value is asked for."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = json.dumps(value)
+        return text
 
 
 @dataclass(frozen=True)
 class Record:
     """An enumerated object, written as one JSON object: its fields in
     declaration order, a field holding None left out, tuples as arrays.
-    from_json reads such a line back, each array as a tuple."""
+    from_json reads such a line back, each array as a tuple, and takes
+    only exact ints, strs, arrays of them and null as a whole field, since
+    a table of element texts keyed by value would give True the text of 1."""
 
-    def to_json(self) -> str:
-        # __dataclass_fields__ is in declaration order; fields() would build
-        # a tuple on every call
-        names = self.__dataclass_fields__
-        return json.dumps({n: v for n in names if (v := getattr(self, n)) is not None})
+    def to_json(self, texts: ElementTexts | None = None) -> str:
+        """The line json.dumps writes; one listing shares one table."""
+        texts = ElementTexts() if texts is None else texts
+        items = []
+        # in declaration order; fields() would build a tuple on every call
+        for name in self.__dataclass_fields__:
+            if (v := getattr(self, name)) is not None:
+                text = (f"[{', '.join(map(texts.__getitem__, v))}]"
+                        if type(v) is tuple else texts[v])
+                items.append(f"{texts[name]}: {text}")
+        return f"{{{', '.join(items)}}}"
 
     @classmethod
     def from_json(cls, text: str):
-        return cls(**{name: _tuples(v) for name, v in json.loads(text).items()})
+        return cls(**{name: v if v is None else _tuples(v)
+                      for name, v in json.loads(text).items()})
 
 
 def binomial(n: int, k: int) -> int:
@@ -136,12 +160,7 @@ def k_parking_number(k: int, r: int, i: int) -> int:
 
 
 def prefix_sums(parts: Iterable[int]) -> tuple[int, ...]:
-    total = 0
-    out = []
-    for p in parts:
-        total += p
-        out.append(total)
-    return tuple(out)
+    return tuple(accumulate(parts))
 
 
 def dominates(s: Sequence[int], t: Sequence[int]) -> bool:
@@ -154,7 +173,7 @@ def dominates(s: Sequence[int], t: Sequence[int]) -> bool:
     ps, pt = prefix_sums(s), prefix_sums(t)
     if ps and ps[-1] != pt[-1]:
         raise InputError(f"sums differ: {ps[-1]} vs {pt[-1]}")
-    return all(a >= b for a, b in zip(ps, pt))
+    return all(map(operator.ge, ps, pt))
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

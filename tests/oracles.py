@@ -3,12 +3,14 @@ against.  Each one takes its own route to a count or an object, so it
 stays independent of the code it checks."""
 from __future__ import annotations
 
+import dataclasses
 import functools
+import json
 from typing import Sequence
 
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
-from flowpoly.combinat import multinomial, prefix_sums, weak_compositions
+from flowpoly.combinat import Record, multinomial, prefix_sums, weak_compositions
 from flowpoly.gravity import GravityDiagram, out_segments_by_row
 from flowpoly.kostant import kostant
 from flowpoly.paths import MultiLabeledDyckPath
@@ -18,6 +20,13 @@ from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
 def is_log_concave(seq: Sequence[int]) -> bool:
     """True iff seq[i]^2 >= seq[i-1]*seq[i+1] at every interior index."""
     return all(seq[i] * seq[i] >= seq[i - 1] * seq[i + 1] for i in range(1, len(seq) - 1))
+
+
+def record_json(obj: Record) -> str:
+    """The JSON line of an enumerated object by one json.dumps of its field
+    dict, in declaration order, a field holding None left out."""
+    return json.dumps({f.name: v for f in dataclasses.fields(obj)
+                       if (v := getattr(obj, f.name)) is not None})
 
 
 def restrict(g: G.DirectedMultigraph, lo: int, hi: int) -> G.DirectedMultigraph:

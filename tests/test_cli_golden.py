@@ -1,9 +1,11 @@
 """Golden text output of the CLI: the exact bytes, apart from the run's
 wall_time, of one small case of each enumerable object and renderer, and
-of the `tables` text and csv layouts.  A change to any of these is a change
+of the `tables` text and csv layouts; and, by the sha256 of the same bytes,
+of larger `--render json` listings.  A change to any of these is a change
 to the CLI's output and must be made on purpose."""
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -128,6 +130,28 @@ GOLDEN = [
 def test_text_output_is_pinned(capsys, argv, text):
     assert cli.main(argv.split()) == 0
     assert WALL_TIME.sub("wall_time: -", capsys.readouterr().out) == text
+
+
+# argv -> sha256 of its stdout with wall_time blanked
+DIGESTS = {
+    "enumerate gravity --kind in --n 8 --k 2 --render json":
+        "4ed82cb3cea9b743dce625a6379b723de142384233141a6f6e844c9a64b16b7d",
+    "enumerate gravity --kind out --n 8 --k 3 --render json":
+        "bd751c83ac8e1bdb1771a5a4ffbb4dd7089a8e40884629a850290c4a0b93ce9e",
+    "enumerate gravity --kind mcar-out --n 5 --k 3 --render json":
+        "92f63ef3831628a0d9adceb3dea6d9d40013558eff12bc101a33f9ea2c0f4626",
+    "enumerate dyck --a 5 --b 7 --render json":
+        "3aaa609c546b4711f5dddcd63bec0e9da3c10bd6c96290a790584449dbeaba23",
+    "enumerate truncated --n 7 --k 2 --i 2 --render json":
+        "43f4263f212e495b5ed6839d64f60e25d3c5dd73d3d7958339da65272c3d6d4d",
+}
+
+
+@pytest.mark.parametrize("argv, digest", DIGESTS.items(), ids=list(DIGESTS))
+def test_json_listing_is_pinned_by_digest(capsys, argv, digest):
+    assert cli.main(argv.split()) == 0
+    out = WALL_TIME.sub("wall_time: -", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]])

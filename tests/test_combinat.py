@@ -1,4 +1,5 @@
-"""Exact combinatorics: counting primitives and the dominance order."""
+"""Exact combinatorics: counting primitives, the dominance order and the
+JSON codec of the enumerated objects."""
 from __future__ import annotations
 
 import math
@@ -7,8 +8,10 @@ from itertools import product
 import pytest
 
 from flowpoly import combinat as C
+from flowpoly import gravity as GR
 from flowpoly import paths as P
-from oracles import is_log_concave
+from flowpoly import unified as U
+from oracles import is_log_concave, record_json
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -262,3 +265,64 @@ def test_compositions_dominating_prefixes():
     got = list(C.dominating_compositions((3, 4)))
     assert got == [(7, 0), (6, 1), (5, 2), (4, 3), (3, 4)]
     assert sum(C.multinomial(7, d) for d in got) == 99
+
+
+# ---------------------------------------------------------------------------
+# the record codec
+
+
+def small_records():
+    """Every record of every enumerator at small sizes, each record type
+    with ints, strs, None fields and tuples of tuples among them."""
+    for n in range(3, 9):
+        for k in range(1, min(n, 4)):
+            yield from GR.enumerate_in_gravity(n, k)
+            yield from GR.enumerate_out_gravity(n, k)
+    for a in range(1, 6):
+        for k in range(1, 4):
+            yield from GR.enumerate_out_gravity_mcar(a, k)
+    for t in [(), (0,), (2,), (1, 0, 2, 1), (0, 0, 3), (1,) * 5, P.rational_shape(5, 7)]:
+        yield from P.enumerate_t_dyck(t)
+    for n, k in [(3, 1), (5, 1), (6, 2), (7, 2), (7, 3)]:
+        for i in range(n - k):
+            yield from U.enumerate_truncated(n, k, i)
+    for k, r in [(1, 3), (2, 3), (3, 2), (2, 4)]:
+        for i in range(r + 1):
+            yield from P.enumerate_multilabeled(k, r, i)
+
+
+def test_records_share_one_table_of_element_texts():
+    """One table across all record types writes the line one json.dumps
+    writes, and the line reads back as the same record."""
+    texts = C.ElementTexts()
+    seen = {}
+    for obj in small_records():
+        line = obj.to_json(texts)
+        assert line == record_json(obj)
+        assert type(obj).from_json(line) == obj
+        seen[type(obj)] = seen.get(type(obj), 0) + 1
+    assert set(seen) == {GR.GravityDiagram, P.TDyckPath, U.TruncatedDiagram,
+                         P.MultiLabeledDyckPath}
+    assert min(seen.values()) > 100
+    assert texts[(1, 3, 6)] == "[1, 3, 6]" and texts["in"] == '"in"'
+
+
+@pytest.mark.parametrize("line", [
+    '{"kind": "in", "n": true, "k": 2, "segments": []}',
+    '{"kind": "in", "n": 4, "k": 2.0, "segments": []}',
+    '{"kind": "in", "n": 4, "k": 2, "segments": [[1, 3, false]]}',
+    '{"kind": "in", "n": 4, "k": 2, "segments": [null]}',
+    '{"kind": "in", "n": 4, "k": 2, "segments": [{"row": 1}]}',
+    '{"kind": "in", "n": 4, "k": 2, "segments": [], "colors": [NaN]}',
+])
+def test_record_reads_only_exact_ints_strs_and_arrays(line):
+    """True == 1, so a table keyed by value would give a bool the text of
+    an int: the codec reads no bool, float, object or nested null."""
+    with pytest.raises(C.InputError, match="holds ints, strs"):
+        GR.GravityDiagram.from_json(line)
+
+
+def test_record_reads_a_null_field_as_none():
+    d = GR.GravityDiagram.from_json('{"kind": "in", "n": 1, "k": 2, "segments": [], "colors": null}')
+    assert d == GR.GravityDiagram("in", 1, 2, ())
+    assert d.to_json() == '{"kind": "in", "n": 1, "k": 2, "segments": []}'
