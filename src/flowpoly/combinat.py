@@ -53,7 +53,7 @@ class Record:
         """The line json.dumps writes; one listing shares one table."""
         texts = ElementTexts() if texts is None else texts
         items = []
-        # in declaration order; fields() would build a tuple on every call
+        # __dataclass_fields__ keeps declaration order; fields() builds a tuple per call
         for name in self.__dataclass_fields__:
             if (v := getattr(self, name)) is not None:
                 text = (f"[{', '.join(map(texts.__getitem__, v))}]"
