@@ -63,8 +63,18 @@ class Record:
 
     @classmethod
     def from_json(cls, text: str):
-        return cls(**{name: v if v is None else _tuples(v)
-                      for name, v in json.loads(text).items()})
+        """The record of one line; a line that is not a JSON object of the
+        record's fields is an InputError."""
+        try:
+            fields = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise InputError(f"not a JSON line: {e}") from None
+        if type(fields) is not dict:
+            raise InputError(f"a {cls.__name__} line is a JSON object, not {text!r}")
+        try:  # a field missing or unknown is a TypeError
+            return cls(**{name: v if v is None else _tuples(v) for name, v in fields.items()})
+        except TypeError as e:
+            raise InputError(f"{cls.__name__} fields: {e}") from None
 
 
 def binomial(n: int, k: int) -> int:

@@ -274,48 +274,29 @@ def count_gravity(n: int, k: int) -> int:
 
 
 def render_text(d: GravityDiagram) -> str:
-    """Dots-and-dashes picture of a diagram, one text row per diagram row."""
+    """Dots-and-dashes picture of a diagram, one text row per diagram row,
+    top row first.  Every row holds at most one segment, kept as the span
+    (lo, hi) of the columns it covers."""
     if d.kind == "in":
-        cols = list(range(d.k + 1, d.n + 1))
-        heights = {j: _in_capacity(d.n, d.k, j) for j in cols}
-        covered = {
-            (row, j): True
-            for row, l, _ in d.segments
-            for j in range(l, d.n + 1)
-        }
-        depth = heights[d.n]
+        first, heights = d.k + 1, [_in_capacity(d.n, d.k, j) for j in range(d.k + 1, d.n + 1)]
+        spans = {row: (l, d.n) for row, l, _ in d.segments}
     elif d.kind == "out":
         rows = d.n - d.k - 1
-        cols = list(range(1, d.n - 1))
-        heights = {j: rows if j <= d.k else d.n - j - 1 for j in cols}
-        covered = {
-            (rows + 1 - row, j): True
-            for row, l, r in d.segments
-            for j in range(l, r + 1)
-        }
-        depth = rows
+        first, heights = 1, [min(rows, d.n - j - 1) for j in range(1, d.n - 1)]
+        spans = {rows + 1 - row: (l, r) for row, l, r in d.segments}
     else:
-        cols = list(range(0, d.n - 1))
-        heights = {j: d.n - 1 - j for j in cols}
-        covered = {
-            (row, j): True
-            for (row, _, c) in d.segments
-            for j in range(0, c + 1)
-        }
-        depth = d.n - 1
-    header = "".join(f"a{j}".ljust(4) for j in cols)
-    lines = [header.rstrip()]
-    for row in range(1, depth + 1):
-        cells = []
-        for j in cols:
-            if row > heights[j]:
-                cells.append("    ")
-            elif covered.get((row, j)):
-                joint = "---" if covered.get((row, j + 1)) and j + 1 in heights else "   "
-                cells.append("*" + joint)
-            else:
-                cells.append("o   ")
-        lines.append("".join(cells).rstrip())
+        first, heights = 0, list(range(d.n - 1, 0, -1))
+        spans = {row: (0, c) for row, _, c in d.segments}
+    cols = range(first, first + len(heights))
+    lines = ["".join(f"a{j}".ljust(4) for j in cols).rstrip()]
+    for row in range(1, max(heights, default=0) + 1):
+        lo, hi = spans.get(row, (0, -1))
+        lines.append("".join([
+            "    " if row > height else
+            "o   " if not lo <= j <= hi else
+            "*---" if j < hi else "*   "
+            for j, height in zip(cols, heights)
+        ]).rstrip())
     if d.colors:
         lines.append("colors (top row first): " + ",".join(map(str, d.colors)))
     return "\n".join(lines)

@@ -35,11 +35,11 @@ from .combinat import (
     check_composition,
     check_parking_level,
     count_dominating,
+    dominates,
     dominating_compositions,
     k_parking_number,
     monotone_sequences,
     prefix_sums,
-    rational_catalan,
     weak_compositions,
 )
 from .graphs import (
@@ -50,6 +50,7 @@ from .graphs import (
     check_netflow,
     shifted_outdegree,
 )
+from .gravity import count_gravity
 from .kostant import integral_flows
 from .paths import MultiLabeledDyckPath, _column_label_sets
 
@@ -99,10 +100,6 @@ class TruncatedDiagram(Record):
     tail_labels: tuple[tuple[int, ...], ...]
     segments: tuple[tuple[int, int], ...]
 
-    @property
-    def r(self) -> int:
-        return self.n - self.k - 1
-
 
 def _segment_multisets(
     k: int, r: int, i: int, tail: Sequence[int]
@@ -145,7 +142,7 @@ def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
 def theta(u: TruncatedDiagram) -> MultiLabeledDyckPath:
     """Slide each segment's barred label to its right end: (h, l) becomes a
     north step at east position h labeled bar(k-l)."""
-    r, k = u.r, u.k
+    r, k = len(u.tail), u.k  # the tail has one part per column k+1..n-1
     barred: list[list[int]] = [[] for _ in range(r)]
     for h, l in u.segments:
         barred[h].append(l - k)
@@ -307,43 +304,24 @@ def simplex_partition(
     """Split the weak compositions of N = sum(c0) into k blocks, one per
     rotation of the base point.
 
-    Block j is cut out by the cyclic window sums starting at position j
-    against c_j = c0 + e_{k-1} - e_{j-1} (empty when c_j goes negative).
-    Disjointness and full coverage are asserted.
+    Block j has the base point c_j = c0 + e_{k-1} - e_{j-1} and holds the d
+    whose rotation by j dominates c_j rotated by j; a c_j with a negative
+    part holds nothing.  Each d is asserted to lie in exactly one block.
     """
     c0 = check_composition(c0)
     k = len(c0)
     if k < 2:
         raise InputError("simplex_partition needs at least 2 parts")
-    n_total = sum(c0)
-
-    def rotations(j: int) -> tuple[int, ...]:
-        c = list(c0)
-        if j:
-            c[k - 1] += 1
-            c[j - 1] -= 1
-        return tuple(c)
-
-    def members(j: int, cj: Sequence[int]) -> list[tuple[int, ...]]:
-        if min(cj) < 0:
-            return []
-        out = []
-        for d in weak_compositions(n_total, k):
-            good = True
-            for w in range(k - 1):
-                window = [(j + p) % k for p in range(w + 1)]
-                if sum(d[p] for p in window) < sum(cj[p] for p in window):
-                    good = False
-                    break
-            if good:
-                out.append(d)
-        return out
-
-    blocks = [(rotations(j), members(j, rotations(j))) for j in range(k)]
-    everything = sorted(d for _, block in blocks for d in block)
-    universe = sorted(weak_compositions(n_total, k))
-    if everything != universe:
-        raise AssertionError(f"blocks of {c0} do not partition the simplex")
+    up = c0[:-1] + (c0[-1] + 1,)  # c0 + e_{k-1}
+    bases = [c0] + [up[: j - 1] + (up[j - 1] - 1,) + up[j:] for j in range(1, k)]
+    blocks = [(cj, []) for cj in bases]
+    owners = [(j, cj[j:] + cj[:j], members)
+              for j, (cj, members) in enumerate(blocks) if min(cj) >= 0]
+    for d in weak_compositions(sum(c0), k):
+        homes = [members for j, floor, members in owners if dominates(d[j:] + d[:j], floor)]
+        if len(homes) != 1:
+            raise AssertionError(f"{d} lies in {len(homes)} blocks of {c0}, not one")
+        homes[0].append(d)
     return blocks
 
 
@@ -364,9 +342,8 @@ def volume_closed_form(n: int, k: int, x: int, y: int) -> int:
     _check_xy(x, y)
     a = n - k
     b = k * a - 1
-    cat = 1 if a == 1 else rational_catalan(a, b)
     kpow = k ** (b - 1) if k > 1 else 1
-    return cat * kpow * x**b * (k * x + a * y) ** (a - 1)
+    return count_gravity(n, k) * kpow * x**b * (k * x + a * y) ** (a - 1)
 
 
 def volume_closed_form_mcar(a: int, k: int, x: int, y: int) -> int:
@@ -374,8 +351,7 @@ def volume_closed_form_mcar(a: int, k: int, x: int, y: int) -> int:
     check_multicaracol(a, k)
     _check_xy(x, y)
     b = k * a - 1
-    cat = 1 if a == 1 else rational_catalan(a, b)
-    return cat * (k * x) ** b * (k * x + a * y) ** (a - 1)
+    return count_gravity(a + k, k) * (k * x) ** b * (k * x + a * y) ** (a - 1)
 
 
 def count_unified_stratified(n: int, k: int, x: int, y: int) -> int:
@@ -414,28 +390,20 @@ def count_unified_stratified_mcar(a: int, k: int, x: int, y: int) -> int:
 
 
 def render_truncated_text(u: TruncatedDiagram) -> str:
-    """Figure-style picture: '#' for the shaded region, 'o' for gravity dots,
-    '-' for the tail path's east steps, with segments listed below."""
-    n, k, i = u.n, u.k, u.level
-    r = u.r
-    t = _caracol_outdegree(n, k)
-    width = n - 1  # the final forced-flat column is omitted
-    top = (k + 1) * (n - k) + n - 2 - n - i  # m - n - i
-    pt = prefix_sums(t)
-    path_height = [top + sum(u.tail[:j]) for j in range(r + 1)]
-    rows = []
-    max_h = path_height[-1]
-    for h in range(max_h - 1, -1, -1):
-        cells = []
-        for j in range(1, width + 1):
-            shade_top = pt[j - 1]
-            if h < shade_top:
-                cells.append("#")
-            elif j <= k:
-                cells.append("o" if h < top else " ")
-            else:
-                cells.append("o" if h < path_height[j - k] else " ")
-        rows.append("".join(cells).rstrip())
+    """Figure-style picture, top row first: '#' for the shaded region, 'o'
+    for gravity dots, with the tail path and the segments listed below.
+
+    Column j = 1..n-1 is one strip: shaded up to prefix_j(t), dotted up to
+    m - n - i plus the tail steps in the columns k+1..j, and blank up to
+    m - n = |t|.  The forced final column n has no entry in `dots`, so zip
+    leaves it out.
+    """
+    k = u.k
+    shade = prefix_sums(_caracol_outdegree(u.n, k))
+    top = shade[-1] - u.level
+    dots = [top] * k + [top + p for p in prefix_sums(u.tail)]
+    strips = [" " * (shade[-1] - max(s, d)) + "o" * (d - s) + "#" * s for s, d in zip(shade, dots)]
+    rows = ("".join(row).rstrip() for row in zip(*strips))
     lines = [row for row in rows if row]
     lines.append(f"tail path: {u.tail} labels {u.tail_labels}")
     segs = ", ".join(f"[{l},{k + h}]" for h, l in u.segments)

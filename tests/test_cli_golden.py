@@ -1,8 +1,8 @@
 """Golden text output of the CLI: the exact bytes, apart from the run's
 wall_time, of one small case of each enumerable object and renderer, and
 of the `tables` text and csv layouts; and, by the sha256 of the same bytes,
-of larger `--render json` listings.  A change to any of these is a change
-to the CLI's output and must be made on purpose."""
+of larger `--render json` and `--render text` listings.  A change to any
+of these is a change to the CLI's output and must be made on purpose."""
 from __future__ import annotations
 
 import hashlib
@@ -144,6 +144,19 @@ DIGESTS = {
         "3aaa609c546b4711f5dddcd63bec0e9da3c10bd6c96290a790584449dbeaba23",
     "enumerate truncated --n 7 --k 2 --i 2 --render json":
         "43f4263f212e495b5ed6839d64f60e25d3c5dd73d3d7958339da65272c3d6d4d",
+    "enumerate gravity --kind in --n 8 --k 2 --render text":
+        "e29d7ed99b41af2c6e6c3f105a80a1fb287b8b2a210601760746e6f4286b6b90",
+    "enumerate gravity --kind out --n 8 --k 3 --render text":
+        "f3c05630650008dc9fffb745497e781605b4d7ec87e33b0fa8954a6d6d7eb521",
+    "enumerate gravity --kind mcar-out --n 5 --k 3 --render text":
+        "d9b651b2d60d056f9f2504a47b45e4075fd43d3dad4175a138bd98966697bffc",
+    "enumerate truncated --n 7 --k 2 --i 2 --render text":
+        "04685c00d9076b223b72fe1dfa844778d0d8b1238dbe94fa253f8e1a67bd6104",
+    # grid edges: an out-degree diagram with no rows, a multicaracol one with no columns
+    "enumerate gravity --kind out --n 3 --k 2 --render text":
+        "d89f0c1ff1e6ad8fca85371202f0fa83f547376a3cea7ca3c9f1b3dac929ce3d",
+    "enumerate gravity --kind mcar-out --n 1 --k 2 --render text":
+        "beb70956b137b9bc98b4b85d5b086164f652e96fb78d72e0fed994f99768dafd",
 }
 
 

@@ -322,6 +322,19 @@ def test_record_reads_only_exact_ints_strs_and_arrays(line):
         GR.GravityDiagram.from_json(line)
 
 
+@pytest.mark.parametrize("line", [
+    '[1]',
+    '{"kind": "in", "n": 4, "k": 2}',
+    '{"kind": "in", "n": 4, "k": 2, "segments": [], "x": 1}',
+    '{"kind": "in", "n": 4,',
+])
+def test_record_rejects_a_line_of_the_wrong_shape(line):
+    """Not a JSON object, a missing or an unknown field, or not JSON at all:
+    bad input, not a TypeError, AttributeError or JSONDecodeError."""
+    with pytest.raises(C.InputError):
+        GR.GravityDiagram.from_json(line)
+
+
 def test_record_reads_a_null_field_as_none():
     d = GR.GravityDiagram.from_json('{"kind": "in", "n": 1, "k": 2, "segments": [], "colors": null}')
     assert d == GR.GravityDiagram("in", 1, 2, ())

@@ -2,6 +2,7 @@
 closed-form volumes."""
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations_with_replacement
 
 import pytest
@@ -185,6 +186,14 @@ def test_orbits_car62():
     assert sorted(l for _, l in segs) == [1, 2]
 
 
+def test_cyclic_shift_lowers_each_left_column_by_z():
+    """Column l goes to l - z mod k, within 1..k, and the segments stay sorted."""
+    u = U.TruncatedDiagram(6, 3, 0, (0, 0), ((), ()), ((0, 1), (1, 3)))
+    assert U.cyclic_shift(1, u).segments == ((0, 3), (1, 2))
+    assert U.cyclic_shift(2, u).segments == ((0, 2), (1, 1))
+    assert U.cyclic_shift(3, u) == u
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 3)])
 def test_orbit_sums(n, k):
     m = (k + 1) * (n - k) + n - 2
@@ -225,12 +234,17 @@ def test_simplex_partition_corner():
 
 
 def test_simplex_partition_exhaustive():
+    """Each partition covers the simplex, and the whole list, block order
+    and member order included, is pinned by the sha256 of its repr."""
+    digest = hashlib.sha256()
     for k in (2, 3, 4):
         for total in range(0, 7):
             for c0 in C.weak_compositions(total, k):
                 blocks = U.simplex_partition(c0)
                 combined = sorted(d for _, members in blocks for d in members)
                 assert combined == sorted(C.weak_compositions(total, k))
+                digest.update(repr(blocks).encode())
+    assert digest.hexdigest() == "7fce499b2ca532167702f8ee3df3f92e2809b3a3ab29a0618adb8f089e48bcdc"
 
 
 def test_closed_forms():
