@@ -31,12 +31,6 @@ class DirectedMultigraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def out_degree(self, v: int) -> int:
-        return sum(1 for i, _ in self.edges if i == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for _, j in self.edges if j == v)
-
     def distinct_edges(self) -> list[tuple[tuple[int, int], int]]:
         """Sorted (edge, multiplicity) pairs."""
         out: list[tuple[tuple[int, int], int]] = []
@@ -149,12 +143,18 @@ def complete_graph(n: int) -> DirectedMultigraph:
 
 def shifted_outdegree(g: DirectedMultigraph) -> tuple[int, ...]:
     """t_i = outdeg(i) - 1 for i = 1..n."""
-    return tuple(g.out_degree(v) - 1 for v in range(1, g.n + 1))
+    t = [-1] * g.n
+    for i, _ in g.edges:
+        t[i - 1] += 1
+    return tuple(t)
 
 
 def shifted_indegree(g: DirectedMultigraph) -> tuple[int, ...]:
     """u_i = indeg(i) - 1 for i = 2..n+1."""
-    return tuple(g.in_degree(v) - 1 for v in range(2, g.n + 2))
+    u = [-1] * g.n
+    for _, j in g.edges:
+        u[j - 2] += 1
+    return tuple(u)
 
 
 def v_out(g: DirectedMultigraph) -> tuple[int, ...]:

@@ -18,9 +18,9 @@ Two routes compute the same sums:
   the vertices once from the sink back to the source (`_sweep`), choosing
   s_j and the flow into j together, so no composition is listed and no
   Kostant value is computed;
-- `term_sum` lists every dominating s and evaluates K_G(s-t, 0) for each
-  with one KostantEvaluator, term by term: the independent check of the
-  sweep.
+- `term_sum` lists every dominating s once and evaluates K_G(s-t, 0) for
+  each with one KostantEvaluator, term by term, weighting each value for
+  every form asked: the independent check of the sweep.
 """
 from __future__ import annotations
 
@@ -126,28 +126,42 @@ def _sweep(g: DirectedMultigraph, weight: Weight) -> int:
     return total
 
 
-def term_sum(g: DirectedMultigraph, a: Sequence[int], form: str = "volume") -> int:
-    """The Lidskii sum of `form` (one of FORMS) at net flow a, term by term.
+def _term_weight(weight: Weight, s: Sequence[int], r: int) -> int:
+    """The weight of the term s, its factors taken from the sink back; r is
+    m-n, the sum of s."""
+    w = 1
+    for j in range(len(s), 0, -1):
+        w *= weight(j, r, s[j - 1])
+        if not w:
+            return 0
+        r -= s[j - 1]
+    return w
 
-    Every K_G(s-t, 0) comes from one KostantEvaluator, whose memos serve
-    all the terms; a zero weight skips its Kostant evaluation.  The same
-    values as `volume`, `lattice_points_binomial` and
-    `lattice_points_multiset`, by an independent route.
+
+def term_sum(
+    g: DirectedMultigraph, a: Sequence[int], forms: Sequence[str] = FORMS
+) -> tuple[int, ...]:
+    """The Lidskii sums of `forms` (each one of FORMS) at net flow a, term by
+    term, one total per form in the order asked.
+
+    One pass lists every dominating s once and weights it for each form;
+    K_G(s-t, 0), shared by all the forms, is evaluated once per term, and
+    skipped when every weight is zero.  Every value comes from one
+    KostantEvaluator, whose memos serve all the terms.  The same values as
+    `volume`, `lattice_points_binomial` and `lattice_points_multiset`, by
+    an independent route.
     """
-    weight = _weight(g, a, form)
+    weights = [_weight(g, a, form) for form in forms]
     t = shifted_outdegree(g)
+    m_n = sum(t)
     evaluate = KostantEvaluator(g)
-    total = 0
+    totals = [0] * len(weights)
     for s in dominating_compositions(t):
-        w, r = 1, sum(t)
-        for j in range(len(s), 0, -1):
-            w *= weight(j, r, s[j - 1])
-            if not w:
-                break
-            r -= s[j - 1]
-        if w:
-            total += w * evaluate(tuple(si - ti for si, ti in zip(s, t)) + (0,))
-    return total
+        ws = [_term_weight(weight, s, m_n) for weight in weights]
+        if any(ws):
+            value = evaluate(tuple(si - ti for si, ti in zip(s, t)) + (0,))
+            totals = [total + w * value for total, w in zip(totals, ws)]
+    return tuple(totals)
 
 
 def volume(g: DirectedMultigraph, a: Sequence[int]) -> int:

@@ -106,8 +106,9 @@ def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckP
     k_parking_number(k, r, i) of them."""
     check_parking_level(k, r, i)
     staircase = (1,) * r
+    all_car_counts = list(weak_compositions(i, r))
     for path in dominating_compositions(staircase):
-        for car_counts in weak_compositions(i, r):
+        for car_counts in all_car_counts:
             if any(c > s for c, s in zip(car_counts, path)):
                 continue
             # the free slots sum to r - i, so every one holds a barred label

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 from typing import Sequence
 
@@ -34,6 +35,24 @@ def restrict(g: G.DirectedMultigraph, lo: int, hi: int) -> G.DirectedMultigraph:
     1..; not validated, since restrictions are only used for their roots."""
     edges = tuple((i - lo + 1, j - lo + 1) for i, j in g.edges if lo <= i and j <= hi)
     return G.DirectedMultigraph(hi - lo + 1, edges)
+
+
+def integral_flows_brute_force(
+    g: G.DirectedMultigraph, a: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Every integral a-flow on g's edges, by trying every assignment of
+    0..(the total supply) to each edge, in lex decreasing order; no flow on
+    an acyclic graph carries more than the total supply on one edge."""
+    top = sum(x for x in a if x > 0)
+    flows = []
+    for flow in itertools.product(range(top, -1, -1), repeat=g.num_edges):
+        net = [0] * g.num_vertices
+        for (i, j), f in zip(g.edges, flow):
+            net[i - 1] += f
+            net[j - 1] -= f
+        if net == list(a):
+            flows.append(flow)
+    return flows
 
 
 def volume_unit_flow(g: G.DirectedMultigraph) -> int:

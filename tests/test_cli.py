@@ -166,18 +166,36 @@ def test_verify_suites_exit_zero(capsys):
         assert doc["checks"]
 
 
+# the zoo of `verify lidskii`: each graph's name and its vertex count
+LIDSKII_ZOO = [
+    ("caracol:n=3,k=1", 4), ("caracol:n=3,k=2", 4), ("caracol:n=4,k=1", 5),
+    ("caracol:n=4,k=2", 5), ("caracol:n=4,k=3", 5), ("caracol:n=5,k=1", 6),
+    ("caracol:n=5,k=2", 6), ("ps:n=3", 3), ("ps:n=4", 4), ("ps:n=5", 5),
+    ("complete:n=2", 3), ("complete:n=3", 4), ("complete:n=4", 5),
+    ("mcar:a=2,k=1", 4), ("mcar:a=2,k=2", 4), ("mcar:a=3,k=2", 5),
+]
+
+
 def test_verify_lidskii_fails_when_the_routes_disagree(monkeypatch, capsys):
-    """The sweep is checked against the term sum on every zoo graph and
-    flow; a term route that is off by one on the multiset form fails it."""
+    """The sweep is checked against the term sum on every zoo graph at the
+    unit flow, the ones flow and (1, 2, 1, ...); a term route that is off
+    by one on the multiset form fails each of them, in that order."""
     term_sum = lidskii.term_sum
-    monkeypatch.setattr(
-        lidskii, "term_sum", lambda g, a, form: term_sum(g, a, form) + (form == "multiset")
-    )
+
+    def off_by_one(g, a, forms=lidskii.FORMS):
+        return tuple(x + (f == "multiset") for f, x in zip(forms, term_sum(g, a, forms)))
+
+    monkeypatch.setattr(lidskii, "term_sum", off_by_one)
     code, doc, _ = run_json(capsys, "verify", "lidskii")
     failed = [c["name"] for c in doc["checks"] if not c["pass"]]
-    assert code == 1 and failed[-1] == "Lidskii sweep agrees with the term sum"
-    assert len(failed) == 1 + 16 * 3  # one line per zoo graph and flow, then the summary
-    assert failed[0] == "Lidskii sweep on caracol:n=3,k=1 at [1, 0, 0, -1]"
+    want = []
+    for name, size in LIDSKII_ZOO:
+        n = size - 1
+        two = [1 + v % 2 for v in range(n)]
+        for a in ([1] + [0] * (n - 1) + [-1], [1] * n + [-n], two + [-sum(two)]):
+            want.append(f"Lidskii sweep on {name} at {a}")
+    assert len(want) == 48
+    assert code == 1 and failed == want + ["Lidskii sweep agrees with the term sum"]
 
 
 def test_verify_all_runs_orbits_at_n_and_k(capsys):
@@ -287,6 +305,17 @@ def test_enumerate_too_large(capsys):
         "--cap", "1000",
     )
     assert code == 2 and "cap" in err
+
+
+def test_enumerate_cap_at_the_item_count(capsys):
+    """A listing of exactly --cap items runs; one item over the cap is
+    refused with one error line."""
+    argv = ["enumerate", "multilabeled", "--k", "2", "--r", "2", "--i", "1", "--cap"]
+    code, doc, _ = run_json(capsys, *argv, "6")
+    assert code == 0 and doc["results"]["count"] == 6
+    code, out, err = run(capsys, *argv, "5")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: would emit 6 items, more than the cap 5; raise --cap"]
 
 
 def test_out_file(tmp_path, capsys):

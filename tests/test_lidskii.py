@@ -59,7 +59,7 @@ def test_lattice_point_forms(g, a):
     assert sum(1 for _ in integral_flows(g, a)) == want
     # the sweep against the term sum, for all three forms
     sweeps = (L.volume(g, a), want, want)
-    assert sweeps == tuple(L.term_sum(g, a, form) for form in L.FORMS)
+    assert sweeps == L.term_sum(g, a)
 
 
 def test_unit_flow_caracol_family():
@@ -129,20 +129,31 @@ def test_lattice_point_forms_larger_graphs():
     "n, k, states", [(5, 2, 98), (7, 3, 2_903), (8, 3, 15_213)]
 )
 def test_memo_stores_every_state_once(monkeypatch, n, k, states):
-    """The ones-flow term sum shares one evaluator, whose per-root memos
-    hold exactly one entry per distinct DFS state it entered."""
-    evaluators = []
-
-    class Recording(KostantEvaluator):
-        def __init__(self, graph):
-            super().__init__(graph)
-            evaluators.append(self)  # keeps the memos past the call
-
-    monkeypatch.setattr(L, "KostantEvaluator", Recording)
+    """The ones-flow term sum shares one evaluator among its terms and its
+    forms.  Its per-root memos hold exactly one entry per distinct DFS
+    state it entered, as many for all three forms as for the volume alone,
+    and it is called once per term: no weight vanishes at the ones flow."""
     g = G.caracol_k(n, k)
-    assert L.term_sum(g, G.ones_flow(g), "volume") == volume_closed_form(n, k, 1, 1)
-    (ev,) = evaluators
-    assert sum(map(len, ev.memos)) == states
+    a = G.ones_flow(g)
+    want = {"volume": volume_closed_form(n, k, 1, 1), "binomial": kostant(g, a)}
+    want["multiset"] = want["binomial"]
+    for forms in [("volume",), L.FORMS]:
+        evaluators, calls = [], []
+
+        class Recording(KostantEvaluator):
+            def __init__(self, graph):
+                super().__init__(graph)
+                evaluators.append(self)  # keeps the memos past the call
+
+            def __call__(self, v):
+                calls.append(v)
+                return super().__call__(v)
+
+        monkeypatch.setattr(L, "KostantEvaluator", Recording)
+        assert L.term_sum(g, a, forms) == tuple(want[form] for form in forms)
+        (ev,) = evaluators
+        assert sum(map(len, ev.memos)) == states
+        assert len(calls) == len(set(calls)) == C.count_dominating(G.shifted_outdegree(g))
 
 
 def test_sweep_builds_no_evaluator(monkeypatch):
@@ -171,4 +182,4 @@ def test_ones_flow_volume_caracol_11_3_within_budget():
 def test_term_sum_rejects_unknown_form():
     g = G.pitman_stanley(4)
     with pytest.raises(C.InputError, match="unknown Lidskii form 'area'"):
-        L.term_sum(g, G.ones_flow(g), "area")
+        L.term_sum(g, G.ones_flow(g), ("volume", "area"))
