@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class InputError(ValueError):
@@ -221,6 +221,47 @@ def monotone_sequences(lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[i
         v = x[p] = x[p] + 1
         for q in range(p + 1, size):
             x[q] = max(v, lo[q])
+
+
+def monotone_concat(
+    lo: Sequence[int], hi: Sequence[int], piece: Callable[[int, int, int], tuple]
+) -> Iterator[tuple]:
+    """For each x of monotone_sequences(lo, hi), in the same order, the
+    concatenation piece(0, lo[0], x[0]) + piece(1, x[0], x[1]) + ... +
+    piece(q, x[q-1], x[q]) + ... over every position q.
+
+    The same odometer, keeping the concatenation of the pieces before each
+    position: consecutive x agree up to the entry the odometer raised, so
+    only the pieces from that entry on are rebuilt.  Bare sequences stay
+    with monotone_sequences: listing them here with the piece (v,)
+    measured 1.4 to 1.5 times slower, on the unit shapes of 12 steps that
+    dominating_compositions lists and on the out-degree gravity codes of
+    (10, 2).
+    """
+    if any(a > b for a, b in zip(lo, hi)):
+        return
+    size = len(lo)
+    if not size:
+        yield ()
+        return
+    x = list(lo)
+    prefix = [()] * size  # prefix[q]: the pieces of the positions before q
+    p = 0
+    while True:
+        v = prev = x[p]
+        whole = prefix[p] + piece(p, x[p - 1] if p else lo[0], v)
+        for q in range(p + 1, size):
+            prefix[q] = whole
+            w = x[q] = max(v, lo[q])
+            whole += piece(q, prev, w)
+            prev = w
+        yield whole
+        p = size - 1
+        while p >= 0 and x[p] == hi[p]:
+            p -= 1
+        if p < 0:
+            return
+        x[p] += 1
 
 
 def dominating_compositions(t: Sequence[int]) -> Iterator[tuple[int, ...]]:

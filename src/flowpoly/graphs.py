@@ -51,11 +51,13 @@ def _validate(num_vertices: int, edges: Sequence[tuple[int, int]]) -> None:
             raise InputError(
                 f"edge ({i},{j}) violates condition (c): edges run i -> j with i < j"
             )
+    sources = {i for i, _ in edges}
     for v in range(1, n + 1):
-        if not any(i == v for i, _ in edges):
+        if v not in sources:
             raise InputError(f"vertex {v} violates condition (a): out-degree 0")
+    targets = {j for _, j in edges}
     for v in range(2, n + 2):
-        if not any(j == v for _, j in edges):
+        if v not in targets:
             raise InputError(f"vertex {v} violates condition (b): in-degree 0")
     # (a) and (c) imply connectivity: following out-edges from any vertex
     # climbs until it stops at the sink, the one vertex with none

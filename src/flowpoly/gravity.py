@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .combinat import InputError, Record, monotone_sequences, rational_catalan
+from .combinat import InputError, Record, monotone_concat, rational_catalan
 from .graphs import check_caracol, check_multicaracol
 from .paths import TDyckPath, rational_shape
 
@@ -59,17 +59,16 @@ def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     Encoded as x[j], the number of segments starting in columns k+1..j for
     j = k+1..n-1, so x[j] <= (j-k)k - 1 and column j holds rows
     x[j-1]+1..x[j]; listed by the per-column counts, lex increasing.
+    Column j's segments are a slice of its tuple of every (row, j, n) it
+    has room for, and each diagram keeps its predecessor's segments in the
+    columns before the one whose count went up (combinat.monotone_concat).
     """
     check_caracol(n, k)
     cols = range(k + 1, n)
-    for x in monotone_sequences([0] * len(cols), [_in_capacity(n, k, j) for j in cols]):
-        segs = []
-        row = 1
-        for j, top in zip(cols, x):
-            while row <= top:
-                segs.append((row, j, n))
-                row += 1
-        yield GravityDiagram("in", n, k, tuple(segs))
+    caps = [_in_capacity(n, k, j) for j in cols]
+    column = [tuple((row + 1, j, n) for row in range(cap)) for j, cap in zip(cols, caps)]
+    for segs in monotone_concat([0] * len(cols), caps, lambda q, low, top: column[q][low:top]):
+        yield GravityDiagram("in", n, k, segs)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +83,15 @@ def enumerate_out_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     (r_i, r_i - l_i) weakly increasing.  Only nontrivial rows are kept in
     `segments`.  Encoded as x_i = (r_i - k)k + (k - l_i) < ik, the crossing
     of psi_out, with x_i = 0 the trivial row; listed lex increasing in x.
+    Row i's part of `segments` is looked up by x_i, () for the trivial row,
+    and each diagram keeps its predecessor's segments in the rows below the
+    one whose crossing went up (combinat.monotone_concat).
     """
     check_caracol(n, k)
     rows = range(1, n - k)
-    for x in monotone_sequences([0] * len(rows), [k * i - 1 for i in rows]):
-        segs = tuple((i, k - xi % k, k + xi // k) for i, xi in zip(rows, x) if xi)
+    tops = [k * i - 1 for i in rows]
+    row = [((),) + tuple(((i, k - x % k, k + x // k),) for x in range(1, k * i)) for i in rows]
+    for segs in monotone_concat([0] * len(rows), tops, lambda q, _, x: row[q][x]):
         yield GravityDiagram("out", n, k, segs)
 
 
@@ -220,13 +223,16 @@ def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     graph: rows 1..a-1 from the top, row i holding [0, c_i] with
     c_i <= a-1-i, lengths descending and colours ascending on ties.
     Encoded as x_i = (a-2-c_i)k + colour_i - 1, within k(i-1)..k(a-1)-1;
-    listed lex increasing in x, that is by (-c_i, colour_i) row by row."""
+    listed lex increasing in x, that is by (-c_i, colour_i) row by row.
+    Row i contributes the pair (segment, colour) looked up by x_i, and each
+    diagram keeps its predecessor's pairs in the rows above the one whose
+    code went up (combinat.monotone_concat); segments and colours alternate."""
     check_multicaracol(a, k)
     rows = range(1, a)
-    for x in monotone_sequences([k * (i - 1) for i in rows], [k * (a - 1) - 1] * len(rows)):
-        segs = tuple((i, 0, a - 2 - xi // k) for i, xi in zip(rows, x))
-        cols = tuple(xi % k + 1 for xi in x)
-        yield GravityDiagram("mcar-out", a, k, segs, cols)
+    row = [tuple(((i, 0, a - 2 - x // k), x % k + 1) for x in range(k * (a - 1))) for i in rows]
+    lows, tops = [k * (i - 1) for i in rows], [len(pairs) - 1 for pairs in row]
+    for both in monotone_concat(lows, tops, lambda q, _, x: row[q][x]):
+        yield GravityDiagram("mcar-out", a, k, both[0::2], both[1::2])
 
 
 def xi(d: GravityDiagram) -> GravityDiagram:

@@ -236,6 +236,37 @@ def test_monotone_sequences_match_filter():
     assert list(C.monotone_sequences((0, 3), (2, 2))) == []
 
 
+def _labelled(q, prev, v):
+    """A piece of varying length that names its position and both values:
+    a wrong position, a wrong previous entry or a stale prefix shows."""
+    return ((q, prev, v),) * (v - prev + 1)
+
+
+def test_monotone_concat_matches_monotone_sequences():
+    """On every pair of nondecreasing bounds up to length 4 and bound 3, the
+    concatenation of the pieces of each monotone sequence, in its order,
+    with lo[0] as the previous entry of position 0."""
+    for length in range(5):
+        bounds = [b for b in product(range(4), repeat=length) if list(b) == sorted(b)]
+        for lo in bounds:
+            for hi in bounds:
+                expect = []
+                for x in C.monotone_sequences(lo, hi):
+                    prevs = lo[:1] + x[:-1]
+                    pieces = [_labelled(q, *pv) for q, pv in enumerate(zip(prevs, x))]
+                    expect.append(sum(pieces, ()))
+                assert list(C.monotone_concat(lo, hi, _labelled)) == expect, (lo, hi)
+
+
+def test_monotone_concat_edge_cases():
+    assert list(C.monotone_concat((), (), _labelled)) == [()]
+    assert list(C.monotone_concat((0, 3), (2, 2), _labelled)) == []
+    assert list(C.monotone_concat((1, 1), (0, 5), _labelled)) == []
+    # two thousand positions: the walk is a loop, not a recursion
+    first = next(C.monotone_concat([0] * 2000, [1] * 2000, lambda q, prev, v: (q,)))
+    assert first == tuple(range(2000))
+
+
 def test_count_dominating():
     shapes = [(), (0,), (4,), (1, 0), (0, 1), (1, 1, 0), (2, 0, 1, 3), (0, 2, 2), (1,) * 6]
     for t in shapes:

@@ -109,6 +109,27 @@ def test_from_edge_list_validation():
     # component would need an in-edge from something smaller
 
 
+def test_validation_reports_one_violation_in_a_fixed_order():
+    """With several conditions broken at once, (c) wins at the first bad
+    edge in sorted order, then (a) at the lowest vertex without an
+    out-edge, then (b) at the lowest vertex without an in-edge."""
+    # (a) at 2 and 3, (b) at 3 and 4, (c) at (4, 2) and (5, 1)
+    with pytest.raises(InputError, match=r"^edge \(4,2\) violates condition \(c\)"):
+        G.from_edge_list(5, [(5, 1), (1, 2), (4, 2), (1, 5)])
+    # (a) at 2 and 3, (b) at 3 and 4
+    with pytest.raises(InputError, match=r"^vertex 2 violates condition \(a\): out-degree 0$"):
+        G.from_edge_list(5, [(1, 2), (1, 5), (4, 5)])
+    # a loop breaks (c) too
+    with pytest.raises(InputError, match=r"^edge \(2,2\) violates condition \(c\)"):
+        G.from_edge_list(3, [(1, 2), (2, 2), (2, 3)])
+    # (a) at the source wins over the (b) it forces at vertex 2
+    with pytest.raises(InputError, match=r"^vertex 1 violates condition \(a\): out-degree 0$"):
+        G.from_edge_list(3, [(2, 3)])
+    # (b) at 3 and 4 only
+    with pytest.raises(InputError, match=r"^vertex 3 violates condition \(b\): in-degree 0$"):
+        G.from_edge_list(5, [(1, 2), (2, 5), (3, 5), (4, 5)])
+
+
 def test_bad_parameters():
     with pytest.raises(InputError, match="needs n > k >= 1"):
         G.caracol_k(3, 3)

@@ -1,6 +1,8 @@
 """Gravity diagrams and the three bijections onto rational Dyck paths."""
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -239,6 +241,54 @@ def test_enumeration_order_is_stable():
 
 
 ORDER_FAMILIES = [(2, 1), (5, 1), (7, 1), (5, 2), (6, 2), (8, 2), (7, 3), (6, 4)]
+
+
+# sha256 of repr((segments, colors)) of every diagram, family by family in
+# the grid order of _LISTING_GRIDS, recorded before the enumerators were
+# rebuilt on combinat.monotone_concat: (diagram count, digest)
+LISTING_DIGESTS = {
+    "in": (13034, "dd5a4e629b4fd82b410edb26a03a3371ae6e6e93a91d274ef5ae07da3a13421f"),
+    "out": (13034, "60f848728734c45da9fffafc22f535ce8b96f3af054c379c749fe5d99ae45fe7"),
+    "mcar-out": (24473, "ffa001416635ca952918b60a2c00c02b8ca758663844a05f439799aaff58a354"),
+}
+_CARACOL_GRID = [(n, k) for n in range(2, 10) for k in range(1, n)]
+_LISTING_GRIDS = {
+    "in": (GR.enumerate_in_gravity, _CARACOL_GRID),
+    "out": (GR.enumerate_out_gravity, _CARACOL_GRID),
+    "mcar-out": (GR.enumerate_out_gravity_mcar, [(a, k) for a in range(1, 7) for k in range(1, 5)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LISTING_DIGESTS))
+def test_full_listings_are_pinned_by_digest(kind):
+    """Every in- and out-degree diagram with 1 <= k < n <= 9 and every
+    multicaracol diagram with a <= 6, k <= 4, segments, colours and order."""
+    enumerate_kind, grid = _LISTING_GRIDS[kind]
+    digest = hashlib.sha256()
+    count = 0
+    for params in grid:
+        for d in enumerate_kind(*params):
+            digest.update(repr((d.segments, d.colors)).encode())
+            count += 1
+    assert (count, digest.hexdigest()) == LISTING_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("enumerate_kind,n,k", [
+    (GR.enumerate_in_gravity, 40, 2),
+    (GR.enumerate_out_gravity, 40, 3),
+    (GR.enumerate_out_gravity_mcar, 40, 3),
+])
+def test_first_diagram_of_a_large_family_is_cheap(enumerate_kind, n, k):
+    """The enumerators' per-call tables grow with positions times values,
+    not with pairs of values, so the first diagram of a family with about
+    40 positions costs well under 1 MB."""
+    tracemalloc.start()
+    try:
+        next(enumerate_kind(n, k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("n,k", ORDER_FAMILIES)
