@@ -10,10 +10,12 @@ and propagates.  No randomness anywhere: identical invocations produce
 identical bytes.
 
 Each graph family (_FAMILIES), volume method (_METHODS), gravity kind
-(_GRAVITY_KINDS), enumerable object (_OBJECTS) and verify suite (_SUITES)
-is one table row, and the parser's choices are the table keys.  Rows name
-library functions by module attribute, looked up when called, so a
-function rebound on its module (a wrapper, a monkeypatch) is the one run.
+(_GRAVITY_KINDS), enumerable object (_OBJECTS), verify suite (_SUITES) and
+command (_COMMANDS) is one table row, and the parser's choices are the
+table keys.  Rows name library functions by module attribute, looked up
+when called, so a function rebound on its module (a wrapper, a
+monkeypatch) is the one run.  main() builds the parser of the named
+command only.
 """
 from __future__ import annotations
 
@@ -336,7 +338,7 @@ def _suite_lidskii(report: RunReport) -> None:
     zoo = _small_zoo()
     flows_ok = terms_ok = True
     for name, g in zoo:
-        two = tuple(min(2, 1 + (v % 2)) for v in range(g.n))
+        two = tuple(1 + v % 2 for v in range(g.n))
         for a in (gr.unit_flow(g), gr.ones_flow(g), two + (-sum(two),)):
             want = kostant(g, a)
             got_b = lidskii.lattice_points_binomial(g, a)
@@ -527,63 +529,68 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    what: str  # the help line
+    func: str  # the function in this module that runs it
+    args: tuple[tuple[str, dict], ...]  # (name, add_argument keywords), after --format and --out
+    formats: tuple[str, ...] = ("text", "json")
+
+
+_INT = {"type": integer}
+_COMMANDS = {
+    "volume": _Command("normalized volume of a flow polytope", "cmd_volume", (
+        ("--graph", {"required": True}), ("--netflow", {"required": True}),
+        ("--method", {"choices": (*_METHODS, "all"), "default": "lidskii"}),
+    )),
+    "kostant": _Command("evaluate the Kostant partition function", "cmd_kostant", (
+        ("--graph", {"required": True}), ("--vector", {"help": "JSON list summing to zero"}),
+        ("--netflow", {}),
+    )),
+    "tables": _Command("k-parking triangles and count tables", "cmd_tables", (
+        ("kind", {"choices": ("parking", "gravity-counts")}),
+        ("--k", {**_INT, "default": 2}), ("--rmax", {**_INT, "default": 5}),
+        ("--nmax", {**_INT, "default": 7}),
+    ), formats=("text", "json", "csv")),
+    "verify": _Command("run invariant suites at desk scale", "cmd_verify", (
+        ("suite", {"choices": (*_SUITES, "all")}),
+        ("--n", {**_INT, "default": 6}), ("--k", {**_INT, "default": 2}),
+        ("--N", {**_INT, "default": 6}), ("--simplex-k", {**_INT, "default": 3}),
+    )),
+    "enumerate": _Command("stream combinatorial objects", "cmd_enumerate", (
+        ("object", {"choices": tuple(_OBJECTS)}),
+        ("--kind", {"choices": tuple(_GRAVITY_KINDS), "default": "out"}),
+        *((f"--{name}", _INT) for name in "nkriab"),
+        ("--t", {"help": "comma-separated reference shape"}), ("--graph", {}), ("--netflow", {}),
+        ("--render", {"choices": ("text", "json"), "default": "text"}),
+        ("--cap", {**_INT, "default": 10**6}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` alone when it names a
+    command (a valid argv starts with one), else with every subparser, so
+    that help and usage errors read the same either way.  Each cmd_*
+    function is looked up here, when the parser is built."""
     parser = _Parser(
         prog="flowpoly",
         description="Exact flow-polytope volumes and the caracol-family combinatorial model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, what, formats=("text", "json")) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=what)
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-        p.set_defaults(func=func)
-        return p
-
-    p_vol = command("volume", cmd_volume, "normalized volume of a flow polytope")
-    p_vol.add_argument("--graph", required=True)
-    p_vol.add_argument("--netflow", required=True)
-    p_vol.add_argument("--method", choices=(*_METHODS, "all"), default="lidskii")
-
-    p_kos = command("kostant", cmd_kostant, "evaluate the Kostant partition function")
-    p_kos.add_argument("--graph", required=True)
-    p_kos.add_argument("--vector", help="JSON list summing to zero")
-    p_kos.add_argument("--netflow")
-
-    p_tab = command("tables", cmd_tables, "k-parking triangles and count tables",
-                    formats=("text", "json", "csv"))
-    p_tab.add_argument("kind", choices=("parking", "gravity-counts"))
-    p_tab.add_argument("--k", type=integer, default=2)
-    p_tab.add_argument("--rmax", type=integer, default=5)
-    p_tab.add_argument("--nmax", type=integer, default=7)
-
-    p_ver = command("verify", cmd_verify, "run invariant suites at desk scale")
-    p_ver.add_argument("suite", choices=(*_SUITES, "all"))
-    p_ver.add_argument("--n", type=integer, default=6)
-    p_ver.add_argument("--k", type=integer, default=2)
-    p_ver.add_argument("--N", type=integer, default=6)
-    p_ver.add_argument("--simplex-k", type=integer, default=3)
-
-    p_enum = command("enumerate", cmd_enumerate, "stream combinatorial objects")
-    p_enum.add_argument("object", choices=tuple(_OBJECTS))
-    p_enum.add_argument("--kind", choices=tuple(_GRAVITY_KINDS), default="out")
-    p_enum.add_argument("--n", type=integer)
-    p_enum.add_argument("--k", type=integer)
-    p_enum.add_argument("--r", type=integer)
-    p_enum.add_argument("--i", type=integer)
-    p_enum.add_argument("--a", type=integer)
-    p_enum.add_argument("--b", type=integer)
-    p_enum.add_argument("--t", help="comma-separated reference shape")
-    p_enum.add_argument("--graph")
-    p_enum.add_argument("--netflow")
-    p_enum.add_argument("--render", choices=("text", "json"), default="text")
-    p_enum.add_argument("--cap", type=integer, default=10**6)
+    for name, row in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
+            p = sub.add_parser(name, help=row.what)
+            p.add_argument("--format", choices=row.formats, default="text")
+            p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
+            for arg, options in row.args:
+                p.add_argument(arg, **options)
+            p.set_defaults(func=globals()[row.func])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         start = time.perf_counter()

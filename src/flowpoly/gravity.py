@@ -228,10 +228,12 @@ def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     diagram keeps its predecessor's pairs in the rows above the one whose
     code went up (combinat.monotone_concat); segments and colours alternate."""
     check_multicaracol(a, k)
-    rows = range(1, a)
-    row = [tuple(((i, 0, a - 2 - x // k), x % k + 1) for x in range(k * (a - 1))) for i in rows]
-    lows, tops = [k * (i - 1) for i in rows], [len(pairs) - 1 for pairs in row]
-    for both in monotone_concat(lows, tops, lambda q, _, x: row[q][x]):
+    rows, top = range(1, a), k * (a - 1) - 1
+    lows = [k * (i - 1) for i in rows]
+    # row i's pairs from its low code on, behind None for the codes it never reads
+    row = [(None,) * low + tuple(((i, 0, a - 2 - x // k), x % k + 1) for x in range(low, top + 1))
+           for i, low in zip(rows, lows)]
+    for both in monotone_concat(lows, [top] * len(lows), lambda q, _, x: row[q][x]):
         yield GravityDiagram("mcar-out", a, k, both[0::2], both[1::2])
 
 

@@ -1,10 +1,12 @@
 """Command-line behaviour: reports, exit codes, and JSON round trips."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -334,9 +336,32 @@ def test_usage_error_exits_2(capsys):
     assert cli.main(["no-such-command"]) == 2
 
 
-def test_verify_all_within_budget(capsys):
-    import time
+def commands(parser: argparse.ArgumentParser) -> list[str]:
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
 
+
+def test_a_command_name_builds_only_its_parser():
+    every = ["volume", "kostant", "tables", "verify", "enumerate"]
+    for name in every:
+        assert commands(cli.build_parser(name)) == [name]
+    for other in (None, "volum", "--help", "-h"):
+        assert commands(cli.build_parser(other)) == every
+
+
+def test_main_runs_the_command_function_bound_when_it_is_called(capsys, monkeypatch):
+    calls = []
+
+    def spy(args):
+        calls.append(args.graph)
+        return cli.RunReport("kostant", {})
+
+    monkeypatch.setattr(cli, "cmd_kostant", spy)
+    assert cli.main(["kostant", "--graph", "ps:n=3", "--netflow", "unit"]) == 0
+    assert calls == ["ps:n=3"]
+
+
+def test_verify_all_within_budget(capsys):
     start = time.time()
     code, doc, _ = run_json(capsys, "verify", "all")
     elapsed = time.time() - start
@@ -364,6 +389,7 @@ BAD_INPUTS = [
     ("enumerate dyck --t 2,-1,1", "must be nonnegative"),
     ("tables parking --k 0", "k >= 1"),
     ("verify simplex --simplex-k 1", "k >= 2"),
+    ("verify simplex --N -1", "N >= 0"),
     ("verify orbits --n 3 --k 5", "n > k"),
     # the (1, 0)-Dyck path of caracol(2, 1) has no column composition
     ("verify bijections --n 2 --k 1", "bijections suite needs k(n-k) >= 2, got n=2, k=1"),
@@ -439,6 +465,21 @@ def test_only_input_errors_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(lidskii, "volume", broken)
     with pytest.raises(KeyError):
         cli.main(["volume", "--graph", "ps:n=4", "--netflow", "ones"])
+
+
+def test_simplex_suite_runs_at_n_0(capsys):
+    """N = 0 is the smallest size: one base point, whose one block holds
+    the k^0 = 1 empty word."""
+    code, doc, _ = run_json(capsys, "verify", "simplex", "--N", "0", "--simplex-k", "2")
+    assert code == 0 and [c["got"] for c in doc["checks"]] == [1, []]
+
+
+def test_wall_time_is_the_run_in_seconds_to_6_places(capsys):
+    start = time.perf_counter()
+    code, doc, _ = run_json(capsys, "tables", "parking")
+    assert code == 0 and 0 <= doc["wall_time"] <= time.perf_counter() - start
+    report = cli.RunReport("tables", {}, wall_time=0.12345678)
+    assert json.loads(report.to_json())["wall_time"] == 0.123457
 
 
 def test_simplex_suite_checks_can_fail(monkeypatch, capsys):

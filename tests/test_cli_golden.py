@@ -1,16 +1,21 @@
 """Golden text output of the CLI: the exact bytes, apart from the run's
 wall_time, of one small case of each enumerable object and renderer, and
-of the `tables` text and csv layouts; and, by the sha256 of the same bytes,
-of larger `--render json` and `--render text` listings.  A change to any
-of these is a change to the CLI's output and must be made on purpose."""
+of the `tables` text and csv layouts; by the sha256 of the same bytes, of
+larger `--render json` and `--render text` listings; and the exact help
+texts and usage errors, which main() must print the same whether it
+builds the parser of one command or of all.  A change to any of these is
+a change to the CLI's output and must be made on purpose."""
 from __future__ import annotations
 
 import hashlib
 import re
+import shlex
 
 import pytest
 
 from flowpoly import cli
+from flowpoly.combinat import InputError
+from test_readme_examples import examples
 
 WALL_TIME = re.compile(r"wall_time: [0-9.]+s")
 
@@ -106,6 +111,19 @@ GOLDEN = [
         "wall_time: -\n"
     ),
     (
+        "enumerate unified --graph ps:n=4 --netflow custom:[1,1,1,-3] --render json",
+        '{"shape": [2, 0, 0], "sigma": [[1, 2], [], []], "alpha": [[1, 1], [], []], '
+        '"gamma": [1, 0, 0, 0, 0]}\n'
+        '{"shape": [1, 1, 0], "sigma": [[1], [2], []], "alpha": [[1], [1], []], '
+        '"gamma": [0, 0, 0, 0, 0]}\n'
+        '{"shape": [1, 1, 0], "sigma": [[2], [1], []], "alpha": [[1], [1], []], '
+        '"gamma": [0, 0, 0, 0, 0]}\n'
+        "# enumerate\n"
+        "count: 3\n"
+        "[PASS] emitted = estimated count: expected 3, got 3\n"
+        "wall_time: -\n"
+    ),
+    (
         "tables parking --k 2 --rmax 3",
         "# tables\n"
         "rows: [[1], [2, 1], [7, 6, 3], [30, 36, 32, 16]]\n"
@@ -171,3 +189,157 @@ def test_json_listing_is_pinned_by_digest(capsys, argv, digest):
 def test_help_prints_usage_and_exits_0(capsys, argv):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.startswith("usage: flowpoly")
+
+
+# argv -> its exact stdout at 80 columns
+HELP = {
+    "--help": (
+        "usage: flowpoly [-h] {volume,kostant,tables,verify,enumerate} ...\n"
+        "\n"
+        "Exact flow-polytope volumes and the caracol-family combinatorial model\n"
+        "\n"
+        "positional arguments:\n"
+        "  {volume,kostant,tables,verify,enumerate}\n"
+        "    volume              normalized volume of a flow polytope\n"
+        "    kostant             evaluate the Kostant partition function\n"
+        "    tables              k-parking triangles and count tables\n"
+        "    verify              run invariant suites at desk scale\n"
+        "    enumerate           stream combinatorial objects\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "volume --help": (
+        "usage: flowpoly volume [-h] [--format {text,json}] [--out FILE] --graph GRAPH\n"
+        "                       --netflow NETFLOW\n"
+        "                       [--method {lidskii,terms,unified,closed,all}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --out FILE            write the report here instead of stdout\n"
+        "  --graph GRAPH\n"
+        "  --netflow NETFLOW\n"
+        "  --method {lidskii,terms,unified,closed,all}\n"
+    ),
+    "kostant --help": (
+        "usage: flowpoly kostant [-h] [--format {text,json}] [--out FILE] --graph GRAPH\n"
+        "                        [--vector VECTOR] [--netflow NETFLOW]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --out FILE            write the report here instead of stdout\n"
+        "  --graph GRAPH\n"
+        "  --vector VECTOR       JSON list summing to zero\n"
+        "  --netflow NETFLOW\n"
+    ),
+    "tables --help": (
+        "usage: flowpoly tables [-h] [--format {text,json,csv}] [--out FILE] [--k K]\n"
+        "                       [--rmax RMAX] [--nmax NMAX]\n"
+        "                       {parking,gravity-counts}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {parking,gravity-counts}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json,csv}\n"
+        "  --out FILE            write the report here instead of stdout\n"
+        "  --k K\n"
+        "  --rmax RMAX\n"
+        "  --nmax NMAX\n"
+    ),
+    "verify --help": (
+        "usage: flowpoly verify [-h] [--format {text,json}] [--out FILE] [--n N]\n"
+        "                       [--k K] [--N N] [--simplex-k SIMPLEX_K]\n"
+        "                       {bijections,lidskii,simplex,orbits,all}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {bijections,lidskii,simplex,orbits,all}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --out FILE            write the report here instead of stdout\n"
+        "  --n N\n"
+        "  --k K\n"
+        "  --N N\n"
+        "  --simplex-k SIMPLEX_K\n"
+    ),
+    "enumerate --help": (
+        "usage: flowpoly enumerate [-h] [--format {text,json}] [--out FILE]\n"
+        "                          [--kind {in,out,mcar-out}] [--n N] [--k K] [--r R]\n"
+        "                          [--i I] [--a A] [--b B] [--t T] [--graph GRAPH]\n"
+        "                          [--netflow NETFLOW] [--render {text,json}]\n"
+        "                          [--cap CAP]\n"
+        "                          {gravity,dyck,unified,truncated,multilabeled}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {gravity,dyck,unified,truncated,multilabeled}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --out FILE            write the report here instead of stdout\n"
+        "  --kind {in,out,mcar-out}\n"
+        "  --n N\n"
+        "  --k K\n"
+        "  --r R\n"
+        "  --i I\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --t T                 comma-separated reference shape\n"
+        "  --graph GRAPH\n"
+        "  --netflow NETFLOW\n"
+        "  --render {text,json}\n"
+        "  --cap CAP\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text", HELP.items(), ids=list(HELP))
+def test_help_text_is_pinned(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+# argv -> (exit status, stdout, stderr) of a usage error, or of help asked
+# before the command
+USAGE = {
+    "": (2, "", "error: the following arguments are required: command\n"),
+    "volum": (2, "", "error: argument command: invalid choice: 'volum' (choose from "
+                     "'volume', 'kostant', 'tables', 'verify', 'enumerate')\n"),
+    "-h volume": (0, HELP["--help"], ""),
+    "volume": (2, "", "error: the following arguments are required: --graph, --netflow\n"),
+}
+
+
+@pytest.mark.parametrize("argv, outcome", USAGE.items(), ids=list(USAGE))
+def test_usage_error_text_is_pinned(capsys, monkeypatch, argv, outcome):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = outcome
+    assert cli.main(argv.split()) == code
+    assert capsys.readouterr() == (out, err)
+
+
+PARSED = [
+    *(argv.split() for argv, _ in GOLDEN), *(argv.split() for argv in DIGESTS),
+    *(argv.split() for argv in HELP), *(argv.split() for argv in USAGE),
+    *(shlex.split(line, comments=True)[1:] for line in examples()),
+]
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=[" ".join(argv) for argv in PARSED])
+def test_the_named_command_parser_reads_argv_as_the_full_one(capsys, argv):
+    """The parser main() builds for argv[0] alone gives the same namespace,
+    help text or usage error as the one with every command."""
+    def parse(parser):
+        try:
+            got = vars(parser.parse_args(argv))
+        except (SystemExit, InputError) as exc:
+            got = repr(exc)
+        return got, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv[0] if argv else None)) == parse(cli.build_parser())

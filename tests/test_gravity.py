@@ -281,14 +281,15 @@ def test_full_listings_are_pinned_by_digest(kind):
 def test_first_diagram_of_a_large_family_is_cheap(enumerate_kind, n, k):
     """The enumerators' per-call tables grow with positions times values,
     not with pairs of values, so the first diagram of a family with about
-    40 positions costs well under 1 MB."""
+    40 positions costs well under 1 MB.  A multicaracol row builds its
+    pairs from its lowest code only, about half the table (300 KB here)."""
     tracemalloc.start()
     try:
         next(enumerate_kind(n, k))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < (400_000 if enumerate_kind is GR.enumerate_out_gravity_mcar else 1_000_000)
 
 
 @pytest.mark.parametrize("n,k", ORDER_FAMILIES)
