@@ -8,6 +8,7 @@ serves as the ground truth the rest of the package is checked against.
 """
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Sequence
 
 from .combinat import multichoose, weak_compositions
@@ -31,31 +32,74 @@ def _dfs_roots(g: DirectedMultigraph) -> list[tuple[int, int, int, int]]:
     return [(i, width, mult, nxt - i) for (i, width, mult), nxt in zip(roots, starts)]
 
 
-def _moves(
-    state: tuple[int, ...], width: int, drop: int
-) -> tuple[int, Sequence[tuple[int, ...]]]:
-    """(c, next states) for a root of `width` and `drop` at `state`, the
-    residual from the root's first column on: using the root c, c+1, ...
-    times leads to the next states in turn.
+def _pack(residuals: Sequence[int], bits: int) -> int:
+    """The residuals as one DFS state of field width `bits`: residual d of
+    column p in bits bits*p onwards, stored as d + 2**(bits-1)."""
+    guard = 1 << (bits - 1)
+    state = 0
+    for d in reversed(residuals):
+        state = state << bits | d + guard
+    return state
 
-    A root that is not the last of its column may be used up to the least
-    residual it covers, from 0.  The last one must take all of its first
-    column, since no later root touches it, so it has one move or none;
-    the other columns it drops have no root of their own and must be zero.
+
+def _unpack(state: int, bits: int) -> list[int]:
+    """The residuals of a DFS state of field width `bits` (see _pack): each
+    field holds its guard bit, so the state's bit length is bits per column."""
+    guard, full = 1 << (bits - 1), (1 << bits) - 1
+    return [(state >> shift & full) - guard for shift in range(0, state.bit_length(), bits)]
+
+
+_Move = tuple[int, int, int, int, int]
+
+
+def _root_moves(width: int, drop: int, bits: int) -> _Move:
+    """(step, keep, want, low, shift): the masks by which _moves applies a
+    root of `width` and `drop` to states of field width `bits`.
+
+    step has a one in each column the root covers, so using the root c
+    times subtracts c * step.  A next state is entered when its bits under
+    keep are want.  For a root that is not the last of its column, both
+    are G * step, the guard bits of its columns (G = 2**(bits-1)).  For
+    the last one, keep also takes whole fields of the columns it drops,
+    and want asks those to be G, a zero residual; low reads its forced
+    count, the residual of column 0, and shift = bits * drop drops the
+    columns.
     """
+    ones = lambda k: sum(1 << bits * p for p in range(k))
+    g = 1 << (bits - 1)
+    step = ones(width)
     if not drop:
-        head, tail = state[:width], state[width:]
-        return 0, [tuple([r - c for r in head]) + tail for c in range(min(head) + 1)]
-    c = state[0]
-    if width == 1:
-        nxt = state[1:]
-    elif c > min(state[1:width]):
+        return step, g * step, g * step, 0, 0
+    dropped = ones(drop)
+    keep = g * step | ((1 << bits) - 1) * dropped
+    return step, keep, g * (step | dropped), g - 1, bits * drop
+
+
+def _moves(state: int, move: _Move) -> tuple[int, Sequence[int]]:
+    """(c, next states) for a root with masks `move` (_root_moves) at
+    `state`, the residuals from the root's first column on packed into
+    one int (_pack): using the root c, c+1, ... times leads to the next
+    states in turn.
+
+    A root that is not the last of its column may be used from 0 times
+    until a residual it covers goes negative, which clears that column's
+    guard bit.  The last one must take all of its first column, since no
+    later root touches it, so it has one move or none; the other columns
+    it drops have no root of their own and must be zero.  One masked
+    compare checks both, and a right shift drops the columns.
+    """
+    step, keep, want, low, shift = move
+    if not shift:
+        nexts = []
+        while state & keep == want:
+            nexts.append(state)
+            state -= step
+        return 0, nexts
+    c = state & low
+    nxt = state - c * step
+    if nxt & keep != want:
         return c, ()
-    else:
-        nxt = tuple([r - c for r in state[1:width]]) + state[width:]
-    if any(nxt[: drop - 1]):
-        return c, ()
-    return c, (nxt[drop - 1 :],)
+    return c, (nxt >> shift,)
 
 
 class KostantEvaluator:
@@ -73,6 +117,13 @@ class KostantEvaluator:
     root idx's first column on (the columns before it are zero), and
     `start(v)` is the state of v at root 0.
 
+    A state is one int: each residual d sits in a field of `bits` bits as
+    d + 2**(bits-1), column p in bits bits*p onwards (_pack).  The top bit
+    of a field is its guard: residuals only fall, and one that goes
+    negative clears it without borrowing from the next field.  `bits` is
+    one more than the bit length of the largest start coordinate asked so
+    far; a vector that needs more widens every field (start).
+
     `memos[idx]` memoizes root idx on its state.  That names a DFS state of
     g alone, whatever vector led to it, so the memos serve every vector
     asked of this evaluator.  They hold one entry per distinct state
@@ -82,19 +133,25 @@ class KostantEvaluator:
     def __init__(self, g: DirectedMultigraph) -> None:
         self._g = g
         self.roots = roots = _dfs_roots(g)
-        memos: list[dict[tuple[int, ...], int]] = [{} for _ in roots]
+        # the field width and moves[idx], the masks of root idx at that
+        # width, both set by the first vector asked (start)
+        self.bits = 0
+        moves: list[_Move] = []
+        self.moves = moves
+        memos: list[dict[int, int]] = [{} for _ in roots]
         self.memos = memos
+        mults = [mult for _, _, mult, _ in roots]
         end = len(roots)
 
-        def count(idx: int, state: tuple[int, ...]) -> int:
+        def count(idx: int, state: int) -> int:
             if idx == end:
                 return 1
             memo = memos[idx]
             hit = memo.get(state)
             if hit is not None:
                 return hit
-            _, width, mult, drop = roots[idx]
-            c, nexts = _moves(state, width, drop)
+            mult = mults[idx]
+            c, nexts = _moves(state, moves[idx])
             total = 0
             for nxt in nexts:
                 sub = count(idx + 1, nxt)
@@ -112,19 +169,41 @@ class KostantEvaluator:
         for memo in self.memos:
             memo.clear()
 
-    def start(self, v: Sequence[int]) -> tuple[int, ...] | None:
+    def start(self, v: Sequence[int]) -> int | None:
         """The DFS state of v at the first root, or None when K_G(v) = 0:
         a coordinate of v is negative, or a column before the first root's
-        is not zero."""
+        is not zero.  The fields need one bit more than the bit length of
+        v's largest coordinate; when that is more than `bits`, every move
+        and memo key is rewritten at the new width first, so the states
+        already entered keep their entries."""
         coords = alpha_coordinates(check_netflow(self._g, v))
         lo = self.roots[0][0] - 1 if self.roots else len(coords)
         if any(c < 0 for c in coords) or any(coords[:lo]):
             return None
-        return coords[lo:]
+        bits = max(coords[lo:], default=0).bit_length() + 1
+        if bits > self.bits:
+            old, self.bits = self.bits, bits
+            self.moves[:] = [_root_moves(width, drop, bits) for _, width, _, drop in self.roots]
+            for memo in self.memos:
+                entries = list(memo.items())
+                memo.clear()
+                memo.update((_pack(_unpack(state, old), bits), n) for state, n in entries)
+        return _pack(coords[lo:], self.bits)
 
     def __call__(self, v: Sequence[int]) -> int:
         state = self.start(v)
-        return 0 if state is None else self.count(0, state)
+        if state is None:
+            return 0
+        # count nests one call per root, and complete(44)'s 990 roots and
+        # the caller's frames pass the default limit of 1,000; CPython 3.11
+        # keeps Python-to-Python calls off the C stack, so the limit, not
+        # the stack, is what runs out
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + len(self.roots))
+        try:
+            return self.count(0, state)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def _lighter_end(
@@ -168,7 +247,8 @@ def integral_flows(
 
     Flows are reported in the graph's sorted edge order.  Vertices are
     processed left to right; at each one the available inflow plus supply
-    is split over its out-edges.
+    is split over its out-edges.  An edge's value is set at its tail
+    before any later vertex reads it, so none is reset on the way back.
     """
     a = check_netflow(g, a)
     edges = g.edges
@@ -192,8 +272,6 @@ def integral_flows(
             for p, f in zip(slots, comp):
                 flow[p] = f
             yield from assign(v + 1)
-        for p in slots:
-            flow[p] = 0
 
     yield from assign(1)
 
@@ -212,28 +290,28 @@ def vector_partitions(
     the states that the evaluator counts as nonzero; partitions and the
     edges inside each come in the DFS order of the orientation walked
     (_dfs_roots), and edges of reverse(g) are reported as the edges of g
-    they stand for.
+    they stand for.  The walk keeps its own stack, one entry per state
+    still to enter, so it nests no call per root; evaluating K_G(v) first
+    memoizes every count it asks for.
     """
     walked, w, flipped = _lighter_end(g, v)
     evaluate = KostantEvaluator(walked)
-    roots = evaluate.roots
+    roots, moves = evaluate.roots, evaluate.moves
     top = g.num_vertices + 1
     edges = [(top - i - width, top - i) if flipped else (i, i + width) for i, width, _, _ in roots]
-
-    def rec(
-        idx: int, state: tuple[int, ...]
-    ) -> Iterator[tuple[tuple[tuple[int, int], int], ...]]:
+    if not evaluate(w):  # also memoizes every state the walk asks about
+        return
+    # (root index, state, the partition so far), the next one to enter on top
+    stack = [(0, evaluate.start(w), ())]
+    while stack:
+        idx, state, part = stack.pop()
         if idx == len(roots):
-            yield ()
-            return
-        _, width, _, drop = roots[idx]
-        c, nexts = _moves(state, width, drop)
+            yield part
+            continue
+        c, nexts = _moves(state, moves[idx])
+        entered = []
         for nxt in nexts:
             if evaluate.count(idx + 1, nxt):
-                for rest in rec(idx + 1, nxt):
-                    yield ((edges[idx], c),) + rest if c else rest
+                entered.append((idx + 1, nxt, part + ((edges[idx], c),) if c else part))
             c += 1
-
-    state = evaluate.start(w)
-    if state is not None:
-        yield from rec(0, state)
+        stack += reversed(entered)

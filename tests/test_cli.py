@@ -101,6 +101,18 @@ def test_kostant_command(capsys):
     assert code == 0 and doc["results"]["kostant"] == 7
 
 
+def test_kostant_with_more_roots_than_the_recursion_limit(capsys):
+    """complete(46) has 1,081 roots, one nested DFS call each, more than
+    the interpreter's default limit of 1,000 frames.  At the unit flow
+    K counts the source-to-sink paths of K_47, one per subset of its 45
+    inner vertices; the limit is the same after the run."""
+    limit = sys.getrecursionlimit()
+    code, doc, err = run_json(capsys, "kostant", "--graph", "complete:n=46", "--netflow", "unit")
+    assert (code, err) == (0, "")
+    assert doc["results"]["kostant"] == 2**45
+    assert sys.getrecursionlimit() == limit
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "volume", "--graph", "hexagon:n=5", "--netflow", "ones")
     assert code == 2 and "hexagon" in err

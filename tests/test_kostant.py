@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import tracemalloc
 
 import pytest
@@ -169,6 +170,8 @@ def test_one_shot_evaluation_runs_from_the_lighter_end(recording):
         (G.caracol_k(10, 2), G.v_out, 21_318, 298),
         (G.caracol_k(15, 3), G.v_out, 1_111_731_933, 4_747),
         (G.complete_graph(9), G.v_out, 332_972_640, 6_238),
+        (G.caracol_k(16, 4), G.v_out, 18_974_357_220, 19_126),
+        (G.complete_graph(10), G.v_out, 476_150_875_200, 28_962),
     ],
 )
 def test_one_shot_state_counts(recording, g, vector, value, states):
@@ -221,6 +224,48 @@ def test_a_column_with_no_root_must_be_zero():
         assert sum(1 for _ in integral_flows(g, v)) == want
         assert KostantEvaluator(g)(v) == kostant(g, v) == want
         assert len(list(vector_partitions(g, v))) == want
+
+
+def test_vector_partitions_walk_more_roots_than_the_recursion_limit():
+    """complete(46) has 1,081 roots, more than the interpreter's default
+    limit of 1,000 frames, and the walk keeps its own stack.  At the unit
+    flow the partitions are the source-to-sink paths, counts 0 first: the
+    path through every vertex, then the one that skips vertex 46."""
+    g = G.complete_graph(46)
+    assert list(vector_partitions(g, (0,) * g.num_vertices)) == [()]
+    first, second = itertools.islice(vector_partitions(g, G.unit_flow(g)), 2)
+    assert first == tuple(((i, i + 1), 1) for i in range(1, 47))
+    assert second == first[:44] + (((45, 47), 1),)
+
+
+@pytest.mark.parametrize(
+    "g, times, widths, states, shared",
+    [(G.caracol_k(6, 2), 3, (4, 6), 1_845, 9), (G.multicaracol(2, 2), 40, (3, 8), 2_678, 0)],
+)
+def test_a_shared_evaluator_widens_its_fields(g, times, widths, states, shared):
+    """A vector whose coordinates need wider fields than the states already
+    entered rewrites them at the new width: one bit more than the bit
+    length of the largest coordinate, 6 and 18 on caracol(6,2), 3 and 120
+    on multicaracol(2,2).  Either order gives the values of fresh
+    evaluations and the same memo total, one entry per state in the union:
+    the two vectors share `shared` states near the sink."""
+    small = G.ones_flow(g)
+    large = tuple(times * x for x in small)
+    alone = []
+    for v in (small, large):
+        evaluate = KostantEvaluator(g)
+        assert evaluate(v) == kostant(g, v)
+        alone.append((evaluate.bits, sum(map(len, evaluate.memos))))
+    assert tuple(bits for bits, _ in alone) == widths
+    totals = set()
+    for order in [(small, large), (large, small)]:
+        evaluate = KostantEvaluator(g)
+        for v in order:
+            assert evaluate(v) == kostant(g, v), v
+        assert evaluate.bits == widths[1]
+        totals.add(sum(map(len, evaluate.memos)))
+    assert totals == {states}
+    assert sum(n for _, n in alone) - states == shared
 
 
 @pytest.mark.parametrize("call", ["kostant", "volume"])
