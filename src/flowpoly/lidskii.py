@@ -17,7 +17,8 @@ Two routes compute the same sums:
 - `volume`, `lattice_points_binomial` and `lattice_points_multiset` sweep
   the vertices once from the sink back to the source (`_sweep`), choosing
   s_j and the flow into j together, so no composition is listed and no
-  Kostant value is computed;
+  Kostant value is computed; each state is one int, vertex i's send in
+  bit field i, since no send and no sum of sends exceeds m-n;
 - `term_sum` lists every dominating s once and evaluates K_G(s-t, 0) for
   each with one KostantEvaluator, term by term, weighting each value for
   every form asked: the independent check of the sweep.
@@ -84,44 +85,59 @@ def _sweep(g: DirectedMultigraph, weight: Weight) -> int:
     a root of multiplicity mu count multichoose(mu, c) ways.  r, the part
     of m-n left for vertices 1..j, is sum(t_i + sent_i) over them, so the
     state carries it.  The source has no in-edge: s_1 = sent_1 + t_1.
+
+    A state is one int: vertex i's send sits in field i, the `bits` bits
+    from bit bits*i, and during the split field 0 holds the inflow still
+    to split.  The sends into the processed vertices add up to at most
+    the sum of their t_k, so every field and every sum of fields is at
+    most m-n and fits in bits = max(m-n bit length, 1) bits.  Moving c
+    units from field 0 to field i adds c*(2^(bits*i) - 1), and field j-1
+    of key*ones (ones: a 1 in fields 0..n-1) is the sum of fields 0..j-1
+    of key, with no carry.
     """
     t = shifted_outdegree(g)
     n = g.n
+    bits = max(sum(t).bit_length(), 1)
+    low = (1 << bits) - 1
+    ones = sum(1 << bits * i for i in range(n))
     in_roots: dict[int, list[tuple[int, int]]] = {}
     for (i, j), mult in g.distinct_edges():
-        in_roots.setdefault(j, []).append((i - 1, mult))
-    states = {(0,) * n: 1}
+        in_roots.setdefault(j, []).append(((1 << bits * i) - 1, mult))
+    states = {0: 1}
     r_base = sum(t)  # sum of t_i over the unprocessed vertices
     for j in range(n, 1, -1):
         tj = t[j - 1]
         r_base -= tj
-        # (sends of vertices 1..j-1, inflow of j still to split) -> ways
-        split: dict[tuple[tuple[int, ...], int], int] = {}
+        shift = bits * j
+        # (sends of vertices 1..j-1, inflow of j still to split in field 0) -> ways
+        split: dict[int, int] = {}
         for state, ways in states.items():
-            key = state[: j - 1]
-            most = state[j - 1] + tj  # s_j = most leaves j no inflow
-            r = r_base + sum(key) + most
+            key = state & (1 << shift) - 1
+            most = (state >> shift) + tj  # s_j = most leaves j no inflow
+            r = r_base + ((key * ones >> shift - bits) & low) + most
             for sj in range(most + 1):
                 w = weight(j, r, sj)
                 if w:
-                    k = (key, most - sj)
+                    k = key + most - sj
                     split[k] = split.get(k, 0) + ways * w
-        *roots, (last, last_mult) = in_roots[j]
-        for i, mult in roots:
-            nxt: dict[tuple[tuple[int, ...], int], int] = {}
-            for (key, left), ways in split.items():
-                head, here, tail = key[:i], key[i], key[i + 1 :]
-                for c in range(left + 1):
-                    k = (head + (here + c,) + tail, left - c)
-                    nxt[k] = nxt.get(k, 0) + ways * math.comb(mult + c - 1, c)
+        *roots, (last_step, last_mult) = in_roots[j]
+        for step, mult in roots:
+            nxt: dict[int, int] = {}
+            for key, ways in split.items():
+                for c in range((key & low) + 1):
+                    w = ways if mult == 1 else ways * math.comb(mult + c - 1, c)
+                    nxt[key] = nxt.get(key, 0) + w
+                    key += step
             split = nxt
         states = {}
-        for (key, left), ways in split.items():  # the last root takes what is left
-            k = key[:last] + (key[last] + left,) + key[last + 1 :]
-            states[k] = states.get(k, 0) + ways * math.comb(last_mult + left - 1, left)
+        for key, ways in split.items():  # the last root takes what is left
+            left = key & low
+            k = key + left * last_step
+            w = ways if last_mult == 1 else ways * math.comb(last_mult + left - 1, left)
+            states[k] = states.get(k, 0) + w
     total = 0
-    for (sent,), ways in states.items():
-        s1 = sent + t[0]
+    for state, ways in states.items():
+        s1 = (state >> bits) + t[0]
         total += ways * weight(1, s1, s1)
     return total
 

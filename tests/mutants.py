@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
 import random
 import shutil
 import subprocess
@@ -135,4 +136,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone (`--list | head`); send what is still buffered
+        # to devnull, so that the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)

@@ -1,6 +1,8 @@
 """The three Lidskii sums and the unit-flow identity."""
 from __future__ import annotations
 
+import math
+import random
 import time
 
 import pytest
@@ -183,3 +185,69 @@ def test_term_sum_rejects_unknown_form():
     g = G.pitman_stanley(4)
     with pytest.raises(C.InputError, match="unknown Lidskii form 'area'"):
         L.term_sum(g, G.ones_flow(g), ("volume", "area"))
+
+
+# Graphs whose m-n sits at the edges of a field width (0, 2^b - 1 and 2^b).
+# Each source has out-degree one, so at the term s = (m-n, 0, ..., 0) the
+# source's send, and the sum of all sends, reach m-n.
+EDGE_GRAPHS = {
+    0: [(1, 2), (2, 3), (3, 4)],
+    3: [(1, 2), (2, 3), (3, 4), (3, 4), (3, 4), (3, 4)],
+    4: [(1, 2), (2, 3), (2, 4), (3, 4), (3, 4), (3, 5), (4, 5), (4, 5)],
+    7: [(1, 2), (2, 3), (2, 3), (2, 4), (3, 4), (3, 4), (3, 5), (4, 5), (4, 5),
+        (4, 5), (4, 5)],
+    8: [(1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
+        (5, 6), (5, 6), (5, 6), (5, 6)],
+}
+
+
+def _flows(g, seed):
+    """Zero, unit, ones and two seeded net flows on g."""
+    rng = random.Random(seed)
+    flows = [(0,) * g.num_vertices, G.unit_flow(g), G.ones_flow(g)]
+    for _ in range(2):
+        head = [rng.randint(0, 3) for _ in range(g.n)]
+        flows.append(tuple(head) + (-sum(head),))
+    return flows
+
+
+def _check_sweep(g, a):
+    """The three sweeps equal the term sum, and both lattice forms K(a)."""
+    sweeps = (L.volume(g, a), L.lattice_points_binomial(g, a), L.lattice_points_multiset(g, a))
+    assert sweeps == L.term_sum(g, a), a
+    assert sweeps[1] == sweeps[2] == kostant(g, a), a
+
+
+@pytest.mark.parametrize("m_n", sorted(EDGE_GRAPHS))
+def test_sweep_at_field_width_edges(m_n):
+    g = G.from_edge_list(max(j for _, j in EDGE_GRAPHS[m_n]), EDGE_GRAPHS[m_n])
+    assert sum(G.shifted_outdegree(g)) == m_n
+    for a in _flows(g, m_n):
+        _check_sweep(g, a)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        G.multicaracol(3, 3),
+        # a triple edge into a vertex that also has a simple in-edge, and a
+        # quadruple edge as the last root of its head
+        G.from_edge_list(5, [(1, 2), (1, 3), (1, 3), (1, 3), (2, 3), (2, 4),
+                             (2, 4), (2, 4), (2, 4), (3, 4), (3, 5), (4, 5), (4, 5)]),
+    ],
+)
+def test_sweep_with_roots_of_multiplicity_three_or_more(g):
+    assert max(mult for _, mult in g.distinct_edges()) >= 3
+    for a in _flows(g, g.num_edges):
+        _check_sweep(g, a)
+
+
+def test_ones_flow_volume_caracol_16_4():
+    g = G.caracol_k(16, 4)
+    assert L.volume(g, G.ones_flow(g)) == volume_closed_form(16, 4, 1, 1)
+
+
+def test_unit_flow_volume_complete_10_is_the_cry_product():
+    """The Chan-Robbins-Yuen product Cat(1) Cat(2) ... Cat(8) for K_11."""
+    g = G.complete_graph(10)
+    assert L.volume(g, G.unit_flow(g)) == math.prod(C.catalan(i) for i in range(1, 9))
