@@ -8,7 +8,6 @@ serves as the ground truth the rest of the package is checked against.
 """
 from __future__ import annotations
 
-import sys
 from typing import Iterator, Sequence
 
 from .combinat import multichoose, weak_compositions
@@ -112,10 +111,13 @@ class KostantEvaluator:
     residual (_moves).  Roots come longest first within a column, so the
     forced one is the shortest; where that is the one-column root (i, i+1),
     the forced count always fits, and no state is entered only to find it
-    infeasible.  `count(idx, state)` is the number of ways to finish a DFS
-    state with roots idx, idx+1, ...; `state` is the residual suffix from
-    root idx's first column on (the columns before it are zero), and
-    `start(v)` is the state of v at root 0.
+    infeasible.  A DFS state at root idx is the residual suffix from root
+    idx's first column on (the columns before it are zero); `start(v)` is
+    the state of v at root 0, and `count(state)` the number of ways to
+    finish the DFS from there, K_G(v).  `count` walks the DFS on its own
+    stack, one frame per state entered and not yet counted, so it nests
+    no call per root: it looks each next state up before it enters it,
+    and counts a state once every next state of it is counted.
 
     A state is one int: each residual d sits in a field of `bits` bits as
     d + 2**(bits-1), column p in bits bits*p onwards (_pack).  The top bit
@@ -127,7 +129,10 @@ class KostantEvaluator:
     `memos[idx]` memoizes root idx on its state.  That names a DFS state of
     g alone, whatever vector led to it, so the memos serve every vector
     asked of this evaluator.  They hold one entry per distinct state
-    entered, with no cap, and are freed with the evaluator.
+    entered, with no cap, and are freed with the evaluator.  `counted` is
+    the memos and, past the last root, the one state left, 0, which
+    finishes in one way: counted[idx + 1] holds the count of every next
+    state of a state that root idx has counted.
     """
 
     def __init__(self, g: DirectedMultigraph) -> None:
@@ -136,38 +141,47 @@ class KostantEvaluator:
         # the field width and moves[idx], the masks of root idx at that
         # width, both set by the first vector asked (start)
         self.bits = 0
-        moves: list[_Move] = []
-        self.moves = moves
-        memos: list[dict[int, int]] = [{} for _ in roots]
-        self.memos = memos
-        mults = [mult for _, _, mult, _ in roots]
-        end = len(roots)
+        self.moves: list[_Move] = []
+        self.memos: list[dict[int, int]] = [{} for _ in roots]
+        self.counted = self.memos + [{0: 1}]
+        self._mults = [mult for _, _, mult, _ in roots]
 
-        def count(idx: int, state: int) -> int:
-            if idx == end:
-                return 1
-            memo = memos[idx]
-            hit = memo.get(state)
-            if hit is not None:
-                return hit
-            mult = mults[idx]
-            c, nexts = _moves(state, moves[idx])
-            total = 0
-            for nxt in nexts:
-                sub = count(idx + 1, nxt)
+    def count(self, state: int) -> int:
+        """The number of ways to finish the DFS from the first root at
+        `state` (start): K_G(v) for state = start(v)."""
+        counted = self.counted
+        hit = counted[0].get(state)
+        if hit is not None:
+            return hit
+        moves, mults = self.moves, self._mults
+        # the frames of the states entered and not yet counted, the
+        # innermost one in the locals: (root, state, its next states still
+        # to look up, c for the first of them, the sum so far)
+        stack = []
+        idx, total = 0, 0
+        c, nexts = _moves(state, moves[0])
+        todo, below, mult = iter(nexts), counted[1], mults[0]
+        while True:
+            for nxt in todo:
+                sub = below.get(nxt)
+                if sub is None:
+                    stack.append((idx, state, todo, c, total))
+                    idx, state, total = idx + 1, nxt, 0
+                    c, nexts = _moves(nxt, moves[idx])
+                    todo, below, mult = iter(nexts), counted[idx + 1], mults[idx]
+                    break
                 if sub:
                     total += sub if mult == 1 else multichoose(mult, c) * sub
                 c += 1
-            memo[state] = total
-            return total
-
-        self.count = count
-
-    def __del__(self) -> None:
-        # `count` reaches itself through its closure cell, a cycle that only
-        # the cyclic collector would free; emptying the memos frees them now
-        for memo in self.memos:
-            memo.clear()
+            else:
+                counted[idx][state] = sub = total
+                if not stack:
+                    return total
+                idx, state, todo, c, total = stack.pop()
+                below, mult = counted[idx + 1], mults[idx]
+                if sub:
+                    total += sub if mult == 1 else multichoose(mult, c) * sub
+                c += 1
 
     def start(self, v: Sequence[int]) -> int | None:
         """The DFS state of v at the first root, or None when K_G(v) = 0:
@@ -192,18 +206,7 @@ class KostantEvaluator:
 
     def __call__(self, v: Sequence[int]) -> int:
         state = self.start(v)
-        if state is None:
-            return 0
-        # count nests one call per root, and complete(44)'s 990 roots and
-        # the caller's frames pass the default limit of 1,000; CPython 3.11
-        # keeps Python-to-Python calls off the C stack, so the limit, not
-        # the stack, is what runs out
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + len(self.roots))
-        try:
-            return self.count(0, state)
-        finally:
-            sys.setrecursionlimit(limit)
+        return 0 if state is None else self.count(state)
 
 
 def _lighter_end(
@@ -291,15 +294,16 @@ def vector_partitions(
     edges inside each come in the DFS order of the orientation walked
     (_dfs_roots), and edges of reverse(g) are reported as the edges of g
     they stand for.  The walk keeps its own stack, one entry per state
-    still to enter, so it nests no call per root; evaluating K_G(v) first
-    memoizes every count it asks for.
+    still to enter, so it nests no call per root.  It reads each count
+    from the evaluator's memos (`counted`): evaluating K_G(v) first counts
+    every next state of every state the walk enters.
     """
     walked, w, flipped = _lighter_end(g, v)
     evaluate = KostantEvaluator(walked)
-    roots, moves = evaluate.roots, evaluate.moves
+    roots, moves, counted = evaluate.roots, evaluate.moves, evaluate.counted
     top = g.num_vertices + 1
     edges = [(top - i - width, top - i) if flipped else (i, i + width) for i, width, _, _ in roots]
-    if not evaluate(w):  # also memoizes every state the walk asks about
+    if not evaluate(w):  # also fills every count the walk reads
         return
     # (root index, state, the partition so far), the next one to enter on top
     stack = [(0, evaluate.start(w), ())]
@@ -311,7 +315,7 @@ def vector_partitions(
         c, nexts = _moves(state, moves[idx])
         entered = []
         for nxt in nexts:
-            if evaluate.count(idx + 1, nxt):
+            if counted[idx + 1][nxt]:
                 entered.append((idx + 1, nxt, part + ((edges[idx], c),) if c else part))
             c += 1
         stack += reversed(entered)

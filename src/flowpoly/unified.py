@@ -23,7 +23,6 @@ independent of the Kostant and Lidskii routes.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -44,7 +43,6 @@ from .combinat import (
 )
 from .graphs import (
     DirectedMultigraph,
-    caracol_k,
     check_caracol,
     check_multicaracol,
     check_netflow,
@@ -201,22 +199,19 @@ def _hull(n: int, k: int, i: int, low: Sequence[int]) -> tuple[int, ...]:
     return tuple(n - k + c for c in low) + (2 * (n - k - 1) - i - sum(low),)
 
 
-@functools.cache
-def _hull_completions(hull: tuple[int, ...]) -> int:
-    return count_dominating(hull, labelled=True)
-
-
 def completions(u: TruncatedDiagram) -> int:
     """Number of ways to complete u to a standardized diagram: labeled
     initial paths, sum of multinomial(|hull|; s) over the compositions s
-    dominating the hull, counted once per distinct hull."""
-    return _hull_completions(k_hull(u))
+    dominating the hull."""
+    return count_dominating(k_hull(u), labelled=True)
 
 
-@functools.cache
 def _caracol_outdegree(n: int, k: int) -> tuple[int, ...]:
-    """shifted_outdegree(caracol_k(n, k)), built once per (n, k)."""
-    return shifted_outdegree(caracol_k(n, k))
+    """shifted_outdegree(caracol_k(n, k)) without building the graph: with
+    a = n - k, vertices 1..k-1 have out-degree a + 1, vertex k has a (its
+    successor is in the tail), vertices k+1..n-1 have 2 and vertex n 1."""
+    a = n - k
+    return (a,) * (k - 1) + (a - 1,) + (1,) * (a - 1) + (0,)
 
 
 def standardized_count(n: int, k: int, i: int) -> int:
@@ -253,7 +248,7 @@ def standardized_count(n: int, k: int, i: int) -> int:
                     grown[key] = grown.get(key, 0) + w
         states = grown
     return sum(
-        w * _hull_completions(_hull(n, k, i, low))
+        w * count_dominating(_hull(n, k, i, low), labelled=True)
         for (s, c, low), w in states.items()
         if s == i and c == segs
     )

@@ -102,10 +102,10 @@ def test_kostant_command(capsys):
 
 
 def test_kostant_with_more_roots_than_the_recursion_limit(capsys):
-    """complete(46) has 1,081 roots, one nested DFS call each, more than
-    the interpreter's default limit of 1,000 frames.  At the unit flow
-    K counts the source-to-sink paths of K_47, one per subset of its 45
-    inner vertices; the limit is the same after the run."""
+    """complete(46) has 1,081 roots, more than the interpreter's default
+    limit of 1,000 frames.  At the unit flow K counts the source-to-sink
+    paths of K_47, one per subset of its 45 inner vertices; the limit is
+    the same after the run."""
     limit = sys.getrecursionlimit()
     code, doc, err = run_json(capsys, "kostant", "--graph", "complete:n=46", "--netflow", "unit")
     assert (code, err) == (0, "")

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -183,6 +185,23 @@ def test_one_shot_state_counts(recording, g, vector, value, states):
     assert sum(map(len, evaluator.memos)) == states
 
 
+@pytest.mark.parametrize("g", [G.complete_graph(4), G.caracol_k(6, 2)])
+def test_each_state_is_entered_once(monkeypatch, g):
+    """The DFS looks each next state up before it enters it, so it enters
+    every state once: one move per memo entry.  Asked the ones flow and
+    then three times it, a shared evaluator meets next states of the first
+    walk in the second one, after next states it has to enter."""
+    ones = G.ones_flow(g)
+    vectors = [ones, tuple(3 * x for x in ones)]
+    want = [kostant(g, v) for v in vectors]
+    moved = []
+    move = K._moves
+    monkeypatch.setattr(K, "_moves", lambda state, masks: moved.append(state) or move(state, masks))
+    evaluate = KostantEvaluator(g)
+    assert [evaluate(v) for v in vectors] == want
+    assert len(moved) == sum(map(len, evaluate.memos))
+
+
 def test_vector_partitions_walk_from_the_lighter_end(recording):
     """At v_out the partitions are listed on the reversed graph, as kostant()
     counts them, and each root of reverse(g) is reported as its edge of g."""
@@ -238,6 +257,32 @@ def test_vector_partitions_walk_more_roots_than_the_recursion_limit():
     assert second == first[:44] + (((45, 47), 1),)
 
 
+def test_the_dfs_leaves_the_recursion_limit_alone(monkeypatch):
+    """The evaluator and the partition walk keep their own stacks: on
+    complete(46), with 1,081 roots, they run with the recursion limit 50
+    frames above the caller's depth and never set it."""
+    g = G.complete_graph(46)
+    unit = G.unit_flow(g)
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+
+    def refuse(limit):
+        raise AssertionError(f"the recursion limit was set to {limit}")
+
+    limit, set_limit = sys.getrecursionlimit(), sys.setrecursionlimit
+    set_limit(depth + 50)
+    try:
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        value = kostant(g, unit)
+        first, second = itertools.islice(vector_partitions(g, unit), 2)
+    finally:
+        set_limit(limit)
+    assert value == 2**45
+    assert first == tuple(((i, i + 1), 1) for i in range(1, 47))
+    assert second == first[:44] + (((45, 47), 1),)
+
+
 @pytest.mark.parametrize(
     "g, times, widths, states, shared",
     [(G.caracol_k(6, 2), 3, (4, 6), 1_845, 9), (G.multicaracol(2, 2), 40, (3, 8), 2_678, 0)],
@@ -270,16 +315,17 @@ def test_a_shared_evaluator_widens_its_fields(g, times, widths, states, shared):
 
 @pytest.mark.parametrize("call", ["kostant", "volume"])
 def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
-    """kostant() and the Lidskii term sum free their memos as they return, with the
-    cyclic garbage collector off: the memos are empty afterwards and no large
-    block (a hash table) is still allocated.  Small blocks are not
-    counted, since the interpreter's tuple free lists keep thousands."""
-    memos = []
+    """kostant() and the Lidskii term sum free their evaluator, memos and
+    all, as they return, with the cyclic garbage collector off: the
+    evaluator is dead afterwards and no large block (a hash table) is still
+    allocated.  Small blocks are not counted, since the interpreter's tuple
+    free lists keep thousands."""
+    made = []
 
     class Recording(KostantEvaluator):
         def __init__(self, graph):
             super().__init__(graph)
-            memos.append(self.memos)
+            made.append(weakref.ref(self))
 
     monkeypatch.setattr(K, "KostantEvaluator", Recording)
     monkeypatch.setattr(L, "KostantEvaluator", Recording)
@@ -296,10 +342,10 @@ def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
     tracemalloc.start()
     try:
         run()
-        held = [sum(map(len, m)) for m in memos]  # before gc.enable() can collect
+        alive = [ref() is not None for ref in made]  # before gc.enable() can collect
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert held == [0]
+    assert alive == [False]
     assert sum(t.size for t in snapshot.traces if t.size >= 1024) < 100_000

@@ -339,6 +339,14 @@ def test_truncated_json_round_trip():
         assert U.TruncatedDiagram.from_json(u.to_json()) == u
 
 
+def test_caracol_outdegree_closed_form():
+    """The shade of render_truncated_text comes from (n, k) alone, without
+    building the caracol graph."""
+    for n in range(2, 13):
+        for k in range(1, n):
+            assert U._caracol_outdegree(n, k) == G.shifted_outdegree(G.caracol_k(n, k)), (n, k)
+
+
 def test_truncated_count_large_instance():
     assert sum(1 for _ in U.enumerate_truncated(9, 3, 2)) == 6840
 
