@@ -2,9 +2,9 @@
 caracol-family combinatorial model (gravity, unified, parking objects).
 
 The package top level holds the graph constructors, the two net-flow
-vectors of the unit-flow identity, the Lidskii volume and lattice-point
-counts, and vector partitions; every other name is reached through its
-submodule, e.g. `flowpoly.kostant.kostant`.
+vectors of the unit-flow identity, and the Lidskii volume and
+lattice-point counts; every other name is reached through its submodule,
+e.g. `flowpoly.kostant.kostant`.
 """
 
 from .combinat import InputError
@@ -18,7 +18,6 @@ from .graphs import (
     v_in,
     v_out,
 )
-from .kostant import vector_partitions
 from .lidskii import lattice_points_binomial, lattice_points_multiset, volume
 
 __all__ = [
@@ -33,6 +32,5 @@ __all__ = [
     "pitman_stanley",
     "v_in",
     "v_out",
-    "vector_partitions",
     "volume",
 ]

@@ -87,18 +87,18 @@ def binomial(n: int, k: int) -> int:
 
 
 def multichoose(n: int, k: int) -> int:
-    """Number of k-multisets from n symbols, C(n+k-1, k).
+    """n(n+1)...(n+k-1)/k!, for any integer n and k >= 0.
 
-    multichoose(0, 0) = 1 (the empty multiset) and multichoose(0, k) = 0
-    for k > 0.
+    For n >= 0 it is the number of k-multisets from n symbols, C(n+k-1, k),
+    with multichoose(0, 0) = 1 (the empty multiset) and multichoose(0, k)
+    = 0 for k > 0.  For n < 0 it is (-1)^k C(-n, k); the multiset form of
+    the Lidskii sum takes it at a_i - u_i, which is negative when a_i < u_i.
     """
-    if n < 0 or k < 0:
-        raise InputError(f"multichoose needs nonnegative arguments, got ({n}, {k})")
-    if k == 0:
-        return 1
-    if n == 0:
-        return 0
-    return math.comb(n + k - 1, k)
+    if k < 0:
+        raise InputError(f"multichoose needs k >= 0, got ({n}, {k})")
+    if n > 0:
+        return math.comb(n + k - 1, k)
+    return (-1) ** k * math.comb(-n, k)
 
 
 def check_composition(t: Sequence[int]) -> tuple[int, ...]:

@@ -131,8 +131,8 @@ class KostantEvaluator:
     asked of this evaluator.  They hold one entry per distinct state
     entered, with no cap, and are freed with the evaluator.  `counted` is
     the memos and, past the last root, the one state left, 0, which
-    finishes in one way: counted[idx + 1] holds the count of every next
-    state of a state that root idx has counted.
+    finishes in one way: `count` looks the next states of root idx up in
+    counted[idx + 1].
     """
 
     def __init__(self, g: DirectedMultigraph) -> None:
@@ -197,7 +197,7 @@ class KostantEvaluator:
         bits = max(coords[lo:], default=0).bit_length() + 1
         if bits > self.bits:
             old, self.bits = self.bits, bits
-            self.moves[:] = [_root_moves(width, drop, bits) for _, width, _, drop in self.roots]
+            self.moves = [_root_moves(width, drop, bits) for _, width, _, drop in self.roots]
             for memo in self.memos:
                 entries = list(memo.items())
                 memo.clear()
@@ -211,18 +211,18 @@ class KostantEvaluator:
 
 def _lighter_end(
     g: DirectedMultigraph, v: Sequence[int]
-) -> tuple[DirectedMultigraph, tuple[int, ...], bool]:
-    """(g, v) as the DFS should walk it, and whether that is reversed.
+) -> tuple[DirectedMultigraph, tuple[int, ...]]:
+    """(g, v) as the DFS should walk it.
 
     K_G(v) = K_{G^r}(v^r) for G^r = reverse(g) and v^r = (-v_N, ..., -v_1),
     and the DFS's first column splits v_1 units over vertex 1's out-edges,
-    so the walk runs on G^r when v_1 > -v_N (the sink absorbs less than
+    so the DFS runs on G^r when v_1 > -v_N (the sink absorbs less than
     the source emits) and on g otherwise, ties included.
     """
     v = check_netflow(g, v)
     if v[0] > -v[-1]:
-        return reverse(g), tuple(-x for x in reversed(v)), True
-    return g, v, False
+        return reverse(g), tuple(-x for x in reversed(v))
+    return g, v
 
 
 def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
@@ -239,7 +239,7 @@ def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
     serves all three forms, one forward evaluator fills 76,073 memo
     entries and one on the reversed graph 199,684.
     """
-    g, v, _ = _lighter_end(g, v)
+    g, v = _lighter_end(g, v)
     return KostantEvaluator(g)(v)
 
 
@@ -277,45 +277,3 @@ def integral_flows(
             yield from assign(v + 1)
 
     yield from assign(1)
-
-
-def vector_partitions(
-    g: DirectedMultigraph, v: Sequence[int]
-) -> Iterator[tuple[tuple[tuple[int, int], int], ...]]:
-    """All partitions of v into the distinct roots of G, as ((edge, count), ...).
-
-    Parallel copies of an edge are not distinguished here: each distinct
-    root carries one count.  For simple graphs the number of partitions is
-    kostant(g, v); these are the canonical gravity-diagram class
-    representatives for an arbitrary graph.  Like kostant(), the walk
-    follows the Kostant DFS from the lighter end of the graph, from the
-    evaluator's start state by the same moves (_moves), and enters only
-    the states that the evaluator counts as nonzero; partitions and the
-    edges inside each come in the DFS order of the orientation walked
-    (_dfs_roots), and edges of reverse(g) are reported as the edges of g
-    they stand for.  The walk keeps its own stack, one entry per state
-    still to enter, so it nests no call per root.  It reads each count
-    from the evaluator's memos (`counted`): evaluating K_G(v) first counts
-    every next state of every state the walk enters.
-    """
-    walked, w, flipped = _lighter_end(g, v)
-    evaluate = KostantEvaluator(walked)
-    roots, moves, counted = evaluate.roots, evaluate.moves, evaluate.counted
-    top = g.num_vertices + 1
-    edges = [(top - i - width, top - i) if flipped else (i, i + width) for i, width, _, _ in roots]
-    if not evaluate(w):  # also fills every count the walk reads
-        return
-    # (root index, state, the partition so far), the next one to enter on top
-    stack = [(0, evaluate.start(w), ())]
-    while stack:
-        idx, state, part = stack.pop()
-        if idx == len(roots):
-            yield part
-            continue
-        c, nexts = _moves(state, moves[idx])
-        entered = []
-        for nxt in nexts:
-            if counted[idx + 1][nxt]:
-                entered.append((idx + 1, nxt, part + ((edges[idx], c),) if c else part))
-            c += 1
-        stack += reversed(entered)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .combinat import InputError, binomial, dominating_compositions, exact_div
+from .combinat import InputError, binomial, dominating_compositions, multichoose
 from .graphs import DirectedMultigraph, check_netflow, shifted_indegree, shifted_outdegree
 from .kostant import KostantEvaluator
 
@@ -45,19 +45,6 @@ def _check_netflow(g: DirectedMultigraph, a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def _gmultichoose(n: int, k: int) -> int:
-    """Generalized multichoose n(n+1)...(n+k-1)/k!, valid for any integer n.
-
-    The multiset form evaluates this at a_i - u_i, which is negative at the
-    source (u_1 = -1 makes it a_1 + 1, but interior entries can dip below
-    zero when a_i < u_i).
-    """
-    num = 1
-    for step in range(k):
-        num *= n + step
-    return exact_div(num, math.factorial(k))
-
-
 def _weight(g: DirectedMultigraph, a: Sequence[int], form: str) -> Weight:
     """The per-vertex factor of `form` at net flow a (0^0 = 1)."""
     a = _check_netflow(g, a)
@@ -68,7 +55,7 @@ def _weight(g: DirectedMultigraph, a: Sequence[int], form: str) -> Weight:
         return lambda j, r, s: binomial(a[j - 1] + t[j - 1], s)
     if form == "multiset":
         u = (-1,) + shifted_indegree(g)
-        return lambda j, r, s: _gmultichoose(a[j - 1] - u[j - 1], s)
+        return lambda j, r, s: multichoose(a[j - 1] - u[j - 1], s)
     raise InputError(f"unknown Lidskii form {form!r}; expected one of {', '.join(FORMS)}")
 
 

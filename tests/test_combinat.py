@@ -53,6 +53,13 @@ def test_multichoose():
             assert C.multichoose(n, k) == sum(
                 1 for _ in combinations_with_replacement(range(n), k)
             )
+    # below zero, the rising product n(n+1)...(n+k-1)/k! of the multiset
+    # form of the Lidskii sum
+    for n in range(-6, 1):
+        for k in range(7):
+            assert C.multichoose(n, k) == math.prod(range(n, n + k)) // math.factorial(k)
+    with pytest.raises(C.InputError, match="k >= 0"):
+        C.multichoose(3, -1)
     # the factor inside T_2(4,2) = 275 = 5 * 55
     assert C.multichoose(10, 2) == 55
     assert C.k_parking_number(2, 4, 2) == 5 * C.multichoose(10, 2) == 275
@@ -197,6 +204,9 @@ def test_dominates():
         C.dominates((1, 0), (1, 0, 0))
     with pytest.raises(C.InputError, match="sums differ"):
         C.dominates((2, 0), (1, 0))
+    # the message names the two totals, not an earlier prefix sum
+    with pytest.raises(C.InputError, match="sums differ: 2 vs 1"):
+        C.dominates((1, 1), (0, 1))
 
 
 def test_dominating_compositions():

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import gc
-import itertools
 import sys
 import tracemalloc
 import weakref
@@ -13,12 +12,7 @@ from flowpoly import InputError
 from flowpoly import graphs as G
 from flowpoly import kostant as K
 from flowpoly import lidskii as L
-from flowpoly.kostant import (
-    KostantEvaluator,
-    integral_flows,
-    kostant,
-    vector_partitions,
-)
+from flowpoly.kostant import KostantEvaluator, integral_flows, kostant
 from oracles import integral_flows_brute_force, restrict
 
 
@@ -35,7 +29,6 @@ def test_zero_vector():
         zero = (0,) * g.num_vertices
         assert kostant(g, zero) == 1
         assert list(integral_flows(g, zero)) == [(0,) * g.num_edges]
-        assert list(vector_partitions(g, zero)) == [()]
 
 
 def test_figure_counts():
@@ -45,8 +38,6 @@ def test_figure_counts():
     assert kostant(c62, G.v_out(c62)) == 7
     assert kostant(c61, G.v_in(c61)) == 5
     assert kostant(c62, G.v_in(c62)) == 7
-    assert sum(1 for _ in vector_partitions(c62, G.v_out(c62))) == 7
-    assert sum(1 for _ in vector_partitions(c61, G.v_in(c61))) == 5
 
 
 def test_flow_counts_match_kostant():
@@ -85,8 +76,6 @@ def test_parallel_edges_weighting():
     g = G.from_edge_list(2, [(1, 2), (1, 2)])
     for a1 in range(5):
         assert kostant(g, (a1, -a1)) == a1 + 1
-        # vector partitions do not distinguish the parallel copies
-        assert sum(1 for _ in vector_partitions(g, (a1, -a1))) == 1
 
 
 def test_unit_volume_two_vectors_agree():
@@ -94,6 +83,22 @@ def test_unit_volume_two_vectors_agree():
         for k in range(1, n):
             g = G.caracol_k(n, k)
             assert kostant(g, G.v_out(g)) == kostant(g, G.v_in(g))
+
+
+def test_multicaracol_in_and_out_degree_flows_are_equinumerous():
+    """On multicaracol(a, k), with k parallel copies of each source edge,
+    the integral flows at v_in and at v_out, one value per edge copy,
+    number K(v_out) = count_gravity(a+k, k): 2 on (2,2), 7 on (3,2) and
+    15 on (3,3)."""
+    from flowpoly.gravity import count_gravity
+
+    for a in range(1, 4):
+        for k in range(1, 4):
+            g = G.multicaracol(a, k)
+            want = kostant(g, G.v_out(g))
+            assert want == count_gravity(a + k, k), (a, k)
+            for v in (G.v_in(g), G.v_out(g)):
+                assert sum(1 for _ in integral_flows(g, v)) == want, (a, k, v)
 
 
 def test_representation_independence():
@@ -111,8 +116,6 @@ def test_sum_nonzero():
         kostant(g, (1, 0, 0, 0, 0))
     with pytest.raises(InputError, match="does not sum to zero"):
         list(integral_flows(g, (1, 0, 0, 0, 0)))
-    with pytest.raises(InputError, match="does not sum to zero"):
-        list(vector_partitions(g, (1, 0, 0, 0, 0)))
 
 
 def test_infeasible_vector_is_zero():
@@ -136,8 +139,8 @@ def test_stretch_targets():
 
 @pytest.fixture
 def recording(monkeypatch):
-    """(graph, evaluator) for each KostantEvaluator that kostant() or
-    vector_partitions() makes, kept with its memos past the call."""
+    """(graph, evaluator) for each KostantEvaluator that kostant() makes,
+    kept with its memos past the call."""
     made = []
 
     class Recording(KostantEvaluator):
@@ -202,23 +205,6 @@ def test_each_state_is_entered_once(monkeypatch, g):
     assert len(moved) == sum(map(len, evaluate.memos))
 
 
-def test_vector_partitions_walk_from_the_lighter_end(recording):
-    """At v_out the partitions are listed on the reversed graph, as kostant()
-    counts them, and each root of reverse(g) is reported as its edge of g."""
-    g = G.caracol_k(8, 2)
-    v = G.v_out(g)
-    parts = list(vector_partitions(g, v))
-    assert [graph for graph, _ in recording] == [G.reverse(g)]
-    assert len(set(parts)) == len(parts) == kostant(g, v) == 728
-    for part in parts:
-        net = [0] * g.num_vertices
-        for (i, j), c in part:
-            assert (i, j) in g.edges and c > 0
-            net[i - 1] += c
-            net[j - 1] -= c
-        assert tuple(net) == v, part
-
-
 def test_restricted_graph_carries_the_in_degree_count():
     """The in-degree vector is supported past vertex k, so evaluating on the
     restriction to the tail vertices gives the same count."""
@@ -242,25 +228,12 @@ def test_a_column_with_no_root_must_be_zero():
     for v, want in [((1, 0, 0, -1), 1), ((1, 1, -1, -1), 0), ((0, 1, 0, -1), 0)]:
         assert sum(1 for _ in integral_flows(g, v)) == want
         assert KostantEvaluator(g)(v) == kostant(g, v) == want
-        assert len(list(vector_partitions(g, v))) == want
-
-
-def test_vector_partitions_walk_more_roots_than_the_recursion_limit():
-    """complete(46) has 1,081 roots, more than the interpreter's default
-    limit of 1,000 frames, and the walk keeps its own stack.  At the unit
-    flow the partitions are the source-to-sink paths, counts 0 first: the
-    path through every vertex, then the one that skips vertex 46."""
-    g = G.complete_graph(46)
-    assert list(vector_partitions(g, (0,) * g.num_vertices)) == [()]
-    first, second = itertools.islice(vector_partitions(g, G.unit_flow(g)), 2)
-    assert first == tuple(((i, i + 1), 1) for i in range(1, 47))
-    assert second == first[:44] + (((45, 47), 1),)
 
 
 def test_the_dfs_leaves_the_recursion_limit_alone(monkeypatch):
-    """The evaluator and the partition walk keep their own stacks: on
-    complete(46), with 1,081 roots, they run with the recursion limit 50
-    frames above the caller's depth and never set it."""
+    """The evaluator keeps its own stack: on complete(46), with 1,081
+    roots, it runs with the recursion limit 50 frames above the caller's
+    depth and never sets it."""
     g = G.complete_graph(46)
     unit = G.unit_flow(g)
     depth, frame = 0, sys._getframe()
@@ -275,12 +248,9 @@ def test_the_dfs_leaves_the_recursion_limit_alone(monkeypatch):
     try:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         value = kostant(g, unit)
-        first, second = itertools.islice(vector_partitions(g, unit), 2)
     finally:
         set_limit(limit)
     assert value == 2**45
-    assert first == tuple(((i, i + 1), 1) for i in range(1, 47))
-    assert second == first[:44] + (((45, 47), 1),)
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,15 @@
-"""Property tests on random small DAGs: a shared Kostant memo, vector
-partitions, the lattice-point forms, the Lidskii sweep, the reversed
-graph and restricted (unvalidated) graphs against independent counts, and
-the degree of the volume."""
+"""Property tests on random small DAGs: a shared Kostant memo, the
+lattice-point forms, the Lidskii sweep, the reversed graph and restricted
+(unvalidated) graphs against independent counts, and the degree of the
+volume."""
 from __future__ import annotations
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
-from flowpoly.combinat import multichoose
-from flowpoly.kostant import KostantEvaluator, integral_flows, kostant, vector_partitions
+from flowpoly.kostant import KostantEvaluator, integral_flows, kostant
 from oracles import restrict
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -35,13 +32,6 @@ def small_dags(draw) -> G.DirectedMultigraph:
 def netflows(g: G.DirectedMultigraph, low: int) -> st.SearchStrategy:
     entries = st.lists(st.integers(low, 2), min_size=g.n, max_size=g.n)
     return entries.map(lambda a: tuple(a) + (-sum(a),))
-
-
-def weighted_partitions(g: G.DirectedMultigraph, parts) -> int:
-    """The vector partitions `parts` of g, each weighted by the ways to
-    spread each count over an edge's parallel copies."""
-    copies = dict(g.distinct_edges())
-    return sum(math.prod(multichoose(copies[e], c) for e, c in part) for part in parts)
 
 
 @SETTINGS
@@ -88,25 +78,6 @@ def test_volume_is_homogeneous_of_degree_m_minus_n(data):
         assert L.volume(g, tuple(c * x for x in a)) == c ** (g.num_edges - g.n) * base
 
 
-@SETTINGS
-@given(st.data())
-def test_vector_partitions_are_the_flows_up_to_parallel_copies(data):
-    """Each partition is distinct and sums to v; weighted by the ways to
-    spread each count over an edge's parallel copies, they number the
-    integral flows."""
-    g = data.draw(small_dags())
-    v = data.draw(netflows(g, -1))
-    parts = list(vector_partitions(g, v))
-    assert len(set(parts)) == len(parts)
-    for part in parts:
-        net = [0] * g.num_vertices
-        for (i, j), c in part:
-            net[i - 1] += c
-            net[j - 1] -= c
-        assert tuple(net) == v, part
-    assert weighted_partitions(g, parts) == sum(1 for _ in integral_flows(g, v))
-
-
 def flip(v: tuple[int, ...]) -> tuple[int, ...]:
     """A net flow on g as a net flow on G.reverse(g)."""
     return tuple(-x for x in reversed(v))
@@ -135,8 +106,8 @@ def test_reversed_graph_counts_the_same_flows(data):
 def test_restricted_graphs_count_their_flows(data):
     """On a restriction of a valid graph, a vertex may have no out-edge, so
     its column has no root of its own and the DFS must find it zero when
-    it drops it; the evaluator, kostant() and the weighted vector
-    partitions each count the integral flows."""
+    it drops it; the evaluator and kostant() each count the integral
+    flows."""
     g = data.draw(small_dags())
     lo = data.draw(st.integers(1, g.n))
     r = restrict(g, lo, data.draw(st.integers(lo + 1, g.num_vertices)))
@@ -144,4 +115,3 @@ def test_restricted_graphs_count_their_flows(data):
     want = sum(1 for _ in integral_flows(r, v))
     assert KostantEvaluator(r)(v) == want
     assert kostant(r, v) == want
-    assert weighted_partitions(r, list(vector_partitions(r, v))) == want
