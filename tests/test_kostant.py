@@ -85,20 +85,19 @@ def test_unit_volume_two_vectors_agree():
             assert kostant(g, G.v_out(g)) == kostant(g, G.v_in(g))
 
 
-def test_multicaracol_in_and_out_degree_flows_are_equinumerous():
+@pytest.mark.parametrize("a, k", [(a, k) for a in range(1, 4) for k in range(1, 4)])
+def test_multicaracol_in_and_out_degree_flows_are_equinumerous(a, k):
     """On multicaracol(a, k), with k parallel copies of each source edge,
     the integral flows at v_in and at v_out, one value per edge copy,
     number K(v_out) = count_gravity(a+k, k): 2 on (2,2), 7 on (3,2) and
     15 on (3,3)."""
     from flowpoly.gravity import count_gravity
 
-    for a in range(1, 4):
-        for k in range(1, 4):
-            g = G.multicaracol(a, k)
-            want = kostant(g, G.v_out(g))
-            assert want == count_gravity(a + k, k), (a, k)
-            for v in (G.v_in(g), G.v_out(g)):
-                assert sum(1 for _ in integral_flows(g, v)) == want, (a, k, v)
+    g = G.multicaracol(a, k)
+    want = kostant(g, G.v_out(g))
+    assert want == count_gravity(a + k, k)
+    for v in (G.v_in(g), G.v_out(g)):
+        assert sum(1 for _ in integral_flows(g, v)) == want, v
 
 
 def test_representation_independence():

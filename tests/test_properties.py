@@ -1,5 +1,5 @@
-"""Property tests on random small DAGs: a shared Kostant memo, the
-lattice-point forms, the Lidskii sweep, the reversed graph and restricted
+"""Property tests on random small DAGs: a shared Kostant memo, the listed
+integral flows, the lattice-point forms, the Lidskii sweep, the reversed graph and restricted
 (unvalidated) graphs against independent counts, and the degree of the
 volume."""
 from __future__ import annotations
@@ -76,6 +76,24 @@ def test_volume_is_homogeneous_of_degree_m_minus_n(data):
     base = L.volume(g, a)
     for c in (2, 3):
         assert L.volume(g, tuple(c * x for x in a)) == c ** (g.num_edges - g.n) * base
+
+
+@SETTINGS
+@given(st.data())
+def test_integral_flows_are_distinct_and_conserve_the_net_flow(data):
+    """Each listed flow is distinct, has one nonnegative value per edge
+    copy, parallel copies included, and has net flow v at every vertex."""
+    g = data.draw(small_dags())
+    v = data.draw(netflows(g, -1))
+    flows = list(integral_flows(g, v))
+    assert len(set(flows)) == len(flows)
+    for flow in flows:
+        assert len(flow) == g.num_edges and min(flow, default=0) >= 0, flow
+        net = [0] * g.num_vertices
+        for (i, j), f in zip(g.edges, flow):
+            net[i - 1] += f
+            net[j - 1] -= f
+        assert tuple(net) == v, flow
 
 
 def flip(v: tuple[int, ...]) -> tuple[int, ...]:
