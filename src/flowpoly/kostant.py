@@ -8,9 +8,10 @@ serves as the ground truth the rest of the package is checked against.
 """
 from __future__ import annotations
 
+import bisect
 from typing import Iterator, Sequence
 
-from .combinat import multichoose, weak_compositions
+from .combinat import multichoose
 from .graphs import DirectedMultigraph, alpha_coordinates, check_netflow, reverse
 
 
@@ -235,9 +236,10 @@ def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
 
     A KostantEvaluator keeps its graph's own orientation, since its memos
     serve every vector asked of it: over the 9,779 terms of
-    lidskii.term_sum on caracol(9,3) at the ones flow, whose one pass
-    serves all three forms, one forward evaluator fills 76,073 memo
-    entries and one on the reversed graph 199,684.
+    lidskii.term_sum on caracol(9,3), whose one table serves every net
+    flow and form asked (no weight vanishes at the ones flow), one forward
+    evaluator fills 76,073 memo entries and one on the reversed graph
+    199,684.
     """
     g, v = _lighter_end(g, v)
     return KostantEvaluator(g)(v)
@@ -246,34 +248,52 @@ def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
 def integral_flows(
     g: DirectedMultigraph, a: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    """All integral a-flows, one flow value per edge (parallel copies distinct).
+    """All integral a-flows, one flow value per edge (parallel copies distinct),
+    in the graph's sorted edge order and lex decreasing.
 
-    Flows are reported in the graph's sorted edge order.  Vertices are
-    processed left to right; at each one the available inflow plus supply
-    is split over its out-edges.  An edge's value is set at its tail
-    before any later vertex reads it, so none is reset on the way back.
+    One odometer over the vertices' out-edge blocks, which are contiguous
+    since the edges are sorted: entering vertex v, after every vertex before
+    it is set, puts v's supply (a_v plus its inflow) on its first out-edge;
+    moving on takes the deepest vertex's block to its next lex-decreasing
+    weak composition and enters every later vertex again, backing up past
+    a block that is exhausted.  A vertex with negative supply, or with
+    nonzero supply and no out-edge, is exhausted at once.
     """
     a = check_netflow(g, a)
-    edges = g.edges
-    in_slots: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
-    out_slots: list[list[int]] = [[] for _ in range(g.num_vertices + 1)]
-    for pos, (i, j) in enumerate(edges):
-        out_slots[i].append(pos)
-        in_slots[j].append(pos)
-
-    flow = [0] * len(edges)
-
-    def assign(v: int) -> Iterator[tuple[int, ...]]:
-        if v > g.n:
+    n = g.n
+    # ends[v]: the edges out of vertices 1..v, so v's out-edges are
+    # flow[ends[v-1]:ends[v]]
+    ends = [bisect.bisect_left(g.edges, (v + 1, 0)) for v in range(n + 1)]
+    ins: list[list[int]] = [[] for _ in range(n + 1)]
+    for pos, (_, j) in enumerate(g.edges):
+        if j <= n:
+            ins[j].append(pos)
+    flow = [0] * g.num_edges
+    v = 1
+    while True:
+        if v > n:
             yield tuple(flow)
+        else:
+            lo, hi = ends[v - 1], ends[v]
+            supply = a[v - 1] + sum(flow[p] for p in ins[v])
+            if supply >= 0 and (lo < hi or not supply):
+                flow[lo:hi] = ([supply] + [0] * (hi - lo - 1)) if lo < hi else []
+                v += 1
+                continue
+        # back up to the deepest vertex before v whose block moves on
+        v -= 1
+        while v:
+            lo, hi = ends[v - 1], ends[v]
+            p = hi - 2
+            while p >= lo and not flow[p]:
+                p -= 1
+            if p >= lo:
+                last = flow[hi - 1]
+                flow[p] -= 1
+                flow[hi - 1] = 0
+                flow[p + 1] = last + 1
+                break
+            v -= 1
+        if not v:
             return
-        supply = a[v - 1] + sum(flow[p] for p in in_slots[v])
-        if supply < 0:
-            return
-        slots = out_slots[v]
-        for comp in weak_compositions(supply, len(slots)):
-            for p, f in zip(slots, comp):
-                flow[p] = f
-            yield from assign(v + 1)
-
-    yield from assign(1)
+        v += 1

@@ -20,8 +20,10 @@ Two routes compute the same sums:
   Kostant value is computed; each state is one int, vertex i's send in
   bit field i, since no send and no sum of sends exceeds m-n;
 - `term_sum` lists every dominating s once and evaluates K_G(s-t, 0) for
-  each with one KostantEvaluator, term by term, weighting each value for
-  every form asked: the independent check of the sweep.
+  each with one KostantEvaluator, term by term.  Neither depends on the
+  net flow, so one table of terms serves several net flows at once: each
+  value is weighted for every (flow, form) pair asked.  It is the
+  independent check of the sweep.
 """
 from __future__ import annotations
 
@@ -142,19 +144,21 @@ def _term_weight(weight: Weight, s: Sequence[int], r: int) -> int:
 
 
 def term_sum(
-    g: DirectedMultigraph, a: Sequence[int], forms: Sequence[str] = FORMS
-) -> tuple[int, ...]:
-    """The Lidskii sums of `forms` (each one of FORMS) at net flow a, term by
-    term, one total per form in the order asked.
+    g: DirectedMultigraph, flows: Sequence[Sequence[int]], forms: Sequence[str] = FORMS
+) -> tuple[tuple[int, ...], ...]:
+    """The Lidskii sums of `forms` (each one of FORMS) at each net flow in
+    `flows`, term by term: one tuple of totals per flow, in the order of
+    `flows`, each with one total per form in the order asked.
 
-    One pass lists every dominating s once and weights it for each form;
-    K_G(s-t, 0), shared by all the forms, is evaluated once per term, and
-    skipped when every weight is zero.  Every value comes from one
-    KostantEvaluator, whose memos serve all the terms.  The same values as
-    `volume`, `lattice_points_binomial` and `lattice_points_multiset`, by
-    an independent route.
+    s and K_G(s-t, 0) do not depend on the net flow, so one table of terms
+    serves every (flow, form) pair: one pass lists every dominating s once
+    and weights it for each pair, and K_G(s-t, 0) is evaluated once per
+    term, and skipped when every weight is zero.  Every value comes from
+    one KostantEvaluator, whose memos serve all the terms.  The same values
+    as `volume`, `lattice_points_binomial` and `lattice_points_multiset`,
+    by an independent route.
     """
-    weights = [_weight(g, a, form) for form in forms]
+    weights = [_weight(g, a, form) for a in flows for form in forms]
     t = shifted_outdegree(g)
     m_n = sum(t)
     evaluate = KostantEvaluator(g)
@@ -164,7 +168,8 @@ def term_sum(
         if any(ws):
             value = evaluate(tuple(si - ti for si, ti in zip(s, t)) + (0,))
             totals = [total + w * value for total, w in zip(totals, ws)]
-    return tuple(totals)
+    size = len(forms)
+    return tuple(tuple(totals[k * size : (k + 1) * size]) for k in range(len(flows)))
 
 
 def volume(g: DirectedMultigraph, a: Sequence[int]) -> int:

@@ -196,8 +196,11 @@ def test_verify_lidskii_fails_when_the_routes_disagree(monkeypatch, capsys):
     by one on the multiset form fails each of them, in that order."""
     term_sum = lidskii.term_sum
 
-    def off_by_one(g, a, forms=lidskii.FORMS):
-        return tuple(x + (f == "multiset") for f, x in zip(forms, term_sum(g, a, forms)))
+    def off_by_one(g, flows, forms=lidskii.FORMS):
+        return tuple(
+            tuple(x + (f == "multiset") for f, x in zip(forms, totals))
+            for totals in term_sum(g, flows, forms)
+        )
 
     monkeypatch.setattr(lidskii, "term_sum", off_by_one)
     code, doc, _ = run_json(capsys, "verify", "lidskii")
@@ -210,6 +213,24 @@ def test_verify_lidskii_fails_when_the_routes_disagree(monkeypatch, capsys):
             want.append(f"Lidskii sweep on {name} at {a}")
     assert len(want) == 48
     assert code == 1 and failed == want + ["Lidskii sweep agrees with the term sum"]
+
+
+def test_verify_lidskii_lists_the_terms_once_per_graph(monkeypatch, capsys):
+    """The term route serves a zoo graph's three net flows from one table:
+    the dominating compositions are listed once per graph, not once per
+    (graph, flow), and the report is the same."""
+    _, before, _ = run_json(capsys, "verify", "lidskii")
+    listing, calls = lidskii.dominating_compositions, []
+
+    def counted(t):
+        calls.append(tuple(t))
+        return listing(t)
+
+    monkeypatch.setattr(lidskii, "dominating_compositions", counted)
+    code, doc, _ = run_json(capsys, "verify", "lidskii")
+    assert len(calls) == len(cli._small_zoo()) == len(LIDSKII_ZOO) == 16
+    assert code == 0
+    assert {**doc, "wall_time": 0} == {**before, "wall_time": 0}
 
 
 def test_verify_all_runs_orbits_at_n_and_k(capsys):

@@ -305,7 +305,7 @@ def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
         run = lambda: kostant(g, tuple(2 * x for x in G.ones_flow(g)))
     else:
         g = G.caracol_k(7, 3)
-        run = lambda: L.term_sum(g, G.ones_flow(g))
+        run = lambda: L.term_sum(g, [G.ones_flow(g)])
     gc.collect()
     gc.disable()
     tracemalloc.start()

@@ -61,7 +61,7 @@ def test_lattice_point_forms(g, a):
     assert sum(1 for _ in integral_flows(g, a)) == want
     # the sweep against the term sum, for all three forms
     sweeps = (L.volume(g, a), want, want)
-    assert sweeps == L.term_sum(g, a)
+    assert (sweeps,) == L.term_sum(g, [a])
 
 
 def test_unit_flow_caracol_family():
@@ -152,7 +152,7 @@ def test_memo_stores_every_state_once(monkeypatch, n, k, states):
                 return super().__call__(v)
 
         monkeypatch.setattr(L, "KostantEvaluator", Recording)
-        assert L.term_sum(g, a, forms) == tuple(want[form] for form in forms)
+        assert L.term_sum(g, [a], forms) == (tuple(want[form] for form in forms),)
         (ev,) = evaluators
         assert sum(map(len, ev.memos)) == states
         assert len(calls) == len(set(calls)) == C.count_dominating(G.shifted_outdegree(g))
@@ -184,7 +184,7 @@ def test_ones_flow_volume_caracol_11_3_within_budget():
 def test_term_sum_rejects_unknown_form():
     g = G.pitman_stanley(4)
     with pytest.raises(C.InputError, match="unknown Lidskii form 'area'"):
-        L.term_sum(g, G.ones_flow(g), ("volume", "area"))
+        L.term_sum(g, [G.ones_flow(g)], ("volume", "area"))
 
 
 # Graphs whose m-n sits at the edges of a field width (0, 2^b - 1 and 2^b).
@@ -211,19 +211,23 @@ def _flows(g, seed):
     return flows
 
 
-def _check_sweep(g, a):
-    """The three sweeps equal the term sum, and both lattice forms K(a)."""
-    sweeps = (L.volume(g, a), L.lattice_points_binomial(g, a), L.lattice_points_multiset(g, a))
-    assert sweeps == L.term_sum(g, a), a
-    assert sweeps[1] == sweeps[2] == kostant(g, a), a
+def _check_sweep(g, flows):
+    """At each net flow in `flows`, the three sweeps equal the term sum,
+    which takes all the flows in one pass, and both lattice forms K(a)."""
+    sweeps = tuple(
+        (L.volume(g, a), L.lattice_points_binomial(g, a), L.lattice_points_multiset(g, a))
+        for a in flows
+    )
+    assert sweeps == L.term_sum(g, flows)
+    for a, (_, binomial, multiset) in zip(flows, sweeps):
+        assert binomial == multiset == kostant(g, a), a
 
 
 @pytest.mark.parametrize("m_n", sorted(EDGE_GRAPHS))
 def test_sweep_at_field_width_edges(m_n):
     g = G.from_edge_list(max(j for _, j in EDGE_GRAPHS[m_n]), EDGE_GRAPHS[m_n])
     assert sum(G.shifted_outdegree(g)) == m_n
-    for a in _flows(g, m_n):
-        _check_sweep(g, a)
+    _check_sweep(g, _flows(g, m_n))
 
 
 @pytest.mark.parametrize(
@@ -238,8 +242,7 @@ def test_sweep_at_field_width_edges(m_n):
 )
 def test_sweep_with_roots_of_multiplicity_three_or_more(g):
     assert max(mult for _, mult in g.distinct_edges()) >= 3
-    for a in _flows(g, g.num_edges):
-        _check_sweep(g, a)
+    _check_sweep(g, _flows(g, g.num_edges))
 
 
 def test_ones_flow_volume_caracol_16_4():
