@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterator, Sequence
 
-from .combinat import multichoose
+from .combinat import InputError, multichoose
 from .graphs import DirectedMultigraph, alpha_coordinates, check_netflow, reverse
 
 
@@ -40,13 +40,6 @@ def _pack(residuals: Sequence[int], bits: int) -> int:
     for d in reversed(residuals):
         state = state << bits | d + guard
     return state
-
-
-def _unpack(state: int, bits: int) -> list[int]:
-    """The residuals of a DFS state of field width `bits` (see _pack): each
-    field holds its guard bit, so the state's bit length is bits per column."""
-    guard, full = 1 << (bits - 1), (1 << bits) - 1
-    return [(state >> shift & full) - guard for shift in range(0, state.bit_length(), bits)]
 
 
 _Move = tuple[int, int, int, int, int]
@@ -124,8 +117,9 @@ class KostantEvaluator:
     d + 2**(bits-1), column p in bits bits*p onwards (_pack).  The top bit
     of a field is its guard: residuals only fall, and one that goes
     negative clears it without borrowing from the next field.  `bits` is
-    one more than the bit length of the largest start coordinate asked so
-    far; a vector that needs more widens every field (start).
+    one more than the bit length of `top`, the largest alpha coordinate the
+    caller will ask, and is fixed when the evaluator is built, so a memo
+    key names one state for the evaluator's life (start rejects more).
 
     `memos[idx]` memoizes root idx on its state.  That names a DFS state of
     g alone, whatever vector led to it, so the memos serve every vector
@@ -136,13 +130,13 @@ class KostantEvaluator:
     counted[idx + 1].
     """
 
-    def __init__(self, g: DirectedMultigraph) -> None:
+    def __init__(self, g: DirectedMultigraph, top: int) -> None:
         self._g = g
+        self.top = top
+        self.bits = bits = top.bit_length() + 1
         self.roots = roots = _dfs_roots(g)
-        # the field width and moves[idx], the masks of root idx at that
-        # width, both set by the first vector asked (start)
-        self.bits = 0
-        self.moves: list[_Move] = []
+        # moves[idx]: the masks of root idx at field width bits
+        self.moves = [_root_moves(width, drop, bits) for _, width, _, drop in roots]
         self.memos: list[dict[int, int]] = [{} for _ in roots]
         self.counted = self.memos + [{0: 1}]
         self._mults = [mult for _, _, mult, _ in roots]
@@ -187,22 +181,17 @@ class KostantEvaluator:
     def start(self, v: Sequence[int]) -> int | None:
         """The DFS state of v at the first root, or None when K_G(v) = 0:
         a coordinate of v is negative, or a column before the first root's
-        is not zero.  The fields need one bit more than the bit length of
-        v's largest coordinate; when that is more than `bits`, every move
-        and memo key is rewritten at the new width first, so the states
-        already entered keep their entries."""
+        is not zero.  Raises InputError when a coordinate of v is above
+        `top`, since its field could not hold it."""
         coords = alpha_coordinates(check_netflow(self._g, v))
+        if max(coords) > self.top:
+            raise InputError(
+                f"net flow {tuple(v)} has an alpha coordinate above {self.top}, "
+                "the largest this evaluator was built for"
+            )
         lo = self.roots[0][0] - 1 if self.roots else len(coords)
         if any(c < 0 for c in coords) or any(coords[:lo]):
             return None
-        bits = max(coords[lo:], default=0).bit_length() + 1
-        if bits > self.bits:
-            old, self.bits = self.bits, bits
-            self.moves = [_root_moves(width, drop, bits) for _, width, _, drop in self.roots]
-            for memo in self.memos:
-                entries = list(memo.items())
-                memo.clear()
-                memo.update((_pack(_unpack(state, old), bits), n) for state, n in entries)
         return _pack(coords[lo:], self.bits)
 
     def __call__(self, v: Sequence[int]) -> int:
@@ -229,10 +218,11 @@ def _lighter_end(
 def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
     """K_G(v), the number of vector partitions of v into the roots of G.
 
-    A one-shot KostantEvaluator: its memos start empty and end with the
-    call.  It runs from the lighter end of the graph (_lighter_end), with
-    each column's last root forced and its roots longest first: K(v_out)
-    on caracol(10,2) fills 298 memo entries reversed and 14,747 forward.
+    A one-shot KostantEvaluator with `top` the largest alpha coordinate of
+    v: its memos start empty and end with the call.  It runs from the
+    lighter end of the graph (_lighter_end), with each column's last root
+    forced and its roots longest first: K(v_out) on caracol(10,2) fills 298
+    memo entries reversed and 14,747 forward.
 
     A KostantEvaluator keeps its graph's own orientation, since its memos
     serve every vector asked of it: over the 9,779 terms of
@@ -242,7 +232,7 @@ def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
     199,684.
     """
     g, v = _lighter_end(g, v)
-    return KostantEvaluator(g)(v)
+    return KostantEvaluator(g, max(alpha_coordinates(v)))(v)
 
 
 def integral_flows(

@@ -114,7 +114,7 @@ def _sweep(g: DirectedMultigraph, weight: Weight) -> int:
             nxt: dict[int, int] = {}
             for key, ways in split.items():
                 for c in range((key & low) + 1):
-                    w = ways if mult == 1 else ways * math.comb(mult + c - 1, c)
+                    w = ways if mult == 1 else ways * multichoose(mult, c)
                     nxt[key] = nxt.get(key, 0) + w
                     key += step
             split = nxt
@@ -122,7 +122,7 @@ def _sweep(g: DirectedMultigraph, weight: Weight) -> int:
         for key, ways in split.items():  # the last root takes what is left
             left = key & low
             k = key + left * last_step
-            w = ways if last_mult == 1 else ways * math.comb(last_mult + left - 1, left)
+            w = ways if last_mult == 1 else ways * multichoose(last_mult, left)
             states[k] = states.get(k, 0) + w
     total = 0
     for state, ways in states.items():
@@ -154,14 +154,17 @@ def term_sum(
     serves every (flow, form) pair: one pass lists every dominating s once
     and weights it for each pair, and K_G(s-t, 0) is evaluated once per
     term, and skipped when every weight is zero.  Every value comes from
-    one KostantEvaluator, whose memos serve all the terms.  The same values
-    as `volume`, `lattice_points_binomial` and `lattice_points_multiset`,
-    by an independent route.
+    one KostantEvaluator, whose memos serve all the terms, built with top
+    m-n: the j-th alpha coordinate of (s-t, 0) is P_j(s) - P_j(t), P_j the
+    j-th prefix sum, and s dominates t with the same sum m-n, so every
+    coordinate lies in [0, m-n].  The same values as `volume`,
+    `lattice_points_binomial` and `lattice_points_multiset`, by an
+    independent route.
     """
     weights = [_weight(g, a, form) for a in flows for form in forms]
     t = shifted_outdegree(g)
     m_n = sum(t)
-    evaluate = KostantEvaluator(g)
+    evaluate = KostantEvaluator(g, m_n)
     totals = [0] * len(weights)
     for s in dominating_compositions(t):
         ws = [_term_weight(weight, s, m_n) for weight in weights]

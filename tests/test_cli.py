@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from flowpoly import cli, lidskii
+from flowpoly import graphs as G
 from flowpoly.gravity import GravityDiagram, enumerate_out_gravity_mcar
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
 from flowpoly.unified import TruncatedDiagram, volume_closed_form, volume_closed_form_mcar
@@ -213,6 +214,28 @@ def test_verify_lidskii_fails_when_the_routes_disagree(monkeypatch, capsys):
             want.append(f"Lidskii sweep on {name} at {a}")
     assert len(want) == 48
     assert code == 1 and failed == want + ["Lidskii sweep agrees with the term sum"]
+
+
+def test_verify_lidskii_fails_when_the_volume_is_not_homogeneous(monkeypatch, capsys):
+    """The volume is checked for homogeneity of degree m-n at 2 and 3 times
+    the ones flow on the first six zoo graphs, against the volume the flow
+    loop swept at the ones flow: 3 sweeps per zoo graph and 2 per checked
+    one.  A sweep that is off by one at one scaled flow fails the check,
+    and only it."""
+    volume, calls = lidskii.volume, []
+    g = cli._small_zoo()[2][1]
+    scaled = tuple(3 * x for x in G.ones_flow(g))
+
+    def off_by_one(graph, a):
+        calls.append(a)
+        return volume(graph, a) + (graph == g and tuple(a) == scaled)
+
+    monkeypatch.setattr(lidskii, "volume", off_by_one)
+    code, out, _ = run(capsys, "verify", "lidskii")
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(calls) == 3 * len(LIDSKII_ZOO) + 2 * 6
+    assert code == 1
+    assert failed == ["[FAIL] volume homogeneity of degree m-n: expected True, got False"]
 
 
 def test_verify_lidskii_lists_the_terms_once_per_graph(monkeypatch, capsys):

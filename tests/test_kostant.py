@@ -143,8 +143,8 @@ def recording(monkeypatch):
     made = []
 
     class Recording(KostantEvaluator):
-        def __init__(self, graph):
-            super().__init__(graph)
+        def __init__(self, graph, top):
+            super().__init__(graph, top)
             made.append((graph, self))
 
     monkeypatch.setattr(K, "KostantEvaluator", Recording)
@@ -199,7 +199,7 @@ def test_each_state_is_entered_once(monkeypatch, g):
     moved = []
     move = K._moves
     monkeypatch.setattr(K, "_moves", lambda state, masks: moved.append(state) or move(state, masks))
-    evaluate = KostantEvaluator(g)
+    evaluate = KostantEvaluator(g, max(G.alpha_coordinates(vectors[1])))
     assert [evaluate(v) for v in vectors] == want
     assert len(moved) == sum(map(len, evaluate.memos))
 
@@ -226,7 +226,7 @@ def test_a_column_with_no_root_must_be_zero():
     g = G.DirectedMultigraph(4, ((1, 2), (1, 3), (3, 4)))
     for v, want in [((1, 0, 0, -1), 1), ((1, 1, -1, -1), 0), ((0, 1, 0, -1), 0)]:
         assert sum(1 for _ in integral_flows(g, v)) == want
-        assert KostantEvaluator(g)(v) == kostant(g, v) == want
+        assert KostantEvaluator(g, max(G.alpha_coordinates(v)))(v) == kostant(g, v) == want
 
 
 def test_the_dfs_leaves_the_recursion_limit_alone(monkeypatch):
@@ -256,30 +256,45 @@ def test_the_dfs_leaves_the_recursion_limit_alone(monkeypatch):
     "g, times, widths, states, shared",
     [(G.caracol_k(6, 2), 3, (4, 6), 1_845, 9), (G.multicaracol(2, 2), 40, (3, 8), 2_678, 0)],
 )
-def test_a_shared_evaluator_widens_its_fields(g, times, widths, states, shared):
-    """A vector whose coordinates need wider fields than the states already
-    entered rewrites them at the new width: one bit more than the bit
-    length of the largest coordinate, 6 and 18 on caracol(6,2), 3 and 120
-    on multicaracol(2,2).  Either order gives the values of fresh
-    evaluations and the same memo total, one entry per state in the union:
-    the two vectors share `shared` states near the sink."""
+def test_a_shared_evaluator_serves_every_vector_up_to_its_top(g, times, widths, states, shared):
+    """An evaluator built at the larger vector's top, 18 on caracol(6,2)
+    and 120 on multicaracol(2,2), holds every state of both in fields of
+    one bit more than that top's bit length.  Either order gives the
+    values of fresh evaluations and the same memo total, one entry per
+    state in the union: the two vectors share `shared` states near the
+    sink."""
     small = G.ones_flow(g)
     large = tuple(times * x for x in small)
+    top = max(G.alpha_coordinates(large))
     alone = []
     for v in (small, large):
-        evaluate = KostantEvaluator(g)
+        evaluate = KostantEvaluator(g, max(G.alpha_coordinates(v)))
         assert evaluate(v) == kostant(g, v)
         alone.append((evaluate.bits, sum(map(len, evaluate.memos))))
     assert tuple(bits for bits, _ in alone) == widths
     totals = set()
     for order in [(small, large), (large, small)]:
-        evaluate = KostantEvaluator(g)
+        evaluate = KostantEvaluator(g, top)
         for v in order:
             assert evaluate(v) == kostant(g, v), v
         assert evaluate.bits == widths[1]
         totals.add(sum(map(len, evaluate.memos)))
     assert totals == {states}
     assert sum(n for _, n in alone) - states == shared
+
+
+def test_a_vector_above_top_is_rejected():
+    """The fields are fixed when the evaluator is built, so a vector with
+    an alpha coordinate above its top raises before any state is entered;
+    one at the top is evaluated."""
+    g = G.caracol_k(6, 2)
+    ones = G.ones_flow(g)
+    top = max(G.alpha_coordinates(ones))
+    evaluate = KostantEvaluator(g, top - 1)
+    with pytest.raises(InputError, match=f"alpha coordinate above {top - 1}"):
+        evaluate(ones)
+    assert not any(evaluate.memos)
+    assert KostantEvaluator(g, top)(ones) == kostant(g, ones)
 
 
 @pytest.mark.parametrize("call", ["kostant", "volume"])
@@ -292,8 +307,8 @@ def test_one_shot_evaluation_frees_its_memo(monkeypatch, call):
     made = []
 
     class Recording(KostantEvaluator):
-        def __init__(self, graph):
-            super().__init__(graph)
+        def __init__(self, graph, top):
+            super().__init__(graph, top)
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(K, "KostantEvaluator", Recording)

@@ -143,8 +143,8 @@ def test_memo_stores_every_state_once(monkeypatch, n, k, states):
         evaluators, calls = [], []
 
         class Recording(KostantEvaluator):
-            def __init__(self, graph):
-                super().__init__(graph)
+            def __init__(self, graph, top):
+                super().__init__(graph, top)
                 evaluators.append(self)  # keeps the memos past the call
 
             def __call__(self, v):
@@ -161,7 +161,7 @@ def test_memo_stores_every_state_once(monkeypatch, n, k, states):
 def test_sweep_builds_no_evaluator(monkeypatch):
     """The three sweeps compute no Kostant value."""
 
-    def refuse(graph):
+    def refuse(graph, top):
         raise AssertionError("the sweep built a KostantEvaluator")
 
     monkeypatch.setattr(L, "KostantEvaluator", refuse)

@@ -34,13 +34,19 @@ def netflows(g: G.DirectedMultigraph, low: int) -> st.SearchStrategy:
     return entries.map(lambda a: tuple(a) + (-sum(a),))
 
 
+def top(v: tuple[int, ...]) -> int:
+    """The largest alpha coordinate of v: the least top of an evaluator
+    that is asked v."""
+    return max(G.alpha_coordinates(v))
+
+
 @SETTINGS
 @given(st.data())
 def test_shared_evaluator_matches_fresh_evaluations(data):
     g = data.draw(small_dags())
     vectors = data.draw(st.lists(netflows(g, -1), min_size=1, max_size=8))
     vectors += [G.v_out(g), G.v_in(g)] * 2
-    evaluate = KostantEvaluator(g)
+    evaluate = KostantEvaluator(g, max(map(top, vectors)))
     for v in data.draw(st.permutations(vectors)):
         got = evaluate(v)
         assert got == kostant(g, v), v
@@ -126,7 +132,7 @@ def test_reversed_graph_counts_the_same_flows(data):
     assert G.reverse(r) == g
     v = data.draw(netflows(g, -1))
     want = sum(1 for _ in integral_flows(g, v))
-    assert KostantEvaluator(g)(v) == KostantEvaluator(r)(flip(v)) == want
+    assert KostantEvaluator(g, top(v))(v) == KostantEvaluator(r, top(flip(v)))(flip(v)) == want
     assert kostant(g, v) == want
     assert kostant(g, G.v_out(g)) == kostant(g, G.v_in(g))
 
@@ -143,5 +149,5 @@ def test_restricted_graphs_count_their_flows(data):
     r = restrict(g, lo, data.draw(st.integers(lo + 1, g.num_vertices)))
     v = data.draw(netflows(r, -1))
     want = sum(1 for _ in integral_flows(r, v))
-    assert KostantEvaluator(r)(v) == want
+    assert KostantEvaluator(r, top(v))(v) == want
     assert kostant(r, v) == want
