@@ -46,53 +46,35 @@ _Move = tuple[int, int, int, int, int]
 
 
 def _root_moves(width: int, drop: int, bits: int) -> _Move:
-    """(step, keep, want, low, shift): the masks by which _moves applies a
-    root of `width` and `drop` to states of field width `bits`.
+    """(step, keep, want, low, shift): the masks by which
+    KostantEvaluator.count applies a root of `width` and `drop` to states
+    of field width `bits`.
 
     step has a one in each column the root covers, so using the root c
-    times subtracts c * step.  A next state is entered when its bits under
-    keep are want.  For a root that is not the last of its column, both
-    are G * step, the guard bits of its columns (G = 2**(bits-1)).  For
-    the last one, keep also takes whole fields of the columns it drops,
-    and want asks those to be G, a zero residual; low reads its forced
-    count, the residual of column 0, and shift = bits * drop drops the
-    columns.
-    """
-    ones = lambda k: sum(1 << bits * p for p in range(k))
-    g = 1 << (bits - 1)
-    step = ones(width)
-    if not drop:
-        return step, g * step, g * step, 0, 0
-    dropped = ones(drop)
-    keep = g * step | ((1 << bits) - 1) * dropped
-    return step, keep, g * (step | dropped), g - 1, bits * drop
-
-
-def _moves(state: int, move: _Move) -> tuple[int, Sequence[int]]:
-    """(c, next states) for a root with masks `move` (_root_moves) at
-    `state`, the residuals from the root's first column on packed into
-    one int (_pack): using the root c, c+1, ... times leads to the next
-    states in turn.
+    times subtracts c * step.  The root's first next state is
+    state - c * step for c = state & low, and each one after it is one
+    step less, with c one more, for as long as its bits under keep are
+    want; each is looked up, and entered, as its bits from shift on.
 
     A root that is not the last of its column may be used from 0 times
-    until a residual it covers goes negative, which clears that column's
-    guard bit.  The last one must take all of its first column, since no
-    later root touches it, so it has one move or none; the other columns
-    it drops have no root of their own and must be zero.  One masked
-    compare checks both, and a right shift drops the columns.
+    (low = 0) until a residual it covers goes negative, which clears that
+    column's guard bit: keep and want are both G * step, the guard bits of
+    its columns (G = 2**(bits-1)), and shift is 0.  The last one must take
+    all of its first column, since no later root touches it: low = G - 1
+    reads that residual, the forced count, and one more use clears the
+    column's guard bit, so it has one move or none.  Its keep also takes
+    whole fields of the columns it drops, which have no root of their own,
+    and want asks those to be G, a zero residual; shift = bits * drop
+    drops them.
     """
-    step, keep, want, low, shift = move
-    if not shift:
-        nexts = []
-        while state & keep == want:
-            nexts.append(state)
-            state -= step
-        return 0, nexts
-    c = state & low
-    nxt = state - c * step
-    if nxt & keep != want:
-        return c, ()
-    return c, (nxt >> shift,)
+    # a one in each of the first k columns is (2**(bits*k) - 1) // field
+    field = (1 << bits) - 1
+    g = 1 << (bits - 1)
+    step = ((1 << bits * width) - 1) // field
+    if not drop:
+        return step, g * step, g * step, 0, 0
+    dropped = ((1 << bits * drop) - 1) // field
+    return step, g * step | field * dropped, g * (step | dropped), g - 1, bits * drop
 
 
 class KostantEvaluator:
@@ -102,16 +84,17 @@ class KostantEvaluator:
     choosing a total count per root; a root of multiplicity mu used c times
     counts multichoose(mu, c) ways.  No later root touches the first column
     of a column's last root, so its count is forced to that column's
-    residual (_moves).  Roots come longest first within a column, so the
-    forced one is the shortest; where that is the one-column root (i, i+1),
-    the forced count always fits, and no state is entered only to find it
-    infeasible.  A DFS state at root idx is the residual suffix from root
-    idx's first column on (the columns before it are zero); `start(v)` is
-    the state of v at root 0, and `count(state)` the number of ways to
-    finish the DFS from there, K_G(v).  `count` walks the DFS on its own
-    stack, one frame per state entered and not yet counted, so it nests
-    no call per root: it looks each next state up before it enters it,
-    and counts a state once every next state of it is counted.
+    residual (_root_moves).  Roots come longest first within a column, so
+    the forced one is the shortest; where that is the one-column root
+    (i, i+1), the forced count always fits, and no state is entered only
+    to find it infeasible.  A DFS state at root idx is the residual suffix
+    from root idx's first column on (the columns before it are zero);
+    `at(coords)` packs the alpha coordinates of v into the state at root 0
+    and counts it, and `count(state)` is the number of ways to finish the
+    DFS from there, K_G(v).  `count` walks the DFS in one loop on its own
+    stack, one frame per state entered and not yet counted, so it nests no
+    call per root or per state: each frame holds the next state it will
+    look up, and a state is counted once every next state of it is.
 
     A state is one int: each residual d sits in a field of `bits` bits as
     d + 2**(bits-1), column p in bits bits*p onwards (_pack).  The top bit
@@ -119,7 +102,7 @@ class KostantEvaluator:
     negative clears it without borrowing from the next field.  `bits` is
     one more than the bit length of `top`, the largest alpha coordinate the
     caller will ask, and is fixed when the evaluator is built, so a memo
-    key names one state for the evaluator's life (start rejects more).
+    key names one state for the evaluator's life (`at` rejects more).
 
     `memos[idx]` memoizes root idx on its state.  That names a DFS state of
     g alone, whatever vector led to it, so the memos serve every vector
@@ -143,60 +126,67 @@ class KostantEvaluator:
 
     def count(self, state: int) -> int:
         """The number of ways to finish the DFS from the first root at
-        `state` (start): K_G(v) for state = start(v)."""
+        `state`: K_G(v) for the state of v at root 0 (see at).  Every root
+        walks its next states by its masks (_root_moves), free and forced
+        alike, and a next state is entered only when counted[idx + 1]
+        does not hold it."""
         counted = self.counted
         hit = counted[0].get(state)
         if hit is not None:
             return hit
         moves, mults = self.moves, self._mults
         # the frames of the states entered and not yet counted, the
-        # innermost one in the locals: (root, state, its next states still
-        # to look up, c for the first of them, the sum so far)
+        # innermost one in the locals: (root, state, its next state to
+        # look up, c for it, the sum so far)
         stack = []
         idx, total = 0, 0
-        c, nexts = _moves(state, moves[0])
-        todo, below, mult = iter(nexts), counted[1], mults[0]
+        step, keep, want, low, shift = moves[0]
+        c = state & low
+        nxt = state - c * step
+        below, mult = counted[1], mults[0]
         while True:
-            for nxt in todo:
-                sub = below.get(nxt)
+            while nxt & keep == want:
+                sub = below.get(nxt >> shift)
                 if sub is None:
-                    stack.append((idx, state, todo, c, total))
-                    idx, state, total = idx + 1, nxt, 0
-                    c, nexts = _moves(nxt, moves[idx])
-                    todo, below, mult = iter(nexts), counted[idx + 1], mults[idx]
-                    break
+                    stack.append((idx, state, nxt, c, total))
+                    idx, state, total = idx + 1, nxt >> shift, 0
+                    step, keep, want, low, shift = moves[idx]
+                    c = state & low
+                    nxt = state - c * step
+                    below, mult = counted[idx + 1], mults[idx]
+                    continue
                 if sub:
                     total += sub if mult == 1 else multichoose(mult, c) * sub
                 c += 1
-            else:
-                counted[idx][state] = sub = total
-                if not stack:
-                    return total
-                idx, state, todo, c, total = stack.pop()
-                below, mult = counted[idx + 1], mults[idx]
-                if sub:
-                    total += sub if mult == 1 else multichoose(mult, c) * sub
-                c += 1
+                nxt -= step
+            counted[idx][state] = sub = total
+            if not stack:
+                return total
+            idx, state, nxt, c, total = stack.pop()
+            step, keep, want, low, shift = moves[idx]
+            below, mult = counted[idx + 1], mults[idx]
+            if sub:
+                total += sub if mult == 1 else multichoose(mult, c) * sub
+            c += 1
+            nxt -= step
 
-    def start(self, v: Sequence[int]) -> int | None:
-        """The DFS state of v at the first root, or None when K_G(v) = 0:
-        a coordinate of v is negative, or a column before the first root's
-        is not zero.  Raises InputError when a coordinate of v is above
-        `top`, since its field could not hold it."""
-        coords = alpha_coordinates(check_netflow(self._g, v))
+    def at(self, coords: Sequence[int]) -> int:
+        """K_G(v) for the net flow v of g with alpha coordinates `coords`
+        (graphs.alpha_coordinates): 0 when a coordinate is negative, or a
+        column before the first root's is not zero.  Raises InputError when
+        a coordinate is above `top`, since its field could not hold it."""
         if max(coords) > self.top:
             raise InputError(
-                f"net flow {tuple(v)} has an alpha coordinate above {self.top}, "
-                "the largest this evaluator was built for"
+                f"net flow with alpha coordinates {tuple(coords)} has an alpha "
+                f"coordinate above {self.top}, the largest this evaluator was built for"
             )
         lo = self.roots[0][0] - 1 if self.roots else len(coords)
         if any(c < 0 for c in coords) or any(coords[:lo]):
-            return None
-        return _pack(coords[lo:], self.bits)
+            return 0
+        return self.count(_pack(coords[lo:], self.bits))
 
     def __call__(self, v: Sequence[int]) -> int:
-        state = self.start(v)
-        return 0 if state is None else self.count(state)
+        return self.at(alpha_coordinates(check_netflow(self._g, v)))
 
 
 def _lighter_end(
@@ -219,10 +209,11 @@ def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
     """K_G(v), the number of vector partitions of v into the roots of G.
 
     A one-shot KostantEvaluator with `top` the largest alpha coordinate of
-    v: its memos start empty and end with the call.  It runs from the
-    lighter end of the graph (_lighter_end), with each column's last root
-    forced and its roots longest first: K(v_out) on caracol(10,2) fills 298
-    memo entries reversed and 14,747 forward.
+    v, asked v by the same coordinates, so v is checked and its coordinates
+    are computed once: its memos start empty and end with the call.  It
+    runs from the lighter end of the graph (_lighter_end), with each
+    column's last root forced and its roots longest first: K(v_out) on
+    caracol(10,2) fills 298 memo entries reversed and 14,747 forward.
 
     A KostantEvaluator keeps its graph's own orientation, since its memos
     serve every vector asked of it: over the 9,779 terms of
@@ -232,7 +223,8 @@ def kostant(g: DirectedMultigraph, v: Sequence[int]) -> int:
     199,684.
     """
     g, v = _lighter_end(g, v)
-    return KostantEvaluator(g, max(alpha_coordinates(v)))(v)
+    coords = alpha_coordinates(v)
+    return KostantEvaluator(g, max(coords)).at(coords)
 
 
 def integral_flows(

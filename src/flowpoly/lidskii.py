@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .combinat import InputError, binomial, dominating_compositions, multichoose
+from .combinat import InputError, binomial, dominating_compositions, multichoose, prefix_sums
 from .graphs import DirectedMultigraph, check_netflow, shifted_indegree, shifted_outdegree
 from .kostant import KostantEvaluator
 
@@ -155,21 +155,23 @@ def term_sum(
     and weights it for each pair, and K_G(s-t, 0) is evaluated once per
     term, and skipped when every weight is zero.  Every value comes from
     one KostantEvaluator, whose memos serve all the terms, built with top
-    m-n: the j-th alpha coordinate of (s-t, 0) is P_j(s) - P_j(t), P_j the
-    j-th prefix sum, and s dominates t with the same sum m-n, so every
-    coordinate lies in [0, m-n].  The same values as `volume`,
+    m-n and asked each term by its alpha coordinates: the j-th alpha
+    coordinate of (s-t, 0) is P_j(s) - P_j(t), P_j the j-th prefix sum,
+    and s dominates t with the same sum m-n, so every coordinate lies in
+    [0, m-n] and no term vector is built or checked.  The same values as `volume`,
     `lattice_points_binomial` and `lattice_points_multiset`, by an
     independent route.
     """
     weights = [_weight(g, a, form) for a in flows for form in forms]
     t = shifted_outdegree(g)
     m_n = sum(t)
+    t_sums = prefix_sums(t)
     evaluate = KostantEvaluator(g, m_n)
     totals = [0] * len(weights)
     for s in dominating_compositions(t):
         ws = [_term_weight(weight, s, m_n) for weight in weights]
         if any(ws):
-            value = evaluate(tuple(si - ti for si, ti in zip(s, t)) + (0,))
+            value = evaluate.at([x - y for x, y in zip(prefix_sums(s), t_sums)])
             totals = [total + w * value for total, w in zip(totals, ws)]
     size = len(forms)
     return tuple(tuple(totals[k * size : (k + 1) * size]) for k in range(len(flows)))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import sys
 import tracemalloc
 import weakref
@@ -188,20 +189,54 @@ def test_one_shot_state_counts(recording, g, vector, value, states):
 
 
 @pytest.mark.parametrize("g", [G.complete_graph(4), G.caracol_k(6, 2)])
-def test_each_state_is_entered_once(monkeypatch, g):
+def test_each_state_is_entered_once(g):
     """The DFS looks each next state up before it enters it, so it enters
-    every state once: one move per memo entry.  Asked the ones flow and
-    then three times it, a shared evaluator meets next states of the first
-    walk in the second one, after next states it has to enter."""
+    every state once: one memo store per memo entry, and no state stored
+    twice.  Asked the ones flow and then three times it, a shared evaluator
+    meets next states of the first walk in the second one, after next
+    states it has to enter."""
     ones = G.ones_flow(g)
     vectors = [ones, tuple(3 * x for x in ones)]
     want = [kostant(g, v) for v in vectors]
-    moved = []
-    move = K._moves
-    monkeypatch.setattr(K, "_moves", lambda state, masks: moved.append(state) or move(state, masks))
+    stores = []
+
+    class Storing(dict):
+        def __init__(self, root):
+            super().__init__()
+            self.root = root
+
+        def __setitem__(self, state, value):
+            stores.append((self.root, state))
+            super().__setitem__(state, value)
+
     evaluate = KostantEvaluator(g, max(G.alpha_coordinates(vectors[1])))
+    evaluate.memos = [Storing(idx) for idx in range(len(evaluate.memos))]
+    evaluate.counted = evaluate.memos + evaluate.counted[-1:]
     assert [evaluate(v) for v in vectors] == want
-    assert len(moved) == sum(map(len, evaluate.memos))
+    assert len(stores) == len(set(stores)) == sum(map(len, evaluate.memos)) > 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        G.from_edge_list(3, [(1, 2), (2, 3)]),
+        G.from_edge_list(4, [(1, 2)] * 2 + [(1, 3)] * 3 + [(2, 3), (2, 4), (3, 4)]),
+    ],
+)
+def test_every_edge_shape_counts_the_integral_flows(g):
+    """Every vector of a small box, infeasible ones included, on a graph
+    whose first root is forced, and on one whose first column has a free
+    root of multiplicity 3, (1,3), and a forced one of multiplicity 2,
+    (1,2): a shared evaluator and kostant() each count the integral
+    flows."""
+    box = [
+        head + (-sum(head),)
+        for head in itertools.product(range(-1, 4), repeat=g.num_vertices - 1)
+    ]
+    evaluate = KostantEvaluator(g, max(max(G.alpha_coordinates(v)) for v in box))
+    for v in box:
+        want = sum(1 for _ in integral_flows(g, v))
+        assert evaluate(v) == kostant(g, v) == want, v
 
 
 def test_restricted_graph_carries_the_in_degree_count():

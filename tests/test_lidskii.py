@@ -134,7 +134,8 @@ def test_memo_stores_every_state_once(monkeypatch, n, k, states):
     """The ones-flow term sum shares one evaluator among its terms and its
     forms.  Its per-root memos hold exactly one entry per distinct DFS
     state it entered, as many for all three forms as for the volume alone,
-    and it is called once per term: no weight vanishes at the ones flow."""
+    and it is asked once per term, by its alpha coordinates: no weight
+    vanishes at the ones flow."""
     g = G.caracol_k(n, k)
     a = G.ones_flow(g)
     want = {"volume": volume_closed_form(n, k, 1, 1), "binomial": kostant(g, a)}
@@ -147,9 +148,9 @@ def test_memo_stores_every_state_once(monkeypatch, n, k, states):
                 super().__init__(graph, top)
                 evaluators.append(self)  # keeps the memos past the call
 
-            def __call__(self, v):
-                calls.append(v)
-                return super().__call__(v)
+            def at(self, coords):
+                calls.append(tuple(coords))
+                return super().at(coords)
 
         monkeypatch.setattr(L, "KostantEvaluator", Recording)
         assert L.term_sum(g, [a], forms) == (tuple(want[form] for form in forms),)
