@@ -1,6 +1,6 @@
 """Exact integer combinatorics: binomials, compositions, dominance order;
 and the two things every module shares, the one input-error class and the
-JSON codec of the enumerated objects.
+JSON writer of the enumerated objects.
 
 Every count in this package is a plain Python int, so all arithmetic is
 arbitrary-precision and exact.  Divisions only happen where exactness is
@@ -24,14 +24,6 @@ class NonIntegral(ValueError):
     """An exact division left a remainder: a broken invariant, not bad input."""
 
 
-def _tuples(value):
-    if isinstance(value, list):
-        return tuple(map(_tuples, value))
-    if type(value) in (int, str):
-        return value
-    raise InputError(f"a record holds ints, strs and arrays of them, not {value!r}")
-
-
 class ElementTexts(dict):
     """Maps a field name, a scalar or a tuple field's element to its JSON
     text, made by json.dumps the first time the value is asked for."""
@@ -44,10 +36,7 @@ class ElementTexts(dict):
 @dataclass(frozen=True)
 class Record:
     """An enumerated object, written as one JSON object: its fields in
-    declaration order, a field holding None left out, tuples as arrays.
-    from_json reads such a line back, each array as a tuple, and takes
-    only exact ints, strs, arrays of them and null as a whole field, since
-    a table of element texts keyed by value would give True the text of 1."""
+    declaration order, a field holding None left out, tuples as arrays."""
 
     def to_json(self, texts: ElementTexts | None = None) -> str:
         """The line json.dumps writes; one listing shares one table."""
@@ -60,21 +49,6 @@ class Record:
                         if type(v) is tuple else texts[v])
                 items.append(f"{texts[name]}: {text}")
         return f"{{{', '.join(items)}}}"
-
-    @classmethod
-    def from_json(cls, text: str):
-        """The record of one line; a line that is not a JSON object of the
-        record's fields is an InputError."""
-        try:
-            fields = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise InputError(f"not a JSON line: {e}") from None
-        if type(fields) is not dict:
-            raise InputError(f"a {cls.__name__} line is a JSON object, not {text!r}")
-        try:  # a field missing or unknown is a TypeError
-            return cls(**{name: v if v is None else _tuples(v) for name, v in fields.items()})
-        except TypeError as e:
-            raise InputError(f"{cls.__name__} fields: {e}") from None
 
 
 def binomial(n: int, k: int) -> int:

@@ -21,9 +21,9 @@ below pick one drawing per class:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .combinat import InputError, Record, monotone_concat, rational_catalan
+from .combinat import ElementTexts, InputError, Record, monotone_concat, rational_catalan
 from .graphs import check_caracol, check_multicaracol
 from .paths import TDyckPath, rational_shape
 
@@ -40,6 +40,13 @@ class GravityDiagram(Record):
     k: int
     segments: tuple[tuple[int, int, int], ...]
     colors: tuple[int, ...] | None = None
+
+
+# Each enumerator lists the pieces its _*_rows builder concatenates: the
+# builder puts enc(element) in its table for each segment and colour, the
+# element itself for the records and its JSON text for json_lines.
+def _same(x):
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +70,16 @@ def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     has room for, and each diagram keeps its predecessor's segments in the
     columns before the one whose count went up (combinat.monotone_concat).
     """
+    for segs in _in_rows(n, k, _same):
+        yield GravityDiagram("in", n, k, segs)
+
+
+def _in_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
     check_caracol(n, k)
     cols = range(k + 1, n)
     caps = [_in_capacity(n, k, j) for j in cols]
-    column = [tuple((row + 1, j, n) for row in range(cap)) for j, cap in zip(cols, caps)]
-    for segs in monotone_concat([0] * len(cols), caps, lambda q, low, top: column[q][low:top]):
-        yield GravityDiagram("in", n, k, segs)
+    column = [tuple(enc((row + 1, j, n)) for row in range(cap)) for j, cap in zip(cols, caps)]
+    return monotone_concat([0] * len(cols), caps, lambda q, low, top: column[q][low:top])
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +98,16 @@ def enumerate_out_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     and each diagram keeps its predecessor's segments in the rows below the
     one whose crossing went up (combinat.monotone_concat).
     """
+    for segs in _out_rows(n, k, _same):
+        yield GravityDiagram("out", n, k, segs)
+
+
+def _out_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
     check_caracol(n, k)
     rows = range(1, n - k)
     tops = [k * i - 1 for i in rows]
-    row = [((),) + tuple(((i, k - x % k, k + x // k),) for x in range(1, k * i)) for i in rows]
-    for segs in monotone_concat([0] * len(rows), tops, lambda q, _, x: row[q][x]):
-        yield GravityDiagram("out", n, k, segs)
+    row = [((),) + tuple((enc((i, k - x % k, k + x // k)),) for x in range(1, k * i)) for i in rows]
+    return monotone_concat([0] * len(rows), tops, lambda q, _, x: row[q][x])
 
 
 def out_segments_by_row(d: GravityDiagram) -> list[tuple[int, int]]:
@@ -204,14 +219,24 @@ def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
     return GravityDiagram("out", n, k, tuple(segs))
 
 
-def in_out_correspondence(n: int, k: int) -> list[tuple[GravityDiagram, GravityDiagram]]:
+def in_out_correspondence(
+    n: int, k: int
+) -> tuple[list[tuple[GravityDiagram, GravityDiagram]], list[GravityDiagram]]:
     """Pair each out-degree diagram with the in-degree diagram that shares
-    its rational Dyck path; a perfect matching, or an AssertionError."""
-    by_path = {psi_in(d).shape: d for d in enumerate_in_gravity(n, k)}
-    pairs = [(d, by_path.pop(psi_out(d).shape, None)) for d in enumerate_out_gravity(n, k)]
-    if by_path or any(partner is None for _, partner in pairs):
-        raise AssertionError(f"the ({n},{k}) correspondence is not a perfect matching")
-    return pairs
+    its rational Dyck path: the (out, in) pairs, and the diagrams left
+    unmatched, none exactly when the pairs are a perfect matching."""
+    by_path, unmatched = {}, []
+    for d in enumerate_in_gravity(n, k):
+        if by_path.setdefault(psi_in(d).shape, d) is not d:
+            unmatched.append(d)
+    pairs = []
+    for d in enumerate_out_gravity(n, k):
+        partner = by_path.pop(psi_out(d).shape, None)
+        if partner is None:
+            unmatched.append(d)
+        else:
+            pairs.append((d, partner))
+    return pairs, unmatched + list(by_path.values())
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +252,19 @@ def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     Row i contributes the pair (segment, colour) looked up by x_i, and each
     diagram keeps its predecessor's pairs in the rows above the one whose
     code went up (combinat.monotone_concat); segments and colours alternate."""
+    for both in _mcar_rows(a, k, _same):
+        yield GravityDiagram("mcar-out", a, k, both[0::2], both[1::2])
+
+
+def _mcar_rows(a: int, k: int, enc: Callable) -> Iterator[tuple]:
     check_multicaracol(a, k)
     rows, top = range(1, a), k * (a - 1) - 1
     lows = [k * (i - 1) for i in rows]
     # row i's pairs from its low code on, behind None for the codes it never reads
-    row = [(None,) * low + tuple(((i, 0, a - 2 - x // k), x % k + 1) for x in range(low, top + 1))
+    row = [(None,) * low + tuple((enc((i, 0, a - 2 - x // k)), enc(x % k + 1))
+                                 for x in range(low, top + 1))
            for i, low in zip(rows, lows)]
-    for both in monotone_concat(lows, [top] * len(lows), lambda q, _, x: row[q][x]):
-        yield GravityDiagram("mcar-out", a, k, both[0::2], both[1::2])
+    return monotone_concat(lows, [top] * len(lows), lambda q, _, x: row[q][x])
 
 
 def xi(d: GravityDiagram) -> GravityDiagram:
@@ -275,6 +305,33 @@ def count_gravity(n: int, k: int) -> int:
     if b < 1:
         return 1
     return rational_catalan(a, b)
+
+
+# ---------------------------------------------------------------------------
+# JSON lines
+
+_ROWS = {"in": _in_rows, "out": _out_rows, "mcar-out": _mcar_rows}
+
+
+def json_lines(kind: str, n: int, k: int) -> Iterator[str]:
+    """The `GravityDiagram.to_json` line of each diagram of `kind` ("in",
+    "out" or "mcar-out") at (n, k), in the enumerator's order, with no
+    record built: the enumerator's piece table holds each element's JSON
+    text, and a line joins its pieces' texts inside the line of the
+    diagram with no segments, cut at its empty arrays."""
+    if kind not in _ROWS:
+        raise InputError(f"unknown gravity kind {kind!r}; expected {', '.join(_ROWS)}")
+    pieces = _ROWS[kind](n, k, ElementTexts().__getitem__)
+    if kind != "mcar-out":
+        head, tail = GravityDiagram(kind, n, k, ()).to_json().split("[]")
+        head, tail = head + "[", "]" + tail
+        for segs in pieces:
+            yield head + ", ".join(segs) + tail
+        return
+    head, mid, tail = GravityDiagram(kind, n, k, (), ()).to_json().split("[]")
+    head, mid, tail = head + "[", "]" + mid + "[", "]" + tail
+    for both in pieces:
+        yield head + ", ".join(both[0::2]) + mid + ", ".join(both[1::2]) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
-from flowpoly.combinat import Record, multinomial, prefix_sums, weak_compositions
+from flowpoly.combinat import InputError, Record, multinomial, prefix_sums, weak_compositions
 from flowpoly.gravity import GravityDiagram, out_segments_by_row
 from flowpoly.kostant import kostant
 from flowpoly.paths import MultiLabeledDyckPath
@@ -28,6 +28,32 @@ def record_json(obj: Record) -> str:
     dict, in declaration order, a field holding None left out."""
     return json.dumps({f.name: v for f in dataclasses.fields(obj)
                        if (v := getattr(obj, f.name)) is not None})
+
+
+def record_from_json(cls: type[Record], text: str) -> Record:
+    """The `cls` record of one `to_json` line, each array read as a tuple.
+    It takes only exact ints, strs, arrays of them and null as a whole
+    field, since a table of element texts keyed by value would give True
+    the text of 1; that, and a line that is not a JSON object of the
+    record's fields, is an InputError."""
+    try:
+        fields = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"not a JSON line: {e}") from None
+    if type(fields) is not dict:
+        raise InputError(f"a {cls.__name__} line is a JSON object, not {text!r}")
+    try:  # a field missing or unknown is a TypeError
+        return cls(**{name: v if v is None else _tuples(v) for name, v in fields.items()})
+    except TypeError as e:
+        raise InputError(f"{cls.__name__} fields: {e}") from None
+
+
+def _tuples(value):
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    if type(value) in (int, str):
+        return value
+    raise InputError(f"a record holds ints, strs and arrays of them, not {value!r}")
 
 
 def restrict(g: G.DirectedMultigraph, lo: int, hi: int) -> G.DirectedMultigraph:

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from flowpoly import cli, lidskii
+from flowpoly import cli, gravity, lidskii
 from flowpoly import graphs as G
 from flowpoly.gravity import GravityDiagram, enumerate_out_gravity_mcar
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
 from flowpoly.unified import TruncatedDiagram, volume_closed_form, volume_closed_form_mcar
+from oracles import record_from_json
 
 
 def run(capsys, *argv):
@@ -256,6 +257,24 @@ def test_verify_lidskii_lists_the_terms_once_per_graph(monkeypatch, capsys):
     assert {**doc, "wall_time": 0} == {**before, "wall_time": 0}
 
 
+def test_verify_bijections_reports_diagrams_left_unmatched(monkeypatch, capsys):
+    """A psi_in that sends two in-degree diagrams to one path leaves the
+    second of them and the out-degree diagram on the other's path
+    unmatched: one report that names both on a [FAIL] line, and exit 1."""
+    ins = list(gravity.enumerate_in_gravity(5, 2))
+    psi_in = gravity.psi_in
+    lost = next(d for d in gravity.enumerate_out_gravity(5, 2)
+                if gravity.psi_out(d).shape == psi_in(ins[1]).shape)
+    monkeypatch.setattr(gravity, "psi_in", lambda d: psi_in(ins[0] if d == ins[1] else d))
+    code, out, err = run(capsys, "verify", "bijections", "--n", "5", "--k", "2")
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert code == 1 and err == ""
+    assert out.count("# verify") == 1
+    assert ("[FAIL] in/out diagrams left unmatched: expected [], got "
+            f"{[ins[1].to_json(), lost.to_json()]}") in failed
+    assert "[FAIL] in/out correspondence size: expected 7, got 6" in failed
+
+
 def test_verify_all_runs_orbits_at_n_and_k(capsys):
     code, doc, _ = run_json(capsys, "verify", "all", "--n", "6", "--k", "2")
     names = {c["name"] for c in doc["checks"]}
@@ -276,8 +295,8 @@ def test_enumerate_gravity(capsys):
     )
     assert code == 0 and doc["results"]["count"] == 7
     for line in doc["results"]["items"]:
-        d = GravityDiagram.from_json(line)
-        assert GravityDiagram.from_json(d.to_json()) == d
+        d = record_from_json(GravityDiagram, line)
+        assert record_from_json(GravityDiagram, d.to_json()) == d
 
 
 def test_enumerate_multilabeled(capsys):
@@ -287,8 +306,8 @@ def test_enumerate_multilabeled(capsys):
     )
     assert code == 0 and doc["results"]["count"] == 48
     for line in doc["results"]["items"]:
-        m = MultiLabeledDyckPath.from_json(line)
-        assert MultiLabeledDyckPath.from_json(m.to_json()) == m
+        m = record_from_json(MultiLabeledDyckPath, line)
+        assert record_from_json(MultiLabeledDyckPath, m.to_json()) == m
 
 
 def test_enumerate_truncated(capsys):
@@ -298,8 +317,8 @@ def test_enumerate_truncated(capsys):
     )
     assert code == 0 and doc["results"]["count"] == 7
     for line in doc["results"]["items"]:
-        u = TruncatedDiagram.from_json(line)
-        assert TruncatedDiagram.from_json(u.to_json()) == u
+        u = record_from_json(TruncatedDiagram, line)
+        assert record_from_json(TruncatedDiagram, u.to_json()) == u
 
 
 def test_enumerate_dyck(capsys):
@@ -308,8 +327,8 @@ def test_enumerate_dyck(capsys):
     )
     assert code == 0 and doc["results"]["count"] == 7
     for line in doc["results"]["items"]:
-        p = TDyckPath.from_json(line)
-        assert TDyckPath.from_json(p.to_json()) == p
+        p = record_from_json(TDyckPath, line)
+        assert record_from_json(TDyckPath, p.to_json()) == p
 
 
 @pytest.mark.parametrize(
@@ -343,7 +362,7 @@ def test_record_json_lines_are_pinned(obj, line):
     """The exact line `enumerate --render json` writes for each record
     type, and the object it reads back as."""
     assert obj.to_json() == line
-    assert type(obj).from_json(line) == obj
+    assert record_from_json(type(obj), line) == obj
 
 
 def test_enumerate_unified(capsys):

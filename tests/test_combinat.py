@@ -11,7 +11,7 @@ from flowpoly import combinat as C
 from flowpoly import gravity as GR
 from flowpoly import paths as P
 from flowpoly import unified as U
-from oracles import is_log_concave, record_json
+from oracles import is_log_concave, record_from_json, record_json
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -340,7 +340,7 @@ def test_records_share_one_table_of_element_texts():
     for obj in small_records():
         line = obj.to_json(texts)
         assert line == record_json(obj)
-        assert type(obj).from_json(line) == obj
+        assert record_from_json(type(obj), line) == obj
         seen[type(obj)] = seen.get(type(obj), 0) + 1
     assert set(seen) == {GR.GravityDiagram, P.TDyckPath, U.TruncatedDiagram,
                          P.MultiLabeledDyckPath}
@@ -360,7 +360,7 @@ def test_record_reads_only_exact_ints_strs_and_arrays(line):
     """True == 1, so a table keyed by value would give a bool the text of
     an int: the codec reads no bool, float, object or nested null."""
     with pytest.raises(C.InputError, match="holds ints, strs"):
-        GR.GravityDiagram.from_json(line)
+        record_from_json(GR.GravityDiagram, line)
 
 
 @pytest.mark.parametrize("line", [
@@ -373,10 +373,11 @@ def test_record_rejects_a_line_of_the_wrong_shape(line):
     """Not a JSON object, a missing or an unknown field, or not JSON at all:
     bad input, not a TypeError, AttributeError or JSONDecodeError."""
     with pytest.raises(C.InputError):
-        GR.GravityDiagram.from_json(line)
+        record_from_json(GR.GravityDiagram, line)
 
 
 def test_record_reads_a_null_field_as_none():
-    d = GR.GravityDiagram.from_json('{"kind": "in", "n": 1, "k": 2, "segments": [], "colors": null}')
+    line = '{"kind": "in", "n": 1, "k": 2, "segments": [], "colors": null}'
+    d = record_from_json(GR.GravityDiagram, line)
     assert d == GR.GravityDiagram("in", 1, 2, ())
     assert d.to_json() == '{"kind": "in", "n": 1, "k": 2, "segments": []}'

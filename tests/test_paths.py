@@ -8,7 +8,7 @@ import pytest
 
 from flowpoly import combinat as C
 from flowpoly import paths as P
-from oracles import parking_preferences
+from oracles import parking_preferences, record_from_json
 
 
 def rational_row_signature(a: int, b: int) -> tuple[int, ...]:
@@ -254,9 +254,9 @@ def test_parking_preferences_round():
 def test_json_round_trip():
     t = P.rational_shape(3, 5)
     for path in P.enumerate_t_dyck(t):
-        assert P.TDyckPath.from_json(path.to_json()) == path
+        assert record_from_json(P.TDyckPath, path.to_json()) == path
     for m in P.enumerate_multilabeled(2, 3, 1):
-        assert P.MultiLabeledDyckPath.from_json(m.to_json()) == m
+        assert record_from_json(P.MultiLabeledDyckPath, m.to_json()) == m
 
 
 def test_every_multilabeled_path_parks_clean():

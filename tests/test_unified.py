@@ -16,6 +16,7 @@ from oracles import (
     completions_by_enumeration,
     is_log_concave,
     parking_preferences,
+    record_from_json,
     standardized_count_enumerated,
     standardized_count_listed,
 )
@@ -336,7 +337,7 @@ def test_parking_row_log_concavity():
 
 def test_truncated_json_round_trip():
     for u in U.enumerate_truncated(5, 2, 1):
-        assert U.TruncatedDiagram.from_json(u.to_json()) == u
+        assert record_from_json(U.TruncatedDiagram, u.to_json()) == u
 
 
 def test_caracol_outdegree_closed_form():
