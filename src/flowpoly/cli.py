@@ -371,15 +371,14 @@ def _suite_lidskii(report: RunReport) -> None:
 def _suite_simplex(report: RunReport, total: int, k: int) -> None:
     if total < 0 or k < 2:
         raise InputError(f"the simplex suite needs N >= 0 and k >= 2, got N={total}, k={k}")
-    count, off = 0, []
+    simplex = sorted(combinat.weak_compositions(total, k))
+    count, off = 0, []  # count: the base points whose blocks cover the simplex disjointly
     for c0 in combinat.weak_compositions(total, k):
-        blocks = unified.simplex_partition(c0)  # asserts a disjoint full cover
-        got = sum(
-            combinat.multinomial(total, d) for _, members in blocks for d in members
-        )
-        if got != k**total:
+        members = [d for _, block in unified.simplex_partition(c0) for d in block]
+        if sorted(members) == simplex:
+            count += 1
+        if sum(combinat.multinomial(total, d) for d in members) != k**total:
             off.append(list(c0))
-        count += 1
     covers = f"disjoint covers for all base points (N={total}, k={k})"
     report.check(covers, combinat.binomial(total + k - 1, k - 1), count)
     report.check("base points whose block totals differ from k^N", [], off)
@@ -612,23 +611,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     report.wall_time = time.perf_counter() - start
     payload = report.to_json() if args.format == "json" else report.layout(report.to_text())
 
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(payload + "\n")
-        except OSError as exc:
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            print(payload)
-            sys.stdout.flush()
-        except BrokenPipeError as exc:
-            # the reader is gone; send what is still buffered to devnull,
-            # so that the interpreter's final flush of stdout cannot fail
+        else:
+            print(payload, flush=True)
+    except OSError as exc:
+        if not args.out:
+            # the reader is gone or the device is full; send what is still
+            # buffered to devnull, so that the interpreter's final flush of
+            # stdout cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
-            return 2
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.ok else 1
 
 

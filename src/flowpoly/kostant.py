@@ -114,7 +114,6 @@ class KostantEvaluator:
     """
 
     def __init__(self, g: DirectedMultigraph, top: int) -> None:
-        self._g = g
         self.top = top
         self.bits = bits = top.bit_length() + 1
         self.roots = roots = _dfs_roots(g)
@@ -184,9 +183,6 @@ class KostantEvaluator:
         if any(c < 0 for c in coords) or any(coords[:lo]):
             return 0
         return self.count(_pack(coords[lo:], self.bits))
-
-    def __call__(self, v: Sequence[int]) -> int:
-        return self.at(alpha_coordinates(check_netflow(self._g, v)))
 
 
 def _lighter_end(

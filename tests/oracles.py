@@ -13,7 +13,7 @@ from flowpoly import graphs as G
 from flowpoly import lidskii as L
 from flowpoly.combinat import InputError, Record, multinomial, prefix_sums, weak_compositions
 from flowpoly.gravity import GravityDiagram, out_segments_by_row
-from flowpoly.kostant import kostant
+from flowpoly.kostant import KostantEvaluator, kostant
 from flowpoly.paths import MultiLabeledDyckPath
 from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
 
@@ -61,6 +61,12 @@ def restrict(g: G.DirectedMultigraph, lo: int, hi: int) -> G.DirectedMultigraph:
     1..; not validated, since restrictions are only used for their roots."""
     edges = tuple((i - lo + 1, j - lo + 1) for i, j in g.edges if lo <= i and j <= hi)
     return G.DirectedMultigraph(hi - lo + 1, edges)
+
+
+def at_netflow(evaluate: KostantEvaluator, g: G.DirectedMultigraph, v: Sequence[int]) -> int:
+    """K_G(v) asked of an evaluator built on g by the net flow v: v is
+    checked against g, and the evaluator is asked its alpha coordinates."""
+    return evaluate.at(G.alpha_coordinates(G.check_netflow(g, v)))
 
 
 def integral_flows_brute_force(

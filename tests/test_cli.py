@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flowpoly import cli, gravity, lidskii
+from flowpoly import cli, combinat, gravity, lidskii, unified
 from flowpoly import graphs as G
 from flowpoly.gravity import GravityDiagram, enumerate_out_gravity_mcar
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
@@ -457,6 +457,8 @@ BAD_INPUTS = [
     ("volume --graph mcar:a=3,k=2 --netflow custom:[3,1,1,1,-6] --method closed",
      "closed form needs a caracol/mcar graph with a block net flow"),
     ("enumerate gravity", "needs --n, --k"),
+    # the default --cap is 10^6 items; the listing is refused before it starts
+    ("enumerate gravity --n 14 --k 2", "would emit 23841480 items, more than the cap 1000000;"),
     ("enumerate dyck", "needs --a, --b"),
     ("enumerate truncated --n 6 --k 2", "needs --i"),
     ("enumerate dyck --a 4 --b 6", "not coprime"),
@@ -568,3 +570,122 @@ def test_simplex_suite_checks_can_fail(monkeypatch, capsys):
     assert by_name["base points whose block totals differ from k^N"]["got"] == [
         [3, 0], [2, 1], [1, 2], [0, 3]
     ]
+
+
+def plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+def one_fewer(f):
+    """f with the last item of its listing left out."""
+    return lambda *args: list(f(*args))[:-1]
+
+
+def one_more(f):
+    """f with one more item, (), at the end of its listing."""
+    return lambda *args: [*f(*args), ()]
+
+
+def constant(value):
+    return lambda f: lambda *args: value
+
+
+def one_pair_fewer(f):
+    def correspondence(n, k):
+        pairs, unmatched = f(n, k)
+        return pairs[:-1], unmatched
+    return correspondence
+
+
+def one_more_unmatched(f):
+    def correspondence(n, k):
+        pairs, unmatched = f(n, k)
+        return pairs, [*unmatched, GravityDiagram("in", n, k, ())]
+    return correspondence
+
+
+BIJECTIONS, LIDSKII = "verify bijections --n 5 --k 2", "verify lidskii"
+# One row per report.check site of cli.py, in source order: a run, the
+# route it takes that is perturbed (module, attribute, the wrapper of the
+# original), and the [FAIL] line that the perturbation brings.
+CHECK_SITES = [
+    ("volume --graph caracol:n=5,k=2 --netflow ones --method all",
+     unified, "volume_closed_form", plus_one, "lidskii = closed: expected 2800, got 2801"),
+    (BIJECTIONS, gravity, "enumerate_in_gravity", one_fewer,
+     "|in-gravity(5,2)|: expected 7, got 6"),
+    (BIJECTIONS, gravity, "enumerate_out_gravity", one_fewer,
+     "|out-gravity(5,2)|: expected 7, got 6"),
+    (BIJECTIONS, gravity, "psi_in_inverse", constant(None),
+     "psi_in round trip: expected True, got False"),
+    (BIJECTIONS, gravity, "psi_out_inverse", constant(None),
+     "psi_out round trip: expected True, got False"),
+    (BIJECTIONS, gravity, "in_out_correspondence", one_pair_fewer,
+     "in/out correspondence size: expected 7, got 6"),
+    (BIJECTIONS, gravity, "in_out_correspondence", one_more_unmatched,
+     "in/out diagrams left unmatched: expected [], got "
+     """['{"kind": "in", "n": 5, "k": 2, "segments": []}']"""),
+    (BIJECTIONS, unified, "theta_inverse", constant(None),
+     "theta round trip: expected True, got False"),
+    (BIJECTIONS, gravity, "xi_inverse", constant(None),
+     "xi round trip: expected True, got False"),
+    (BIJECTIONS, gravity, "enumerate_out_gravity_mcar", one_fewer,
+     "|mcar-out-gravity(3,2)|: expected 7, got 6"),
+    (LIDSKII, cli, "integral_flows", one_more,
+     "lattice points on caracol:n=3,k=1 at [1, 0, 0, -1]: expected 3, got (3, 3, 4)"),
+    (LIDSKII, lidskii, "volume", plus_one,
+     "Lidskii sweep on caracol:n=3,k=1 at [1, 0, 0, -1]: expected (1, 3, 3), got (2, 3, 3)"),
+    (LIDSKII, lidskii, "lattice_points_multiset", plus_one,
+     "lattice-point formulas agree with flow counts: expected True, got False"),
+    (LIDSKII, lidskii, "volume", plus_one,
+     "Lidskii sweep agrees with the term sum: expected True, got False"),
+    # off by one at a scaled ones flow alone, the only flows with a[0] > 1
+    (LIDSKII, lidskii, "volume", lambda f: lambda g, a: f(g, a) + (a[0] > 1),
+     "volume homogeneity of degree m-n: expected True, got False"),
+    ("verify simplex --N 3 --simplex-k 3", unified, "dominates", constant(True),
+     "disjoint covers for all base points (N=3, k=3): expected 10, got 1"),
+    ("verify simplex --N 3 --simplex-k 2", combinat, "multinomial", constant(1),
+     "base points whose block totals differ from k^N: expected [], got "
+     "[[3, 0], [2, 1], [1, 2], [0, 3]]"),
+    ("verify orbits --n 5 --k 2", unified, "completions", plus_one,
+     "orbit completion sums at level 0: expected True, got False"),
+    ("verify orbits --n 5 --k 2", unified, "standardized_count_formula", plus_one,
+     "standardized count at level 0: expected 449, got 448"),
+    ("enumerate gravity --kind in --n 5 --k 2", gravity, "count_gravity", plus_one,
+     "emitted = estimated count: expected 8, got 7"),
+]
+
+
+def test_every_check_site_has_a_row():
+    assert len(CHECK_SITES) == Path(cli.__file__).read_text().count("report.check(") == 20
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, wrap, line", CHECK_SITES,
+    ids=[line.split(": expected")[0] for *_, line in CHECK_SITES],
+)
+def test_every_check_can_fail(monkeypatch, capsys, argv, module, name, wrap, line):
+    """Each check fails on its own [FAIL] line, in one report and with
+    exit 1, when one route it compares is perturbed; none of them ends in
+    a traceback, which would raise out of cli.main."""
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (1, "")
+    assert out.count(f"# {argv.split()[0]}\n") == 1
+    assert f"[FAIL] {line}" in out.splitlines()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_with_one_error_line():
+    """A stdout on a full device is an unwritable report: one error line,
+    exit 2, and no traceback or "Exception ignored" at shutdown."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowpoly.cli", "tables", "parking"],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert proc.returncode == 2
+    err = proc.stderr
+    assert err.startswith("error: cannot write the report") and err.count("\n") == 1, err
+    assert "Exception ignored" not in err

@@ -14,7 +14,7 @@ from flowpoly import graphs as G
 from flowpoly import kostant as K
 from flowpoly import lidskii as L
 from flowpoly.kostant import KostantEvaluator, integral_flows, kostant
-from oracles import integral_flows_brute_force, restrict
+from oracles import at_netflow, integral_flows_brute_force, restrict
 
 
 def small_zoo():
@@ -212,7 +212,7 @@ def test_each_state_is_entered_once(g):
     evaluate = KostantEvaluator(g, max(G.alpha_coordinates(vectors[1])))
     evaluate.memos = [Storing(idx) for idx in range(len(evaluate.memos))]
     evaluate.counted = evaluate.memos + evaluate.counted[-1:]
-    assert [evaluate(v) for v in vectors] == want
+    assert [at_netflow(evaluate, g, v) for v in vectors] == want
     assert len(stores) == len(set(stores)) == sum(map(len, evaluate.memos)) > 0
 
 
@@ -236,7 +236,7 @@ def test_every_edge_shape_counts_the_integral_flows(g):
     evaluate = KostantEvaluator(g, max(max(G.alpha_coordinates(v)) for v in box))
     for v in box:
         want = sum(1 for _ in integral_flows(g, v))
-        assert evaluate(v) == kostant(g, v) == want, v
+        assert at_netflow(evaluate, g, v) == kostant(g, v) == want, v
 
 
 def test_restricted_graph_carries_the_in_degree_count():
@@ -261,7 +261,8 @@ def test_a_column_with_no_root_must_be_zero():
     g = G.DirectedMultigraph(4, ((1, 2), (1, 3), (3, 4)))
     for v, want in [((1, 0, 0, -1), 1), ((1, 1, -1, -1), 0), ((0, 1, 0, -1), 0)]:
         assert sum(1 for _ in integral_flows(g, v)) == want
-        assert KostantEvaluator(g, max(G.alpha_coordinates(v)))(v) == kostant(g, v) == want
+        evaluate = KostantEvaluator(g, max(G.alpha_coordinates(v)))
+        assert at_netflow(evaluate, g, v) == kostant(g, v) == want
 
 
 def test_the_dfs_leaves_the_recursion_limit_alone(monkeypatch):
@@ -304,14 +305,14 @@ def test_a_shared_evaluator_serves_every_vector_up_to_its_top(g, times, widths, 
     alone = []
     for v in (small, large):
         evaluate = KostantEvaluator(g, max(G.alpha_coordinates(v)))
-        assert evaluate(v) == kostant(g, v)
+        assert at_netflow(evaluate, g, v) == kostant(g, v)
         alone.append((evaluate.bits, sum(map(len, evaluate.memos))))
     assert tuple(bits for bits, _ in alone) == widths
     totals = set()
     for order in [(small, large), (large, small)]:
         evaluate = KostantEvaluator(g, top)
         for v in order:
-            assert evaluate(v) == kostant(g, v), v
+            assert at_netflow(evaluate, g, v) == kostant(g, v), v
         assert evaluate.bits == widths[1]
         totals.add(sum(map(len, evaluate.memos)))
     assert totals == {states}
@@ -327,9 +328,9 @@ def test_a_vector_above_top_is_rejected():
     top = max(G.alpha_coordinates(ones))
     evaluate = KostantEvaluator(g, top - 1)
     with pytest.raises(InputError, match=f"alpha coordinate above {top - 1}"):
-        evaluate(ones)
+        at_netflow(evaluate, g, ones)
     assert not any(evaluate.memos)
-    assert KostantEvaluator(g, top)(ones) == kostant(g, ones)
+    assert at_netflow(KostantEvaluator(g, top), g, ones) == kostant(g, ones)
 
 
 @pytest.mark.parametrize("call", ["kostant", "volume"])
