@@ -256,12 +256,16 @@ def cmd_tables(args: argparse.Namespace) -> RunReport:
     report = RunReport("tables", {"kind": args.kind})
     if args.kind == "parking":
         k, rmax = args.k, args.rmax
+        if rmax < 0:
+            raise InputError(f"tables parking needs --rmax >= 0, got {rmax}")
         rows = [[combinat.k_parking_number(k, r, i) for i in range(r + 1)]
                 for r in range(rmax + 1)]
         title = f"{k}-parking triangle"
         report.inputs.update({"k": k, "rmax": rmax})
     else:
         nmax = args.nmax
+        if nmax < 2:
+            raise InputError(f"tables gravity-counts needs --nmax >= 2, got {nmax}")
         rows = [[gravity.count_gravity(n, k) for k in range(1, n)] for n in range(2, nmax + 1)]
         title = "gravity-diagram counts (rows n=2.., columns k=1..)"
         report.inputs.update({"nmax": nmax})
@@ -304,7 +308,7 @@ def _suite_bijections(report: RunReport, n: int, k: int) -> None:
         True,
         all(gravity.psi_out_inverse(gravity.psi_out(d), n, k) == d for d in outs),
     )
-    pairs, unmatched = gravity.in_out_correspondence(n, k)
+    pairs, unmatched = gravity.in_out_correspondence(ins, outs)
     report.check("in/out correspondence size", count, len(pairs))
     if unmatched:
         report.check("in/out diagrams left unmatched", [], [d.to_json() for d in unmatched])

@@ -21,7 +21,7 @@ below pick one drawing per class:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .combinat import ElementTexts, InputError, Record, monotone_concat, rational_catalan
 from .graphs import check_caracol, check_multicaracol
@@ -53,7 +53,7 @@ def _same(x):
 # in-degree diagrams
 
 
-def _in_capacity(n: int, k: int, col: int) -> int:
+def _in_capacity(k: int, col: int) -> int:
     return (col - k) * k - 1
 
 
@@ -77,7 +77,7 @@ def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
 def _in_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
     check_caracol(n, k)
     cols = range(k + 1, n)
-    caps = [_in_capacity(n, k, j) for j in cols]
+    caps = [_in_capacity(k, j) for j in cols]
     column = [tuple(enc((row + 1, j, n)) for row in range(cap)) for j, cap in zip(cols, caps)]
     return monotone_concat([0] * len(cols), caps, lambda q, low, top: column[q][low:top])
 
@@ -106,15 +106,24 @@ def _out_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
     check_caracol(n, k)
     rows = range(1, n - k)
     tops = [k * i - 1 for i in rows]
-    row = [((),) + tuple((enc((i, k - x % k, k + x // k)),) for x in range(1, k * i)) for i in rows]
+    row = [((),) + tuple((enc((i, *_out_row(k, x))),) for x in range(1, k * i)) for i in rows]
     return monotone_concat([0] * len(rows), tops, lambda q, _, x: row[q][x])
 
 
+def _out_row(k: int, x: int) -> tuple[int, int]:
+    """The segment [l, r] of an out-degree row whose code is x = (r-k)k + k-l."""
+    return k - x % k, k + x // k
+
+
 def out_segments_by_row(d: GravityDiagram) -> list[tuple[int, int]]:
-    """[l, r] per row 1..n-k-1 (bottom up), trivial rows as (k, k)."""
-    rows = d.n - d.k - 1
-    by_row = {row: (l, r) for row, l, r in d.segments}
-    return [by_row.get(i, (d.k, d.k)) for i in range(1, rows + 1)]
+    """[l, r] per row 1..n-k-1 (bottom up), trivial rows as (k, k); a
+    segment in any other row is an InputError."""
+    rows = [(d.k, d.k)] * (d.n - d.k - 1)
+    for row, l, r in d.segments:
+        if not 1 <= row <= len(rows):
+            raise InputError(f"segment [{l}, {r}] cannot sit in row {row} of {len(rows)}")
+        rows[row - 1] = (l, r)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -124,24 +133,6 @@ def out_segments_by_row(d: GravityDiagram) -> list[tuple[int, int]]:
 def _family_ab(n: int, k: int) -> tuple[int, int]:
     a = n - k
     return a, k * a - 1
-
-
-def _path_from_crossings(crossings: Sequence[int], a: int, b: int) -> TDyckPath:
-    """Crossing x-coordinates X_1 <= ... <= X_a turn into the composition
-    s_j = #{r : X_r = j-1}."""
-    shape = [0] * b
-    for x in crossings:
-        shape[x] += 1
-    return TDyckPath(tuple(shape), rational_shape(a, b))
-
-
-def _crossings_from_path(path: TDyckPath) -> list[int]:
-    out = []
-    x = 0
-    for sj in path.shape:
-        out.extend([x] * sj)
-        x += 1
-    return out
 
 
 def psi_in(d: GravityDiagram) -> TDyckPath:
@@ -154,6 +145,9 @@ def psi_in(d: GravityDiagram) -> TDyckPath:
     if d.kind != "in":
         raise InputError(f"psi_in expects an in-degree diagram, got {d.kind}")
     a, b = _family_ab(d.n, d.k)
+    for _, j, r in d.segments:
+        if not d.k < j < r == d.n:
+            raise InputError(f"segment [{j}, {r}] is not [j, {d.n}] with {d.k} < j < {d.n}")
     heights = [seg[1] - d.k for seg in sorted(d.segments)]
     if len(heights) > b:
         raise InputError("more segments than grid columns")
@@ -182,55 +176,55 @@ def psi_in_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
 
 
 def psi_out(d: GravityDiagram) -> TDyckPath:
-    """Embed each row's segment with its left endpoint in the grid column
-    (r-k)(k-1); the right endpoints, weakly increasing up the rows, are the
-    crossing x-coordinates of the associated rational Dyck path."""
+    """Embed each row's segment [l, r] with its left endpoint in the grid
+    column (r-k)(k-1), so its right endpoint lands on x = (r-k)k + k-l, the
+    enumerator's row code; these x, weakly increasing up the rows after a
+    first 0, are the crossing x-coordinates of the rational Dyck path."""
     if d.kind != "out":
         raise InputError(f"psi_out expects an out-degree diagram, got {d.kind}")
     a, b = _family_ab(d.n, d.k)
     k = d.k
-    rps = []
-    for l, r in out_segments_by_row(d):
-        rps.append((r - k) * (k - 1) + (r - l))
-    if any(y < x for x, y in zip(rps, rps[1:])):
+    crossings = [0]
+    for i, (l, r) in enumerate(out_segments_by_row(d), start=1):
+        if not 1 <= l <= k <= r < k + i:
+            raise InputError(f"segment [{l}, {r}] cannot sit in row {i}")
+        crossings.append((r - k) * k + k - l)
+    if crossings != sorted(crossings):
         raise InputError("embedded right endpoints must weakly increase")
-    return _path_from_crossings([0] + rps, a, b)
+    shape = tuple(crossings.count(x) for x in range(b))
+    return TDyckPath(shape, rational_shape(a, b))
 
 
 def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
-    """Recover row i's segment from the crossing x = rp: with j = rp // k the
-    segment is [k + j - d, k + j] where d = rp - j(k-1)."""
+    """Row i's segment is the one whose code (_out_row) is the crossing
+    x-coordinate of the path's north step i + 1; step 1 crosses at 0."""
     a, b = _family_ab(n, k)
     if len(path.shape) != b or sum(path.shape) != a:
         raise InputError(f"path is not an ({a},{b})-Dyck path")
-    crossings = _crossings_from_path(path)
+    crossings = [x for x, sj in enumerate(path.shape) for _ in range(sj)]
     if crossings[0] != 0:
         raise InputError("a rational (a, ka-1)-Dyck path must start north")
     segs = []
-    for i, rp in enumerate(crossings[1:], start=1):
-        j = rp // k
-        d = rp - j * (k - 1)
-        r = k + j
-        l = r - d
-        if not (1 <= l <= k <= r <= k + i - 1):
-            raise InputError(f"crossing {rp} cannot sit in row {i}")
-        if (l, r) != (k, k):
-            segs.append((i, l, r))
+    for i, x in enumerate(crossings[1:], start=1):
+        if x >= i * k:
+            raise InputError(f"crossing {x} cannot sit in row {i}")
+        if x:
+            segs.append((i, *_out_row(k, x)))
     return GravityDiagram("out", n, k, tuple(segs))
 
 
 def in_out_correspondence(
-    n: int, k: int
+    ins: Iterable[GravityDiagram], outs: Iterable[GravityDiagram]
 ) -> tuple[list[tuple[GravityDiagram, GravityDiagram]], list[GravityDiagram]]:
-    """Pair each out-degree diagram with the in-degree diagram that shares
-    its rational Dyck path: the (out, in) pairs, and the diagrams left
+    """Pair each diagram of `outs` with the one of `ins` that shares its
+    rational Dyck path: the (out, in) pairs, and the diagrams left
     unmatched, none exactly when the pairs are a perfect matching."""
     by_path, unmatched = {}, []
-    for d in enumerate_in_gravity(n, k):
+    for d in ins:
         if by_path.setdefault(psi_in(d).shape, d) is not d:
             unmatched.append(d)
     pairs = []
-    for d in enumerate_out_gravity(n, k):
+    for d in outs:
         partner = by_path.pop(psi_out(d).shape, None)
         if partner is None:
             unmatched.append(d)
@@ -343,7 +337,7 @@ def render_text(d: GravityDiagram) -> str:
     top row first.  Every row holds at most one segment, kept as the span
     (lo, hi) of the columns it covers."""
     if d.kind == "in":
-        first, heights = d.k + 1, [_in_capacity(d.n, d.k, j) for j in range(d.k + 1, d.n + 1)]
+        first, heights = d.k + 1, [_in_capacity(d.k, j) for j in range(d.k + 1, d.n + 1)]
         spans = {row: (l, d.n) for row, l, _ in d.segments}
     elif d.kind == "out":
         rows = d.n - d.k - 1

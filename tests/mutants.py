@@ -139,9 +139,12 @@ if __name__ == "__main__":
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader is gone (`--list | head`); send what is still buffered
-        # to devnull, so that the interpreter's final flush cannot fail
+    except OSError as exc:
+        if exc.filename is not None:  # a file it reads or copies, not stdout
+            raise
+        # the reader is gone (`--list | head`) or the device is full; send
+        # what is still buffered to devnull, so that the interpreter's final
+        # flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         code = 2

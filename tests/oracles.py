@@ -14,7 +14,7 @@ from flowpoly import lidskii as L
 from flowpoly.combinat import InputError, Record, multinomial, prefix_sums, weak_compositions
 from flowpoly.gravity import GravityDiagram, out_segments_by_row
 from flowpoly.kostant import KostantEvaluator, kostant
-from flowpoly.paths import MultiLabeledDyckPath
+from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
 from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
 
 
@@ -108,6 +108,31 @@ def psi_out_subpartition(d: GravityDiagram) -> tuple[int, ...]:
     k = d.k
     rps = [(r - k) * (k - 1) + (r - l) for l, r in out_segments_by_row(d)]
     return tuple(rp for rp in reversed(rps) if rp)
+
+
+def psi_out_inverse_by_embedding(path: TDyckPath, n: int, k: int) -> GravityDiagram:
+    """`gravity.psi_out_inverse` by the embedding's own arithmetic: row i's
+    crossing rp, with j = rp // k and d = rp - j(k-1), is the right end of
+    the segment [k + j - d, k + j] embedded from grid column j(k-1)."""
+    a, b = n - k, k * (n - k) - 1
+    if len(path.shape) != b or sum(path.shape) != a:
+        raise InputError(f"path is not an ({a},{b})-Dyck path")
+    crossings = []
+    for x, sj in enumerate(path.shape):
+        crossings.extend([x] * sj)
+    if crossings[0] != 0:
+        raise InputError("a rational (a, ka-1)-Dyck path must start north")
+    segs = []
+    for i, rp in enumerate(crossings[1:], start=1):
+        j = rp // k
+        d = rp - j * (k - 1)
+        r = k + j
+        l = r - d
+        if not (1 <= l <= k <= r <= k + i - 1):
+            raise InputError(f"crossing {rp} cannot sit in row {i}")
+        if (l, r) != (k, k):
+            segs.append((i, l, r))
+    return GravityDiagram("out", n, k, tuple(segs))
 
 
 def parking_preferences(m: MultiLabeledDyckPath, k: int) -> tuple:

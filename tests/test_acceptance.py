@@ -142,7 +142,9 @@ def test_criterion_04_bijection_round_trips():
         d = GR.GravityDiagram("out", 11, 3, segs)
         assert psi_out_subpartition(d) == (14, 12, 12, 5, 4, 1)
         for n in range(4, 9):
-            pairs, unmatched = GR.in_out_correspondence(n, 1)
+            pairs, unmatched = GR.in_out_correspondence(
+                GR.enumerate_in_gravity(n, 1), GR.enumerate_out_gravity(n, 1)
+            )
             assert unmatched == []
             for dout, din in pairs:
                 lam = sorted((r - l for _, l, r in dout.segments), reverse=True)

@@ -174,6 +174,12 @@ def test_tables_gravity_counts(capsys):
     assert "rendered" not in doc["results"]  # the rows are the table
 
 
+def test_tables_smallest_sizes_have_one_row(capsys):
+    for kind, size in (("parking", ["--rmax", "0"]), ("gravity-counts", ["--nmax", "2"])):
+        code, doc, _ = run_json(capsys, "tables", kind, *size)
+        assert code == 0 and doc["results"]["rows"] == [[1]], kind
+
+
 def test_verify_suites_exit_zero(capsys):
     for suite in ("bijections", "lidskii", "simplex", "orbits", "all"):
         code, doc, _ = run_json(capsys, "verify", suite, "--n", "5", "--k", "2")
@@ -273,6 +279,28 @@ def test_verify_bijections_reports_diagrams_left_unmatched(monkeypatch, capsys):
     assert ("[FAIL] in/out diagrams left unmatched: expected [], got "
             f"{[ins[1].to_json(), lost.to_json()]}") in failed
     assert "[FAIL] in/out correspondence size: expected 7, got 6" in failed
+
+
+def test_verify_bijections_lists_each_family_once(monkeypatch, capsys):
+    """The round trips and the in/out correspondence share one listing of
+    each caracol family, and theta runs over every truncated level."""
+    calls = []
+
+    def counted(module, name):
+        listing = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append((name, args)) or listing(*args))
+
+    for name in ("enumerate_in_gravity", "enumerate_out_gravity", "enumerate_out_gravity_mcar"):
+        counted(gravity, name)
+    counted(unified, "enumerate_truncated")
+    code, _, _ = run(capsys, "verify", "bijections", "--n", "6", "--k", "2")
+    assert code == 0
+    assert sorted(calls) == [
+        ("enumerate_in_gravity", (6, 2)),
+        ("enumerate_out_gravity", (6, 2)),
+        ("enumerate_out_gravity_mcar", (4, 2)),
+        *(("enumerate_truncated", (6, 2, i)) for i in range(4)),
+    ]
 
 
 def test_verify_all_runs_orbits_at_n_and_k(capsys):
@@ -465,6 +493,9 @@ BAD_INPUTS = [
     ("enumerate dyck --t 1,x", "bad --t"),
     ("enumerate dyck --t 2,-1,1", "must be nonnegative"),
     ("tables parking --k 0", "k >= 1"),
+    # a size that names no row, whatever the other parameters
+    ("tables parking --k 0 --rmax -1", "tables parking needs --rmax >= 0, got -1"),
+    ("tables gravity-counts --nmax 1", "tables gravity-counts needs --nmax >= 2, got 1"),
     ("verify simplex --simplex-k 1", "k >= 2"),
     ("verify simplex --N -1", "N >= 0"),
     ("verify orbits --n 3 --k 5", "n > k"),
@@ -591,16 +622,16 @@ def constant(value):
 
 
 def one_pair_fewer(f):
-    def correspondence(n, k):
-        pairs, unmatched = f(n, k)
+    def correspondence(ins, outs):
+        pairs, unmatched = f(ins, outs)
         return pairs[:-1], unmatched
     return correspondence
 
 
 def one_more_unmatched(f):
-    def correspondence(n, k):
-        pairs, unmatched = f(n, k)
-        return pairs, [*unmatched, GravityDiagram("in", n, k, ())]
+    def correspondence(ins, outs):
+        pairs, unmatched = f(ins, outs)
+        return pairs, [*unmatched, ins[0]]
     return correspondence
 
 
@@ -638,8 +669,8 @@ CHECK_SITES = [
      "lattice-point formulas agree with flow counts: expected True, got False"),
     (LIDSKII, lidskii, "volume", plus_one,
      "Lidskii sweep agrees with the term sum: expected True, got False"),
-    # off by one at a scaled ones flow alone, the only flows with a[0] > 1
-    (LIDSKII, lidskii, "volume", lambda f: lambda g, a: f(g, a) + (a[0] > 1),
+    # off by one at the doubled ones flow alone, the only flows with a[0] = 2
+    (LIDSKII, lidskii, "volume", lambda f: lambda g, a: f(g, a) + (a[0] == 2),
      "volume homogeneity of degree m-n: expected True, got False"),
     ("verify simplex --N 3 --simplex-k 3", unified, "dominates", constant(True),
      "disjoint covers for all base points (N=3, k=3): expected 10, got 1"),

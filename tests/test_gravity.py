@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import tracemalloc
 from itertools import combinations_with_replacement, product
 
@@ -12,9 +13,14 @@ from flowpoly import gravity as GR
 from flowpoly import graphs as G
 from flowpoly import paths as P
 from flowpoly.kostant import kostant
-from oracles import psi_out_subpartition, record_from_json
+from oracles import psi_out_inverse_by_embedding, psi_out_subpartition, record_from_json
 
 FAMILIES = [(5, 1), (5, 2), (6, 2), (7, 3)]
+
+
+def correspondence(n, k):
+    """in_out_correspondence over the whole (n, k) caracol families."""
+    return GR.in_out_correspondence(GR.enumerate_in_gravity(n, k), GR.enumerate_out_gravity(n, k))
 
 
 def test_counts_match_kostant_and_catalan():
@@ -116,7 +122,7 @@ def test_pair_of_dycks_example():
 
 @pytest.mark.parametrize("n,k", FAMILIES)
 def test_in_out_correspondence(n, k):
-    pairs, unmatched = GR.in_out_correspondence(n, k)
+    pairs, unmatched = correspondence(n, k)
     assert unmatched == []
     assert len(pairs) == GR.count_gravity(n, k)
     outs = {d for d, _ in pairs}
@@ -128,7 +134,7 @@ def test_in_out_correspondence(n, k):
 
 def test_k1_correspondence_is_conjugation():
     for n in range(4, 9):
-        pairs, unmatched = GR.in_out_correspondence(n, 1)
+        pairs, unmatched = correspondence(n, 1)
         assert unmatched == []
         for dout, din in pairs:
             lam = sorted((r - l for _, l, r in dout.segments), reverse=True)
@@ -142,7 +148,7 @@ def test_car81_instance():
     # out-degree segment lengths (3,2,2,1) pair with in-degree lengths (4,3,1)
     n = 7
     target = [3, 2, 2, 1]
-    pairs, unmatched = GR.in_out_correspondence(n, 1)
+    pairs, unmatched = correspondence(n, 1)
     assert unmatched == []
     for dout, din in pairs:
         lam = sorted((r - l for _, l, r in dout.segments), reverse=True)
@@ -223,6 +229,71 @@ def test_malformed_diagram_errors():
     crowded = GR.GravityDiagram("in", 4, 2, tuple((row, 3, 4) for row in range(1, 5)))
     with pytest.raises(C.InputError, match="more segments than grid columns"):
         GR.psi_in(crowded)
+    # longer segments sit in higher rows, so row 1 holds the longest
+    upside_down = GR.GravityDiagram("in", 5, 2, ((1, 4, 5), (2, 3, 5)))
+    with pytest.raises(C.InputError, match="segment lengths must be sorted"):
+        GR.psi_in(upside_down)
+    # row 1's code 1 above row 2's trivial code 0
+    falling = GR.GravityDiagram("out", 5, 2, ((1, 1, 2),))
+    with pytest.raises(C.InputError, match="embedded right endpoints must weakly increase"):
+        GR.psi_out(falling)
+    with pytest.raises(C.InputError, match=r"not an \(5,9\)-Dyck path"):
+        GR.psi_out_inverse(bad_path, 7, 2)
+    # (4, 2) has a (2, 3)-Dyck grid; each shape is its own reference here
+    with pytest.raises(C.InputError, match="must start north"):
+        GR.psi_out_inverse(P.TDyckPath((0, 1, 1), (0, 1, 1)), 4, 2)
+    with pytest.raises(C.InputError, match="crossing 2 cannot sit in row 1"):
+        GR.psi_out_inverse(P.TDyckPath((1, 0, 1), (1, 0, 1)), 4, 2)
+
+
+@pytest.mark.parametrize("psi, d, message", [
+    # r = 9 is past the (2, 3) grid, whose row 1 holds codes 0..1 only
+    (GR.psi_out, GR.GravityDiagram("out", 4, 2, ((1, 1, 9),)),
+     r"segment \[1, 9\] cannot sit in row 1"),
+    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((3, 1, 2),)),
+     r"segment \[1, 2\] cannot sit in row 3 of 2"),
+    (GR.xi, GR.GravityDiagram("out", 5, 2, ((0, 1, 2),)),
+     r"segment \[1, 2\] cannot sit in row 0 of 2"),
+    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 3, 4),)),
+     r"segment \[3, 4\] is not \[j, 5\] with 2 < j < 5"),
+    # a segment from column k or n would sit at height 0 or a
+    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 2, 5),)),
+     r"segment \[2, 5\] is not \[j, 5\] with 2 < j < 5"),
+    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 5, 5),)),
+     r"segment \[5, 5\] is not \[j, 5\] with 2 < j < 5"),
+], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
+        "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n"])
+def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
+    with pytest.raises(C.InputError, match=message):
+        psi(d)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except C.InputError as e:
+        return str(e)
+
+
+def test_psi_out_inverse_is_the_embedding_formula():
+    """On every composition of a into b parts for n <= 6, k <= 3, each its
+    own reference so that non-Dyck shapes reach every rejection, the row
+    decoder gives the diagram or the InputError message of the embedding's
+    arithmetic."""
+    kinds = set()
+    for n in range(2, 7):
+        for k in range(1, min(n, 4)):
+            a, b = n - k, k * (n - k) - 1
+            for s in C.weak_compositions(a, b):
+                path = P.TDyckPath(s, s)
+                got = _outcome(GR.psi_out_inverse, path, n, k)
+                assert got == _outcome(psi_out_inverse_by_embedding, path, n, k), (n, k, s)
+                kinds.add(re.sub(r" \d+", " #", got) if isinstance(got, str) else "diagram")
+    assert kinds == {
+        "diagram",
+        "a rational (a, ka-1)-Dyck path must start north",
+        "crossing # cannot sit in row #",
+    }
 
 
 def test_count_gravity_checks_the_caracol_parameters():
