@@ -3,24 +3,32 @@ and the bijections onto rational Dyck paths.
 
 A gravity diagram is an equivalence class of line-dot diagrams; the classes
 are determined by the multiset of nontrivial segments, and the conventions
-below pick one drawing per class:
+below pick one drawing per class and give it a code:
 
 * in-degree, parameters (n, k): dots form a triangular array with
   (j-k)k - 1 dots in column j for j = k+1..n; every nontrivial segment is
-  horizontal and ends in column n; longer segments sit in higher rows.
-  Rows are numbered 1, 2, ... from the top.
+  horizontal and ends in column n; longer segments sit in higher rows,
+  numbered 1, 2, ... from the top.  x_i counts the segments [j, n], j <= k+i.
 * out-degree, parameters (n, k): dots form a trapezoid with k-1+i dots in
   row i, rows numbered 1, 2, ... from the BOTTOM; row i holds one possibly
   trivial segment [l, r] with 1 <= l <= k <= r <= k+i-1, and the pairs
   (r, r-l) weakly increase from bottom to top (trivial rows lowest).
+  x_i = (r-k)k + k-l for row i's [l, r], 0 for a trivial row.
 * multicaracol out-degree, parameters (a, k): column j carries a-1-j dots
   for j = 0..a-2; every row holds one segment [0, c] wearing one of k
   colours; rows are numbered from the top, ordered by length descending
-  and colour ascending on ties.
+  and colour ascending on ties.  y_j = (a-2-c)k + colour-1 for row j.
+
+Both caracol codes are the weakly increasing x_1..x_{a-1}, a = n-k, with
+x_i <= ki - 1, listed lex increasing by both enumerators; x_i is where north
+step i+1 of the rational (a, ka-1)-Dyck path that `_path` writes and `_code`
+reads crosses (step 1 at x = 0).  xi sends x to y_j = k(a-1)-1 - x_{a-j}.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .combinat import ElementTexts, InputError, Record, monotone_concat, rational_catalan
@@ -49,37 +57,27 @@ def _same(x):
     return x
 
 
+def _code_tops(n: int, k: int) -> list[int]:
+    """The bounds x_i <= ki - 1 of the caracol code."""
+    check_caracol(n, k)
+    return [k * i - 1 for i in range(1, n - k)]
+
+
 # ---------------------------------------------------------------------------
 # in-degree diagrams
 
 
-def _in_capacity(k: int, col: int) -> int:
-    return (col - k) * k - 1
-
-
 def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
-    """Canonical in-degree diagrams for the (n, k) caracol graph.
-
-    A diagram is a multiset of left endpoints j (each segment is [j, n]);
-    with the segments sorted longest first into rows 1, 2, ..., the i-th
-    one needs i <= (j_i - k)k - 1 free dots in its leftmost column.
-    Encoded as x[j], the number of segments starting in columns k+1..j for
-    j = k+1..n-1, so x[j] <= (j-k)k - 1 and column j holds rows
-    x[j-1]+1..x[j]; listed by the per-column counts, lex increasing.
-    Column j's segments are a slice of its tuple of every (row, j, n) it
-    has room for, and each diagram keeps its predecessor's segments in the
-    columns before the one whose count went up (combinat.monotone_concat).
-    """
+    """Canonical in-degree diagrams for the (n, k) caracol graph, lex increasing in their code."""
     for segs in _in_rows(n, k, _same):
         yield GravityDiagram("in", n, k, segs)
 
 
 def _in_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
-    check_caracol(n, k)
-    cols = range(k + 1, n)
-    caps = [_in_capacity(k, j) for j in cols]
-    column = [tuple(enc((row + 1, j, n)) for row in range(cap)) for j, cap in zip(cols, caps)]
-    return monotone_concat([0] * len(cols), caps, lambda q, low, top: column[q][low:top])
+    tops = _code_tops(n, k)
+    column = [tuple(enc((row + 1, j, n)) for row in range(top))
+              for j, top in enumerate(tops, k + 1)]
+    return monotone_concat([0] * len(tops), tops, lambda q, low, top: column[q][low:top])
 
 
 # ---------------------------------------------------------------------------
@@ -87,43 +85,53 @@ def _in_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
 
 
 def enumerate_out_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
-    """Canonical out-degree diagrams for the (n, k) caracol graph.
-
-    Rows run 1..n-k-1 from the bottom; row i holds [l_i, r_i] with
-    l_i in 1..k and k <= r_i <= k+i-1, trivial rows stored as [k, k], and
-    (r_i, r_i - l_i) weakly increasing.  Only nontrivial rows are kept in
-    `segments`.  Encoded as x_i = (r_i - k)k + (k - l_i) < ik, the crossing
-    of psi_out, with x_i = 0 the trivial row; listed lex increasing in x.
-    Row i's part of `segments` is looked up by x_i, () for the trivial row,
-    and each diagram keeps its predecessor's segments in the rows below the
-    one whose crossing went up (combinat.monotone_concat).
-    """
+    """Canonical out-degree diagrams for the (n, k) caracol graph, lex
+    increasing in their code; `segments` keeps the nontrivial rows only."""
     for segs in _out_rows(n, k, _same):
         yield GravityDiagram("out", n, k, segs)
 
 
 def _out_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
-    check_caracol(n, k)
-    rows = range(1, n - k)
-    tops = [k * i - 1 for i in rows]
-    row = [((),) + tuple((enc((i, *_out_row(k, x))),) for x in range(1, k * i)) for i in rows]
-    return monotone_concat([0] * len(rows), tops, lambda q, _, x: row[q][x])
+    tops = _code_tops(n, k)
+    row = [((),) + tuple((enc(_out_row(k, i, x)),) for x in range(1, top + 1))
+           for i, top in enumerate(tops, 1)]
+    return monotone_concat([0] * len(tops), tops, lambda q, _, x: row[q][x])
 
 
-def _out_row(k: int, x: int) -> tuple[int, int]:
-    """The segment [l, r] of an out-degree row whose code is x = (r-k)k + k-l."""
-    return k - x % k, k + x // k
+def _out_row(k: int, i: int, x: int) -> tuple[int, int, int]:
+    """The segment (i, l, r) of out-degree row i whose code is x = (r-k)k + k-l."""
+    return i, k - x % k, k + x // k
+
+
+def _out_diagram(n: int, k: int, code: Iterable[int]) -> GravityDiagram:
+    segs = [_out_row(k, i, x) for i, x in enumerate(code, 1) if x]
+    return GravityDiagram("out", n, k, tuple(segs))
 
 
 def out_segments_by_row(d: GravityDiagram) -> list[tuple[int, int]]:
     """[l, r] per row 1..n-k-1 (bottom up), trivial rows as (k, k); a
-    segment in any other row is an InputError."""
-    rows = [(d.k, d.k)] * (d.n - d.k - 1)
+    segment in any other row, or two in one row, is an InputError."""
+    trivial = (d.k, d.k)  # by identity: a given segment [k, k] still fills its row
+    rows = [trivial] * (d.n - d.k - 1)
     for row, l, r in d.segments:
         if not 1 <= row <= len(rows):
             raise InputError(f"segment [{l}, {r}] cannot sit in row {row} of {len(rows)}")
+        if rows[row - 1] is not trivial:
+            raise InputError(f"row {row} holds two segments")
         rows[row - 1] = (l, r)
     return rows
+
+
+def _out_code(d: GravityDiagram) -> list[int]:
+    """The code of an out-degree diagram, checked row by row."""
+    k, code = d.k, []
+    for i, (l, r) in enumerate(out_segments_by_row(d), start=1):
+        if not 1 <= l <= k <= r < k + i:
+            raise InputError(f"segment [{l}, {r}] cannot sit in row {i}")
+        code.append((r - k) * k + k - l)
+    if code != sorted(code):
+        raise InputError("embedded right endpoints must weakly increase")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -135,90 +143,80 @@ def _family_ab(n: int, k: int) -> tuple[int, int]:
     return a, k * a - 1
 
 
-def psi_in(d: GravityDiagram) -> TDyckPath:
-    """Rotate an in-degree diagram onto its rational (a, b)-Dyck path.
-
-    The q segments, longest first, occupy the first q grid columns; the
-    column holding segment [j, n] has its east step at height j - k, and
-    the remaining columns sit at full height a.
-    """
-    if d.kind != "in":
-        raise InputError(f"psi_in expects an in-degree diagram, got {d.kind}")
-    a, b = _family_ab(d.n, d.k)
-    for _, j, r in d.segments:
-        if not d.k < j < r == d.n:
-            raise InputError(f"segment [{j}, {r}] is not [j, {d.n}] with {d.k} < j < {d.n}")
-    heights = [seg[1] - d.k for seg in sorted(d.segments)]
-    if len(heights) > b:
-        raise InputError("more segments than grid columns")
-    heights += [a] * (b - len(heights))
-    if any(h2 < h1 for h1, h2 in zip(heights, heights[1:])):
-        raise InputError("segment lengths must be sorted")
-    shape = tuple(h2 - h1 for h1, h2 in zip([0] + heights, heights))
-    return TDyckPath(shape, rational_shape(a, b))
+def _path(n: int, k: int, code: list[int]) -> TDyckPath:
+    """The path whose north steps cross at x = 0 and at the code's x_i."""
+    a, b = _family_ab(n, k)
+    steps = [1] + [0] * b  # x = b (b in-segments) falls off the grid: TDyckPath sees the sum
+    for x in code:
+        steps[x] += 1
+    return TDyckPath(tuple(steps[:b]), rational_shape(a, b))
 
 
-def psi_in_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
-    """Segments fill every dot column north of the path: grid column x at
-    height h < a recovers the segment [k + h, n]."""
+def _code(path: TDyckPath, n: int, k: int) -> list[int]:
+    """The crossings x_i < ik of north steps i+1 of a path whose step 1 crosses at 0."""
     a, b = _family_ab(n, k)
     if len(path.shape) != b or sum(path.shape) != a:
         raise InputError(f"path is not an ({a},{b})-Dyck path")
-    heights = 0
-    segs = []
-    row = 1
-    for sj in path.shape:
-        heights += sj
-        if heights < a:
-            segs.append((row, k + heights, n))
+    heights, code = list(accumulate(path.shape)), []
+    if heights[0] == 0:
+        raise InputError("a rational (a, ka-1)-Dyck path must start north")
+    for i in range(1, a):
+        x = bisect_right(heights, i)  # columns ending at height <= i, where step i+1 crosses
+        if x >= i * k:
+            raise InputError(f"crossing {x} cannot sit in row {i}")
+        code.append(x)
+    return code
+
+
+def psi_in(d: GravityDiagram) -> TDyckPath:
+    """Rotate an in-degree diagram onto its rational (a, b)-Dyck path: the
+    q segments, longest first, occupy the first q grid columns, and the
+    column holding segment [j, n] has its east step at height j - k."""
+    if d.kind != "in":
+        raise InputError(f"psi_in expects an in-degree diagram, got {d.kind}")
+    n, k, js = d.n, d.k, []
+    for i, (row, j, r) in enumerate(d.segments, start=1):
+        if not k < j < r == n:
+            raise InputError(f"segment [{j}, {r}] is not [j, {n}] with {k} < j < {n}")
+        if row != i:
+            raise InputError(f"segment [{j}, {r}] cannot sit in row {row}")
+        js.append(j)
+    if len(js) > _family_ab(n, k)[1]:
+        raise InputError("more segments than grid columns")
+    if js != sorted(js):
+        raise InputError("segment lengths must be sorted")
+    return _path(n, k, [bisect_right(js, k + i) for i in range(1, n - k)])
+
+
+def psi_in_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
+    """Column k+i takes rows x_{i-1}+1..x_i of the path's code."""
+    segs, row = [], 1
+    for j, x in enumerate(_code(path, n, k), k + 1):
+        while row <= x:
+            segs.append((row, j, n))
             row += 1
     return GravityDiagram("in", n, k, tuple(segs))
 
 
 def psi_out(d: GravityDiagram) -> TDyckPath:
     """Embed each row's segment [l, r] with its left endpoint in the grid
-    column (r-k)(k-1), so its right endpoint lands on x = (r-k)k + k-l, the
-    enumerator's row code; these x, weakly increasing up the rows after a
-    first 0, are the crossing x-coordinates of the rational Dyck path."""
+    column (r-k)(k-1), so its right endpoint lands on its code x."""
     if d.kind != "out":
         raise InputError(f"psi_out expects an out-degree diagram, got {d.kind}")
-    a, b = _family_ab(d.n, d.k)
-    k = d.k
-    crossings = [0]
-    for i, (l, r) in enumerate(out_segments_by_row(d), start=1):
-        if not 1 <= l <= k <= r < k + i:
-            raise InputError(f"segment [{l}, {r}] cannot sit in row {i}")
-        crossings.append((r - k) * k + k - l)
-    if crossings != sorted(crossings):
-        raise InputError("embedded right endpoints must weakly increase")
-    shape = tuple(crossings.count(x) for x in range(b))
-    return TDyckPath(shape, rational_shape(a, b))
+    return _path(d.n, d.k, _out_code(d))
 
 
 def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
-    """Row i's segment is the one whose code (_out_row) is the crossing
-    x-coordinate of the path's north step i + 1; step 1 crosses at 0."""
-    a, b = _family_ab(n, k)
-    if len(path.shape) != b or sum(path.shape) != a:
-        raise InputError(f"path is not an ({a},{b})-Dyck path")
-    crossings = [x for x, sj in enumerate(path.shape) for _ in range(sj)]
-    if crossings[0] != 0:
-        raise InputError("a rational (a, ka-1)-Dyck path must start north")
-    segs = []
-    for i, x in enumerate(crossings[1:], start=1):
-        if x >= i * k:
-            raise InputError(f"crossing {x} cannot sit in row {i}")
-        if x:
-            segs.append((i, *_out_row(k, x)))
-    return GravityDiagram("out", n, k, tuple(segs))
+    """Row i's segment is the one whose code is the path's x_i."""
+    return _out_diagram(n, k, _code(path, n, k))
 
 
 def in_out_correspondence(
     ins: Iterable[GravityDiagram], outs: Iterable[GravityDiagram]
 ) -> tuple[list[tuple[GravityDiagram, GravityDiagram]], list[GravityDiagram]]:
     """Pair each diagram of `outs` with the one of `ins` that shares its
-    rational Dyck path: the (out, in) pairs, and the diagrams left
-    unmatched, none exactly when the pairs are a perfect matching."""
+    rational Dyck path: the (out, in) pairs in the listing order of `outs`,
+    and the diagrams left unmatched, none exactly when the pairing is perfect."""
     by_path, unmatched = {}, []
     for d in ins:
         if by_path.setdefault(psi_in(d).shape, d) is not d:
@@ -239,13 +237,7 @@ def in_out_correspondence(
 
 def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     """Canonical coloured out-degree diagrams for the (a, k) multicaracol
-    graph: rows 1..a-1 from the top, row i holding [0, c_i] with
-    c_i <= a-1-i, lengths descending and colours ascending on ties.
-    Encoded as x_i = (a-2-c_i)k + colour_i - 1, within k(i-1)..k(a-1)-1;
-    listed lex increasing in x, that is by (-c_i, colour_i) row by row.
-    Row i contributes the pair (segment, colour) looked up by x_i, and each
-    diagram keeps its predecessor's pairs in the rows above the one whose
-    code went up (combinat.monotone_concat); segments and colours alternate."""
+    graph, lex increasing in their code, y_i >= k(i-1); segments and colours alternate."""
     for both in _mcar_rows(a, k, _same):
         yield GravityDiagram("mcar-out", a, k, both[0::2], both[1::2])
 
@@ -255,10 +247,15 @@ def _mcar_rows(a: int, k: int, enc: Callable) -> Iterator[tuple]:
     rows, top = range(1, a), k * (a - 1) - 1
     lows = [k * (i - 1) for i in rows]
     # row i's pairs from its low code on, behind None for the codes it never reads
-    row = [(None,) * low + tuple((enc((i, 0, a - 2 - x // k)), enc(x % k + 1))
-                                 for x in range(low, top + 1))
+    row = [(None,) * low + tuple(tuple(map(enc, _mcar_row(a, k, i, y)))
+                                 for y in range(low, top + 1))
            for i, low in zip(rows, lows)]
-    return monotone_concat(lows, [top] * len(lows), lambda q, _, x: row[q][x])
+    return monotone_concat(lows, [top] * len(lows), lambda q, _, y: row[q][y])
+
+
+def _mcar_row(a: int, k: int, i: int, y: int) -> tuple[tuple[int, int, int], int]:
+    """The segment and colour of multicaracol row i whose code is y = (a-2-c)k + colour-1."""
+    return (i, 0, a - 2 - y // k), y % k + 1
 
 
 def xi(d: GravityDiagram) -> GravityDiagram:
@@ -268,28 +265,30 @@ def xi(d: GravityDiagram) -> GravityDiagram:
     if d.kind != "out":
         raise InputError(f"xi expects an out-degree diagram, got {d.kind}")
     a, k = d.n - d.k, d.k
-    rows = out_segments_by_row(d)
-    segs = []
-    cols = []
-    for new_row, (l, r) in enumerate(reversed(rows), start=1):
-        segs.append((new_row, 0, r - k))
-        cols.append(l)
+    top, segs, cols = k * (a - 1) - 1, [], []
+    for j, x in enumerate(reversed(_out_code(d)), 1):
+        seg, col = _mcar_row(a, k, j, top - x)
+        segs.append(seg)
+        cols.append(col)
     return GravityDiagram("mcar-out", a, k, tuple(segs), tuple(cols))
 
 
 def xi_inverse(d: GravityDiagram) -> GravityDiagram:
-    """Stretch each coloured segment [0, c] of colour l back to [l, k + c]."""
+    """Stretch each [0, c] of colour l back to [l, k + c]; rejects a non-canonical diagram."""
     if d.kind != "mcar-out":
         raise InputError(f"xi_inverse expects a multicaracol diagram, got {d.kind}")
     a, k = d.n, d.k
-    n = a + k
-    segs = []
-    for (row, _, c), col in zip(d.segments, d.colors):
-        l, r = col, k + c
-        car_row = a - row  # top-down back to bottom-up
-        if (l, r) != (k, k):
-            segs.append((car_row, l, r))
-    return GravityDiagram("out", n, k, tuple(sorted(segs)))
+    if d.colors is None or not len(d.segments) == len(d.colors) == a - 1:
+        raise InputError(f"a multicaracol diagram at a={a} has {a - 1} segments and colours")
+    top, code = k * (a - 1) - 1, []
+    for j, (seg, col) in enumerate(zip(d.segments, d.colors), start=1):
+        y = (a - 2 - seg[2]) * k + col - 1
+        if not k * (j - 1) <= y <= top or _mcar_row(a, k, j, y) != (seg, col):
+            raise InputError(f"segment {seg} of colour {col} cannot be row {j} of {a - 1}")
+        code.append(top - y)  # x_{a-j}
+    if code != sorted(code, reverse=True):
+        raise InputError("multicaracol rows must run by length descending, colour ascending")
+    return _out_diagram(a + k, k, reversed(code))
 
 
 def count_gravity(n: int, k: int) -> int:
@@ -337,7 +336,7 @@ def render_text(d: GravityDiagram) -> str:
     top row first.  Every row holds at most one segment, kept as the span
     (lo, hi) of the columns it covers."""
     if d.kind == "in":
-        first, heights = d.k + 1, [_in_capacity(d.k, j) for j in range(d.k + 1, d.n + 1)]
+        first, heights = d.k + 1, [d.k * i - 1 for i in range(1, d.n - d.k + 1)]
         spans = {row: (l, d.n) for row, l, _ in d.segments}
     elif d.kind == "out":
         rows = d.n - d.k - 1

@@ -12,6 +12,7 @@ integer order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
@@ -60,7 +61,7 @@ def rational_shape(a: int, b: int) -> tuple[int, ...]:
     if math.gcd(a, b) != 1:
         raise InputError(f"({a}, {b}) are not coprime")
     heights = [-(-a * j // b) for j in range(b + 1)]
-    return tuple(heights[j] - heights[j - 1] for j in range(1, b + 1))
+    return tuple(map(operator.sub, heights[1:], heights))
 
 
 def _column_label_sets(

@@ -261,11 +261,75 @@ def test_malformed_diagram_errors():
      r"segment \[2, 5\] is not \[j, 5\] with 2 < j < 5"),
     (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 5, 5),)),
      r"segment \[5, 5\] is not \[j, 5\] with 2 < j < 5"),
+    # a lone segment sits in row 1
+    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((7, 3, 5),)),
+     r"segment \[3, 5\] cannot sit in row 7"),
+    # the canonical drawing lists its rows top down
+    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((2, 4, 5), (1, 3, 5))),
+     r"segment \[4, 5\] cannot sit in row 2"),
+    (GR.out_segments_by_row, GR.GravityDiagram("out", 5, 2, ((2, 1, 2), (2, 2, 3))),
+     "row 2 holds two segments"),
+    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (1,)),
+     "a multicaracol diagram at a=3 has 2 segments and colours"),
+    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (3, 1)),
+     r"segment \(1, 0, 1\) of colour 3 cannot be row 1 of 2"),
+    # row 1 of a = 3 reaches column 1 only
+    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 2), (2, 0, 0)), (1, 1)),
+     r"segment \(1, 0, 2\) of colour 1 cannot be row 1 of 2"),
+    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((2, 0, 0), (1, 0, 1)), (1, 1)),
+     r"segment \(2, 0, 0\) of colour 1 cannot be row 1 of 2"),
+    # lengths must descend down the rows
+    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), (2, 1)),
+     "multicaracol rows must run by length descending, colour ascending"),
 ], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
-        "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n"])
+        "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n",
+        "psi_in row past its column", "psi_in rows out of order", "out row with two segments",
+        "xi_inverse colours and segments differ in number", "xi_inverse colour past k",
+        "xi_inverse length past its row", "xi_inverse rows out of order",
+        "xi_inverse colours falling on a tie"])
 def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
     with pytest.raises(C.InputError, match=message):
         psi(d)
+
+
+@pytest.mark.parametrize("n,k,segments", [
+    (5, 2, ((1, 1, 2),)),  # row 1's code 1 above row 2's trivial code 0
+    (4, 2, ((1, 1, 9),)),
+    (5, 2, ((1, 0, 2),)),
+    (5, 2, ((3, 1, 2),)),
+    (5, 2, ((2, 1, 2), (2, 2, 3))),
+], ids=["codes falling", "segment past its row", "left end 0", "row above the top",
+        "two segments in a row"])
+def test_xi_rejects_what_psi_out_rejects(n, k, segments):
+    d = GR.GravityDiagram("out", n, k, segments)
+    message = _outcome(GR.psi_out, d)
+    assert isinstance(message, str)
+    assert _outcome(GR.xi, d) == message
+
+
+def _crossings(path):
+    """x-coordinates of north steps 2, 3, ... of a path."""
+    return tuple(x for x, sj in enumerate(path.shape) for _ in range(sj))[1:]
+
+
+def _mcar_code(m):
+    return tuple((m.n - 2 - c) * m.k + col - 1 for (_, _, c), col in zip(m.segments, m.colors))
+
+
+@pytest.mark.parametrize("n,k", FAMILIES)
+def test_one_code_behind_every_map(n, k):
+    """Both enumerators list the code x_1 <= ... <= x_{a-1}, x_i <= ki - 1,
+    in the same order, as the crossings of their psi paths; so the pairs
+    are the two listings side by side, and xi complements and reverses."""
+    a = n - k
+    ins, outs = list(GR.enumerate_in_gravity(n, k)), list(GR.enumerate_out_gravity(n, k))
+    codes = list(C.monotone_sequences([0] * (a - 1), [k * i - 1 for i in range(1, a)]))
+    assert [_crossings(GR.psi_in(d)) for d in ins] == codes
+    assert [_crossings(GR.psi_out(d)) for d in outs] == codes
+    assert correspondence(n, k) == (list(zip(outs, ins)), [])
+    top = k * (a - 1) - 1
+    for d, x in zip(outs, codes):
+        assert _mcar_code(GR.xi(d)) == tuple(top - xj for xj in reversed(x))
 
 
 def _outcome(f, *args):
