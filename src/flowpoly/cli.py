@@ -237,12 +237,10 @@ def cmd_volume(args: argparse.Namespace) -> RunReport:
 
 def cmd_kostant(args: argparse.Namespace) -> RunReport:
     g, family = parse_graph_spec(args.graph)
-    if args.vector:
-        v = _int_list(args.vector, f"vector {args.vector!r}")
-    elif args.netflow:
-        v = parse_netflow_spec(args.netflow, g, family)
-    else:
-        raise InputError("kostant needs --vector or --netflow")
+    if bool(args.vector) == bool(args.netflow):
+        raise InputError("kostant needs one of --vector and --netflow")
+    v = (_int_list(args.vector, f"vector {args.vector!r}") if args.vector
+         else parse_netflow_spec(args.netflow, g, family))
     report = RunReport("kostant", {"graph": args.graph, "vector": list(v)})
     report.results["kostant"] = kostant(g, v)
     return report
@@ -461,6 +459,8 @@ def _gravity(args: argparse.Namespace) -> _Listing:
 
 def _dyck(args: argparse.Namespace) -> _Listing:
     if args.t:
+        if args.a is not None or args.b is not None:
+            raise InputError("enumerate dyck takes --t or --a, --b, not both")
         try:
             t = tuple(integer(x) for x in args.t.split(","))
         except InputError:

@@ -55,8 +55,6 @@ def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n, and an error on negative arguments."""
     if n < 0 or k < 0:
         raise InputError(f"binomial needs nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        return 0
     return math.comb(n, k)
 
 

@@ -121,13 +121,7 @@ def multicaracol(a: int, k: int) -> DirectedMultigraph:
     conventionally labelled from 0).
     """
     check_multicaracol(a, k)
-    edges: list[tuple[int, int]] = []
-    # PS_{a+1} shifted up by one
-    if a >= 2:
-        ps = pitman_stanley(a + 1)
-        edges.extend((i + 1, j + 1) for i, j in ps.edges)
-    else:
-        edges.append((2, 3))
+    edges = [(i + 1, j + 1) for i, j in pitman_stanley(a + 1).edges]  # PS_{a+1} shifted up
     for i in range(2, a + 2):
         edges.extend([(1, i)] * k)
     g = from_edge_list(a + 2, edges)

@@ -13,7 +13,8 @@ below pick one drawing per class and give it a code:
   row i, rows numbered 1, 2, ... from the BOTTOM; row i holds one possibly
   trivial segment [l, r] with 1 <= l <= k <= r <= k+i-1, and the pairs
   (r, r-l) weakly increase from bottom to top (trivial rows lowest).
-  x_i = (r-k)k + k-l for row i's [l, r], 0 for a trivial row.
+  x_i = (r-k)k + k-l for row i's [l, r], 0 for a trivial row.  A diagram
+  lists its nontrivial rows bottom up and leaves its trivial rows out.
 * multicaracol out-degree, parameters (a, k): column j carries a-1-j dots
   for j = 0..a-2; every row holds one segment [0, c] wearing one of k
   colours; rows are numbered from the top, ordered by length descending
@@ -108,27 +109,19 @@ def _out_diagram(n: int, k: int, code: Iterable[int]) -> GravityDiagram:
     return GravityDiagram("out", n, k, tuple(segs))
 
 
-def out_segments_by_row(d: GravityDiagram) -> list[tuple[int, int]]:
-    """[l, r] per row 1..n-k-1 (bottom up), trivial rows as (k, k); a
-    segment in any other row, or two in one row, is an InputError."""
-    trivial = (d.k, d.k)  # by identity: a given segment [k, k] still fills its row
-    rows = [trivial] * (d.n - d.k - 1)
-    for row, l, r in d.segments:
-        if not 1 <= row <= len(rows):
-            raise InputError(f"segment [{l}, {r}] cannot sit in row {row} of {len(rows)}")
-        if rows[row - 1] is not trivial:
-            raise InputError(f"row {row} holds two segments")
-        rows[row - 1] = (l, r)
-    return rows
-
-
 def _out_code(d: GravityDiagram) -> list[int]:
-    """The code of an out-degree diagram, checked row by row."""
-    k, code = d.k, []
-    for i, (l, r) in enumerate(out_segments_by_row(d), start=1):
-        if not 1 <= l <= k <= r < k + i:
-            raise InputError(f"segment [{l}, {r}] cannot sit in row {i}")
-        code.append((r - k) * k + k - l)
+    """The code of an out-degree diagram, read in one pass as `_out_diagram`
+    lists it: nontrivial rows only, ascending, codes weakly increasing."""
+    k, code, last = d.k, [0] * (d.n - d.k - 1), 0
+    for row, l, r in d.segments:
+        if not 1 <= row <= len(code):
+            raise InputError(f"segment [{l}, {r}] cannot sit in row {row} of {len(code)}")
+        if row <= last:
+            raise InputError(f"row {row} holds two segments" if row == last else
+                             f"row {row} is listed after row {last}")
+        if not 1 <= l <= k <= r < k + row or l == r:
+            raise InputError(f"segment [{l}, {r}] cannot sit in row {row}")
+        code[row - 1], last = (r - k) * k + k - l, row
     if code != sorted(code):
         raise InputError("embedded right endpoints must weakly increase")
     return code

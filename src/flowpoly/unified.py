@@ -23,8 +23,9 @@ independent of the Kostant and Lidskii routes.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Sequence
 
 from .combinat import (
@@ -143,6 +144,8 @@ def theta(u: TruncatedDiagram) -> MultiLabeledDyckPath:
     r, k = len(u.tail), u.k  # the tail has one part per column k+1..n-1
     barred: list[list[int]] = [[] for _ in range(r)]
     for h, l in u.segments:
+        if not (0 <= h < r and 0 < l <= k):
+            raise InputError(f"segment ({h}, {l}) lies outside the {r} x {k} grid")
         barred[h].append(l - k)
     shape = []
     labels = []
@@ -155,28 +158,28 @@ def theta(u: TruncatedDiagram) -> MultiLabeledDyckPath:
 
 def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
     """Strip the barred steps back into segments and keep the rest as the
-    labeled tail."""
+    labeled tail; a column's labels ascend, so its barred ones come first."""
     r = n - k - 1
-    if m.r != r:
-        raise InputError(f"path size {m.r} does not match r={r}")
-    segs = []
-    tail = []
-    tail_labels = []
+    if m.r != r or tuple(map(len, m.labels)) != m.shape:
+        raise InputError(f"a path at r={r} has {r} columns, each with one label per north step")
+    segs, tail_labels, height = [], [], 0
     for x, col in enumerate(m.labels):
-        cars = tuple(lab for lab in col if lab > 0)
-        for lab in col:
-            if lab <= 0:
-                if not 1 <= lab + k <= k:
-                    raise InputError(f"label {lab} is out of range")
-                segs.append((x, lab + k))
-        tail.append(len(cars))
-        tail_labels.append(cars)
+        height += len(col)
+        if height <= x or height > r:
+            raise InputError(f"{m.shape} does not dominate (1^{r}): it is no Dyck path")
+        if not col:
+            tail_labels.append(col)
+            continue
+        if col[0] <= -k or len(col) > 1 and list(col) != sorted(col):
+            raise InputError(f"column {x + 1} needs ascending labels above {-k}, got {col}")
+        cut = bisect_right(col, 0)
+        segs += [(x, lab + k) for lab in col[:cut]]
+        tail_labels.append(col[cut:])
+    tail = tuple(map(len, tail_labels))
     i = sum(tail)
-    if sorted(lab for col in tail_labels for lab in col) != list(range(1, i + 1)):
+    if sorted(chain.from_iterable(tail_labels)) != list(range(1, i + 1)):
         raise InputError("car labels must be 1..i, once each")
-    return TruncatedDiagram(
-        n, k, i, tuple(tail), tuple(tail_labels), tuple(sorted(segs))
-    )
+    return TruncatedDiagram(n, k, i, tail, tuple(tail_labels), tuple(segs))
 
 
 # ---------------------------------------------------------------------------

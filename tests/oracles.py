@@ -12,7 +12,7 @@ from typing import Sequence
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
 from flowpoly.combinat import InputError, Record, multinomial, prefix_sums, weak_compositions
-from flowpoly.gravity import GravityDiagram, out_segments_by_row
+from flowpoly.gravity import GravityDiagram, _out_code, _out_row
 from flowpoly.kostant import KostantEvaluator, kostant
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
 from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
@@ -100,6 +100,12 @@ def volume_unit_flow(g: G.DirectedMultigraph) -> int:
     also = L.volume(g, G.unit_flow(g))
     assert also == out_count, f"Lidskii volume {also} but Kostant value {out_count} on {g}"
     return out_count
+
+
+def out_segments_by_row(d: GravityDiagram) -> list[tuple[int, int]]:
+    """[l, r] per row 1..n-k-1 (bottom up), trivial rows as (k, k): each
+    row's code from the one reader, written back by the one row writer."""
+    return [_out_row(d.k, i, x)[1:] for i, x in enumerate(_out_code(d), 1)]
 
 
 def psi_out_subpartition(d: GravityDiagram) -> tuple[int, ...]:

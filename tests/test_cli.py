@@ -492,6 +492,11 @@ BAD_INPUTS = [
     ("enumerate dyck --a 4 --b 6", "not coprime"),
     ("enumerate dyck --t 1,x", "bad --t"),
     ("enumerate dyck --t 2,-1,1", "must be nonnegative"),
+    # two routes to one input are refused, not resolved by a silent preference
+    ("enumerate dyck --t 2,1 --a 2 --b 3", "enumerate dyck takes --t or --a, --b, not both"),
+    ("kostant --graph ps:n=4 --vector [1,0,0,-1] --netflow ones",
+     "kostant needs one of --vector and --netflow"),
+    ("kostant --graph ps:n=4", "kostant needs one of --vector and --netflow"),
     ("tables parking --k 0", "k >= 1"),
     # a size that names no row, whatever the other parameters
     ("tables parking --k 0 --rmax -1", "tables parking needs --rmax >= 0, got -1"),

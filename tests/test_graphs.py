@@ -68,6 +68,12 @@ def test_multicaracol():
             assert u == (k - 1,) + (k,) * (a - 1) + (a - 1,)
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_multicaracol_with_one_column(k):
+    """mcar(1, k) is PS_2 = (1, 2) shifted up to (2, 3), below k source edges."""
+    assert G.multicaracol(1, k).edges == ((1, 2),) * k + ((2, 3),)
+
+
 def test_valid_graphs_are_connected():
     """Conditions (a)-(c) imply connectivity, so _validate runs no search:
     every valid simple graph on at most 5 vertices is connected."""

@@ -13,7 +13,9 @@ from flowpoly import gravity as GR
 from flowpoly import graphs as G
 from flowpoly import paths as P
 from flowpoly.kostant import kostant
-from oracles import psi_out_inverse_by_embedding, psi_out_subpartition, record_from_json
+from oracles import (
+    out_segments_by_row, psi_out_inverse_by_embedding, psi_out_subpartition, record_from_json,
+)
 
 FAMILIES = [(5, 1), (5, 2), (6, 2), (7, 3)]
 
@@ -87,14 +89,14 @@ def test_psi_images_are_rational_dyck_paths(n, k):
 def test_line_properties(n, k):
     """Embedded endpoint bounds: lp on a multiple of k-1, rp at most ik-1."""
     for d in GR.enumerate_out_gravity(n, k):
-        for i, (l, r) in enumerate(GR.out_segments_by_row(d), start=1):
+        for i, (l, r) in enumerate(out_segments_by_row(d), start=1):
             assert 1 <= l <= k <= r <= k + i - 1
             lp = (r - k) * (k - 1)
             rp = lp + (r - l)
             assert lp % (k - 1) == 0 and lp <= (i - 1) * (k - 1)
             assert rp <= i * k - 1
         rps = [
-            (r - k) * (k - 1) + (r - l) for l, r in GR.out_segments_by_row(d)
+            (r - k) * (k - 1) + (r - l) for l, r in out_segments_by_row(d)
         ]
         assert rps == sorted(rps)
 
@@ -171,7 +173,7 @@ def test_xi_bijection(a, k):
         images.add(m)
         # projection keeps the tail configuration: right ends shift by k
         assert sorted(c for _, _, c in m.segments) == sorted(
-            r - k for l, r in GR.out_segments_by_row(d)
+            r - k for l, r in out_segments_by_row(d)
         )
     assert images == mcar
 
@@ -267,8 +269,13 @@ def test_malformed_diagram_errors():
     # the canonical drawing lists its rows top down
     (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((2, 4, 5), (1, 3, 5))),
      r"segment \[4, 5\] cannot sit in row 2"),
-    (GR.out_segments_by_row, GR.GravityDiagram("out", 5, 2, ((2, 1, 2), (2, 2, 3))),
+    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1, 2), (2, 2, 3))),
      "row 2 holds two segments"),
+    # the canonical drawing lists its nontrivial rows bottom up, and no trivial one
+    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1, 3), (1, 1, 2))),
+     "row 1 is listed after row 2"),
+    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((1, 2, 2),)),
+     r"segment \[2, 2\] cannot sit in row 1"),
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (1,)),
      "a multicaracol diagram at a=3 has 2 segments and colours"),
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (3, 1)),
@@ -284,6 +291,7 @@ def test_malformed_diagram_errors():
 ], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
         "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n",
         "psi_in row past its column", "psi_in rows out of order", "out row with two segments",
+        "psi_out rows out of order", "psi_out trivial row listed",
         "xi_inverse colours and segments differ in number", "xi_inverse colour past k",
         "xi_inverse length past its row", "xi_inverse rows out of order",
         "xi_inverse colours falling on a tie"])
@@ -298,8 +306,10 @@ def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
     (5, 2, ((1, 0, 2),)),
     (5, 2, ((3, 1, 2),)),
     (5, 2, ((2, 1, 2), (2, 2, 3))),
+    (5, 2, ((2, 1, 3), (1, 1, 2))),
+    (5, 2, ((1, 2, 2),)),
 ], ids=["codes falling", "segment past its row", "left end 0", "row above the top",
-        "two segments in a row"])
+        "two segments in a row", "rows out of order", "trivial row listed"])
 def test_xi_rejects_what_psi_out_rejects(n, k, segments):
     d = GR.GravityDiagram("out", n, k, segments)
     message = _outcome(GR.psi_out, d)

@@ -69,6 +69,38 @@ def test_theta_round_trip_everywhere():
                     assert U.theta_inverse(U.theta(u), n, k) == u
 
 
+def theta_inverse_5_2(m):
+    return U.theta_inverse(m, 5, 2)
+
+
+@pytest.mark.parametrize("apply, arg, message", [
+    # caracol(6, 2) has r = 3 grid columns, so h runs over 0..2 only
+    (U.theta, U.TruncatedDiagram(6, 2, 1, (1, 0, 0), ((1,), (), ()), ((0, 1), (3, 1))),
+     r"segment \(3, 1\) lies outside the 3 x 2 grid"),
+    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((0, 3), (1, 1))),
+     r"segment \(0, 3\) lies outside the 2 x 2 grid"),
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((0, 2), ((), (1, 0))),
+     r"\(0, 2\) does not dominate \(1\^2\): it is no Dyck path"),
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((2, 0), ((1,), ())),
+     "a path at r=2 has 2 columns, each with one label per north step"),
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((2, 0), ((1, 0), ())),
+     r"column 1 needs ascending labels above -2, got \(1, 0\)"),
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((1, 1), ((0,),)),
+     "a path at r=2 has 2 columns, each with one label per north step"),
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((2, 1), ((0, 1), (0,))),
+     r"\(2, 1\) does not dominate \(1\^2\): it is no Dyck path"),
+    # bar(k-1) = 1-k is the lowest barred label
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((1, 1), ((-2,), (1,))),
+     r"column 1 needs ascending labels above -2, got \(-2,\)"),
+], ids=["theta segment past the last column", "theta segment from past column k",
+        "theta_inverse shape not Dyck", "theta_inverse fewer labels than steps",
+        "theta_inverse labels not ascending", "theta_inverse label columns missing",
+        "theta_inverse more steps than columns", "theta_inverse barred label past k"])
+def test_theta_maps_reject_malformed_input(apply, arg, message):
+    with pytest.raises(C.InputError, match=message):
+        apply(arg)
+
+
 @pytest.mark.parametrize("n,k", [(4, 1), (7, 1), (5, 2), (7, 2), (7, 3), (6, 4)])
 def test_segment_multisets_match_filter(n, k):
     """Every tail and level: the multisets of r-i segments (h, l) whose
