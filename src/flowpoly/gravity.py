@@ -24,15 +24,21 @@ Both caracol codes are the weakly increasing x_1..x_{a-1}, a = n-k, with
 x_i <= ki - 1, listed lex increasing by both enumerators; x_i is where north
 step i+1 of the rational (a, ka-1)-Dyck path that `_path` writes and `_code`
 reads crosses (step 1 at x = 0).  xi sends x to y_j = k(a-1)-1 - x_{a-j}.
+
+Every map reads a diagram by one rule: it reads the raw code, requires the
+code domain above, and accepts the diagram only when the family's canonical
+writer (`_in_diagram`, `_out_diagram`, `_mcar_diagram`) gives it back from
+that code; a path is read when it has b columns and dominates rational_shape(a, b).
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import gt, le
 from typing import Callable, Iterable, Iterator
 
-from .combinat import ElementTexts, InputError, Record, monotone_concat, rational_catalan
+from .combinat import ElementTexts, InputError, Record, dominates, monotone_concat, rational_catalan
 from .graphs import check_caracol, check_multicaracol
 from .paths import TDyckPath, rational_shape
 
@@ -64,6 +70,22 @@ def _code_tops(n: int, k: int) -> list[int]:
     return [k * i - 1 for i in range(1, n - k)]
 
 
+def _triples(d: GravityDiagram) -> tuple:
+    if {*map(len, d.segments)} - {3}:
+        raise InputError(f"segments are (row, left, right) triples, got {d.segments}")
+    return d.segments
+
+
+def _accepted(d: GravityDiagram, n: int, k: int, code: list[int], write: Callable) -> list[int]:
+    """code, once it is a caracol code at (n, k) and `write` gives d back from it."""
+    tops = _code_tops(n, k)
+    if len(code) != len(tops) or not all(map(le, [0, *code], code)) or any(map(gt, code, tops)):
+        raise InputError(f"code {code} is no caracol code at n={n}, k={k}")
+    if (canonical := write(d.n, d.k, code)) != d:
+        raise InputError(f"not the canonical {canonical.kind} diagram of its code {code}")
+    return code
+
+
 # ---------------------------------------------------------------------------
 # in-degree diagrams
 
@@ -79,6 +101,13 @@ def _in_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
     column = [tuple(enc((row + 1, j, n)) for row in range(top))
               for j, top in enumerate(tops, k + 1)]
     return monotone_concat([0] * len(tops), tops, lambda q, low, top: column[q][low:top])
+
+
+def _in_diagram(n: int, k: int, code: list[int]) -> GravityDiagram:
+    """Column k+i takes rows x_{i-1}+1..x_i."""
+    segs = [(row, j, n) for j, low, x in zip(range(k + 1, n), [0, *code], code)
+            for row in range(low + 1, x + 1)]
+    return GravityDiagram("in", n, k, tuple(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +139,10 @@ def _out_diagram(n: int, k: int, code: Iterable[int]) -> GravityDiagram:
 
 
 def _out_code(d: GravityDiagram) -> list[int]:
-    """The code of an out-degree diagram, read in one pass as `_out_diagram`
-    lists it: nontrivial rows only, ascending, codes weakly increasing."""
-    k, code, last = d.k, [0] * (d.n - d.k - 1), 0
-    for row, l, r in d.segments:
-        if not 1 <= row <= len(code):
-            raise InputError(f"segment [{l}, {r}] cannot sit in row {row} of {len(code)}")
-        if row <= last:
-            raise InputError(f"row {row} holds two segments" if row == last else
-                             f"row {row} is listed after row {last}")
-        if not 1 <= l <= k <= r < k + row or l == r:
-            raise InputError(f"segment [{l}, {r}] cannot sit in row {row}")
-        code[row - 1], last = (r - k) * k + k - l, row
-    if code != sorted(code):
-        raise InputError("embedded right endpoints must weakly increase")
-    return code
+    """Row i's (r-k)k + k-l, 0 for a row that d leaves out."""
+    k = d.k
+    x = {row: (r - k) * k + k - l for row, l, r in _triples(d)}
+    return _accepted(d, d.n, k, [x.get(i, 0) for i in range(1, d.n - k)], _out_diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -139,63 +157,40 @@ def _family_ab(n: int, k: int) -> tuple[int, int]:
 def _path(n: int, k: int, code: list[int]) -> TDyckPath:
     """The path whose north steps cross at x = 0 and at the code's x_i."""
     a, b = _family_ab(n, k)
-    steps = [1] + [0] * b  # x = b (b in-segments) falls off the grid: TDyckPath sees the sum
+    steps = [1] + [0] * (b - 1)
     for x in code:
         steps[x] += 1
-    return TDyckPath(tuple(steps[:b]), rational_shape(a, b))
+    return TDyckPath(tuple(steps), rational_shape(a, b))
 
 
 def _code(path: TDyckPath, n: int, k: int) -> list[int]:
-    """The crossings x_i < ik of north steps i+1 of a path whose step 1 crosses at 0."""
+    """The crossings x_i of north steps i+1 of a rational (a, b)-Dyck path."""
     a, b = _family_ab(n, k)
-    if len(path.shape) != b or sum(path.shape) != a:
+    s = path.shape
+    if len(s) != b or sum(s) != a or not dominates(s, rational_shape(a, b)):
         raise InputError(f"path is not an ({a},{b})-Dyck path")
-    heights, code = list(accumulate(path.shape)), []
-    if heights[0] == 0:
-        raise InputError("a rational (a, ka-1)-Dyck path must start north")
-    for i in range(1, a):
-        x = bisect_right(heights, i)  # columns ending at height <= i, where step i+1 crosses
-        if x >= i * k:
-            raise InputError(f"crossing {x} cannot sit in row {i}")
-        code.append(x)
-    return code
+    heights = list(accumulate(s))  # x_i: the columns ending at height <= i
+    return [bisect_right(heights, i) for i in range(1, a)]
 
 
 def psi_in(d: GravityDiagram) -> TDyckPath:
     """Rotate an in-degree diagram onto its rational (a, b)-Dyck path: the
     q segments, longest first, occupy the first q grid columns, and the
     column holding segment [j, n] has its east step at height j - k."""
-    if d.kind != "in":
-        raise InputError(f"psi_in expects an in-degree diagram, got {d.kind}")
-    n, k, js = d.n, d.k, []
-    for i, (row, j, r) in enumerate(d.segments, start=1):
-        if not k < j < r == n:
-            raise InputError(f"segment [{j}, {r}] is not [j, {n}] with {k} < j < {n}")
-        if row != i:
-            raise InputError(f"segment [{j}, {r}] cannot sit in row {row}")
-        js.append(j)
-    if len(js) > _family_ab(n, k)[1]:
-        raise InputError("more segments than grid columns")
-    if js != sorted(js):
-        raise InputError("segment lengths must be sorted")
-    return _path(n, k, [bisect_right(js, k + i) for i in range(1, n - k)])
+    n, k = d.n, d.k
+    js = sorted([j for _, j, _ in _triples(d)])
+    code = [bisect_right(js, k + i) for i in range(1, n - k)]  # x_i: the [j, n] with j <= k+i
+    return _path(n, k, _accepted(d, n, k, code, _in_diagram))
 
 
 def psi_in_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
-    """Column k+i takes rows x_{i-1}+1..x_i of the path's code."""
-    segs, row = [], 1
-    for j, x in enumerate(_code(path, n, k), k + 1):
-        while row <= x:
-            segs.append((row, j, n))
-            row += 1
-    return GravityDiagram("in", n, k, tuple(segs))
+    """The in-degree diagram of the path's code."""
+    return _in_diagram(n, k, _code(path, n, k))
 
 
 def psi_out(d: GravityDiagram) -> TDyckPath:
     """Embed each row's segment [l, r] with its left endpoint in the grid
     column (r-k)(k-1), so its right endpoint lands on its code x."""
-    if d.kind != "out":
-        raise InputError(f"psi_out expects an out-degree diagram, got {d.kind}")
     return _path(d.n, d.k, _out_code(d))
 
 
@@ -204,23 +199,21 @@ def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
     return _out_diagram(n, k, _code(path, n, k))
 
 
-def in_out_correspondence(
-    ins: Iterable[GravityDiagram], outs: Iterable[GravityDiagram]
-) -> tuple[list[tuple[GravityDiagram, GravityDiagram]], list[GravityDiagram]]:
-    """Pair each diagram of `outs` with the one of `ins` that shares its
-    rational Dyck path: the (out, in) pairs in the listing order of `outs`,
-    and the diagrams left unmatched, none exactly when the pairing is perfect."""
+def in_out_correspondence(ins: Iterable[tuple], outs: Iterable[tuple]) -> tuple[list, list]:
+    """Pair the out- and in-diagrams of (diagram, psi path) pairs that share a
+    path: the (out, in) pairs in the order of `outs`, and the (diagram, path)
+    pairs left unmatched, none exactly when the pairing is perfect."""
     by_path, unmatched = {}, []
-    for d in ins:
-        if by_path.setdefault(psi_in(d).shape, d) is not d:
-            unmatched.append(d)
+    for mapped in ins:
+        if by_path.setdefault(mapped[1].shape, mapped) is not mapped:
+            unmatched.append(mapped)
     pairs = []
-    for d in outs:
-        partner = by_path.pop(psi_out(d).shape, None)
+    for d, path in outs:
+        partner = by_path.pop(path.shape, None)
         if partner is None:
-            unmatched.append(d)
+            unmatched.append((d, path))
         else:
-            pairs.append((d, partner))
+            pairs.append((d, partner[0]))
     return pairs, unmatched + list(by_path.values())
 
 
@@ -251,37 +244,26 @@ def _mcar_row(a: int, k: int, i: int, y: int) -> tuple[tuple[int, int, int], int
     return (i, 0, a - 2 - y // k), y % k + 1
 
 
+def _mcar_diagram(a: int, k: int, code: list[int]) -> GravityDiagram:
+    """Row j's segment and colour from y_j = k(a-1)-1 - x_{a-j}."""
+    top = k * (a - 1) - 1
+    rows = [_mcar_row(a, k, j, top - x) for j, x in enumerate(reversed(code), 1)]
+    return GravityDiagram("mcar-out", a, k, tuple([s for s, _ in rows]), tuple([c for _, c in rows]))
+
+
 def xi(d: GravityDiagram) -> GravityDiagram:
     """Project a caracol out-degree diagram to a multicaracol one: the first
     k columns collapse to column 0 and a segment starting in column l is
     coloured l."""
-    if d.kind != "out":
-        raise InputError(f"xi expects an out-degree diagram, got {d.kind}")
-    a, k = d.n - d.k, d.k
-    top, segs, cols = k * (a - 1) - 1, [], []
-    for j, x in enumerate(reversed(_out_code(d)), 1):
-        seg, col = _mcar_row(a, k, j, top - x)
-        segs.append(seg)
-        cols.append(col)
-    return GravityDiagram("mcar-out", a, k, tuple(segs), tuple(cols))
+    return _mcar_diagram(d.n - d.k, d.k, _out_code(d))
 
 
 def xi_inverse(d: GravityDiagram) -> GravityDiagram:
-    """Stretch each [0, c] of colour l back to [l, k + c]; rejects a non-canonical diagram."""
-    if d.kind != "mcar-out":
-        raise InputError(f"xi_inverse expects a multicaracol diagram, got {d.kind}")
+    """Stretch each [0, c] of colour l back to [l, k + c], whose code is x = k(c+1) - l."""
     a, k = d.n, d.k
-    if d.colors is None or not len(d.segments) == len(d.colors) == a - 1:
-        raise InputError(f"a multicaracol diagram at a={a} has {a - 1} segments and colours")
-    top, code = k * (a - 1) - 1, []
-    for j, (seg, col) in enumerate(zip(d.segments, d.colors), start=1):
-        y = (a - 2 - seg[2]) * k + col - 1
-        if not k * (j - 1) <= y <= top or _mcar_row(a, k, j, y) != (seg, col):
-            raise InputError(f"segment {seg} of colour {col} cannot be row {j} of {a - 1}")
-        code.append(top - y)  # x_{a-j}
-    if code != sorted(code, reverse=True):
-        raise InputError("multicaracol rows must run by length descending, colour ascending")
-    return _out_diagram(a + k, k, reversed(code))
+    check_multicaracol(a, k)
+    code = [k * (c + 1) - col for (_, _, c), col in zip(_triples(d), d.colors or ())]
+    return _out_diagram(a + k, k, _accepted(d, a + k, k, code[::-1], _mcar_diagram))
 
 
 def count_gravity(n: int, k: int) -> int:

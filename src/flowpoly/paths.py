@@ -11,6 +11,7 @@ integer order.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ def enumerate_t_dyck(t: Sequence[int]) -> Iterator[TDyckPath]:
         yield TDyckPath(s, t)
 
 
+@functools.cache
 def rational_shape(a: int, b: int) -> tuple[int, ...]:
     """The composition t (length b, sum a) whose t-Dyck paths are exactly the
     rational (a,b)-Dyck paths: t_j = ceil(aj/b) - ceil(a(j-1)/b).
@@ -94,8 +96,7 @@ class MultiLabeledDyckPath(Record):
     def word(self) -> str:
         """NE word with labels, barred ones shown as b0, b1, ..."""
         out = []
-        for sj, col in zip(self.shape, self.labels):
-            assert sj == len(col)
+        for col in self.labels:
             for lab in col:
                 out.append(f"N[{lab}]" if lab > 0 else f"N[b{-lab}]")
             out.append("E")

@@ -140,20 +140,30 @@ def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
 
 def theta(u: TruncatedDiagram) -> MultiLabeledDyckPath:
     """Slide each segment's barred label to its right end: (h, l) becomes a
-    north step at east position h labeled bar(k-l)."""
-    r, k = len(u.tail), u.k  # the tail has one part per column k+1..n-1
+    north step at east position h labeled bar(k-l).  u must be shaped as a
+    level-i record (r = n-k-1 tail parts, one label per step, the labels
+    1..i once each, r-i sorted segment pairs) and its image must be Dyck."""
+    k, i, tail, cars, segs = u.k, u.level, u.tail, u.tail_labels, u.segments
+    r = _check_level(u.n, k, i)
+    if len(tail) != r or tuple(map(len, cars)) != tail:
+        raise InputError(f"a record at r={r} has {r} tail parts, each with one label per step")
+    if (flat := sorted(sum(cars, ()))) != list(range(1, i + 1)):
+        raise InputError(f"a level-{i} record has the car labels 1..i once each, not {flat}")
+    if len(segs) != r - i or {*map(len, segs)} - {2} or sorted(segs) != [*segs]:
+        raise InputError(f"a level-{i} record at r={r} has {r - i} sorted segment pairs")
     barred: list[list[int]] = [[] for _ in range(r)]
-    for h, l in u.segments:
+    for h, l in segs:  # sorted, so each column's barred labels ascend
         if not (0 <= h < r and 0 < l <= k):
             raise InputError(f"segment ({h}, {l}) lies outside the {r} x {k} grid")
         barred[h].append(l - k)
-    shape = []
-    labels = []
-    for j in range(r):
-        col = tuple(sorted(barred[j])) + u.tail_labels[j]
+    labels, height = [], 0
+    for j, (low, high) in enumerate(zip(barred, cars)):
+        col = (*low, *high)
+        height += len(col)
+        if height <= j or len(high) > 1 and list(high) != sorted(high):
+            raise InputError(f"image column {j + 1} is below the diagonal or does not ascend")
         labels.append(col)
-        shape.append(len(col))
-    return MultiLabeledDyckPath(tuple(shape), tuple(labels))
+    return MultiLabeledDyckPath(tuple(map(len, labels)), tuple(labels))
 
 
 def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:

@@ -143,7 +143,8 @@ def test_criterion_04_bijection_round_trips():
         assert psi_out_subpartition(d) == (14, 12, 12, 5, 4, 1)
         for n in range(4, 9):
             pairs, unmatched = GR.in_out_correspondence(
-                GR.enumerate_in_gravity(n, 1), GR.enumerate_out_gravity(n, 1)
+                [(d, GR.psi_in(d)) for d in GR.enumerate_in_gravity(n, 1)],
+                [(d, GR.psi_out(d)) for d in GR.enumerate_out_gravity(n, 1)],
             )
             assert unmatched == []
             for dout, din in pairs:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -691,13 +692,32 @@ CHECK_SITES = [
 ]
 
 
+def one_segment_fewer(write):
+    """A canonical writer that leaves out the last segment it writes."""
+    return lambda *args: dataclasses.replace(d := write(*args), segments=d.segments[:-1])
+
+
+# Each map accepts a diagram only when its family's canonical writer gives it
+# back, so a fault in a writer makes a map reject the diagrams the library
+# lists: a failed check as well, not the exit 2 of bad input.
+WRITER_SITES = [
+    (BIJECTIONS, gravity, "_in_diagram", one_segment_fewer,
+     "psi_in round trip: expected True, got False"),
+    (BIJECTIONS, gravity, "_out_diagram", one_segment_fewer,
+     "psi_out round trip: expected True, got False"),
+    (BIJECTIONS, gravity, "_mcar_diagram", one_segment_fewer,
+     "xi round trip: expected True, got False"),
+]
+
+
 def test_every_check_site_has_a_row():
     assert len(CHECK_SITES) == Path(cli.__file__).read_text().count("report.check(") == 20
 
 
 @pytest.mark.parametrize(
-    "argv, module, name, wrap, line", CHECK_SITES,
-    ids=[line.split(": expected")[0] for *_, line in CHECK_SITES],
+    "argv, module, name, wrap, line", CHECK_SITES + WRITER_SITES,
+    ids=[line.split(": expected")[0] for *_, line in CHECK_SITES]
+    + [f"{name} fault" for _, _, name, *_ in WRITER_SITES],
 )
 def test_every_check_can_fail(monkeypatch, capsys, argv, module, name, wrap, line):
     """Each check fails on its own [FAIL] line, in one report and with

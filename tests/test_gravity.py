@@ -21,8 +21,12 @@ FAMILIES = [(5, 1), (5, 2), (6, 2), (7, 3)]
 
 
 def correspondence(n, k):
-    """in_out_correspondence over the whole (n, k) caracol families."""
-    return GR.in_out_correspondence(GR.enumerate_in_gravity(n, k), GR.enumerate_out_gravity(n, k))
+    """in_out_correspondence over the whole (n, k) caracol families, each
+    diagram given with its psi path."""
+    return GR.in_out_correspondence(
+        [(d, GR.psi_in(d)) for d in GR.enumerate_in_gravity(n, k)],
+        [(d, GR.psi_out(d)) for d in GR.enumerate_out_gravity(n, k)],
+    )
 
 
 def test_counts_match_kostant_and_catalan():
@@ -215,79 +219,79 @@ def test_render_text_golden():
 
 def test_malformed_diagram_errors():
     d_in = GR.GravityDiagram("in", 5, 2, ())
-    with pytest.raises(C.InputError, match="expects an out-degree diagram"):
+    with pytest.raises(C.InputError, match=r"not the canonical out diagram of its code \[0, 0\]"):
         GR.psi_out(d_in)
     d_out = GR.GravityDiagram("out", 5, 2, ())
-    with pytest.raises(C.InputError, match="expects an in-degree diagram"):
+    with pytest.raises(C.InputError, match=r"not the canonical in diagram of its code \[0, 0\]"):
         GR.psi_in(d_out)
     bad_path = P.TDyckPath((3,) + (0,) * 4, P.rational_shape(3, 5))
     with pytest.raises(C.InputError, match=r"not an \(5,9\)-Dyck path"):
         GR.psi_in_inverse(bad_path, 7, 2)  # wrong family size
-    with pytest.raises(C.InputError, match="expects an out-degree diagram"):
+    with pytest.raises(C.InputError, match=r"not the canonical out diagram of its code \[0, 0\]"):
         GR.xi(d_in)
-    with pytest.raises(C.InputError, match="expects a multicaracol diagram"):
+    with pytest.raises(C.InputError, match=r"code \[\] is no caracol code at n=7, k=2"):
         GR.xi_inverse(d_out)
     # (4, 2) has a (2, 3)-Dyck grid: three columns, so four segments overflow it
     crowded = GR.GravityDiagram("in", 4, 2, tuple((row, 3, 4) for row in range(1, 5)))
-    with pytest.raises(C.InputError, match="more segments than grid columns"):
+    with pytest.raises(C.InputError, match=r"code \[4\] is no caracol code at n=4, k=2"):
         GR.psi_in(crowded)
     # longer segments sit in higher rows, so row 1 holds the longest
     upside_down = GR.GravityDiagram("in", 5, 2, ((1, 4, 5), (2, 3, 5)))
-    with pytest.raises(C.InputError, match="segment lengths must be sorted"):
+    with pytest.raises(C.InputError, match=r"not the canonical in diagram of its code \[1, 2\]"):
         GR.psi_in(upside_down)
     # row 1's code 1 above row 2's trivial code 0
     falling = GR.GravityDiagram("out", 5, 2, ((1, 1, 2),))
-    with pytest.raises(C.InputError, match="embedded right endpoints must weakly increase"):
+    with pytest.raises(C.InputError, match=r"code \[1, 0\] is no caracol code at n=5, k=2"):
         GR.psi_out(falling)
     with pytest.raises(C.InputError, match=r"not an \(5,9\)-Dyck path"):
         GR.psi_out_inverse(bad_path, 7, 2)
     # (4, 2) has a (2, 3)-Dyck grid; each shape is its own reference here
-    with pytest.raises(C.InputError, match="must start north"):
+    with pytest.raises(C.InputError, match=r"path is not an \(2,3\)-Dyck path"):
         GR.psi_out_inverse(P.TDyckPath((0, 1, 1), (0, 1, 1)), 4, 2)
-    with pytest.raises(C.InputError, match="crossing 2 cannot sit in row 1"):
+    with pytest.raises(C.InputError, match=r"path is not an \(2,3\)-Dyck path"):
         GR.psi_out_inverse(P.TDyckPath((1, 0, 1), (1, 0, 1)), 4, 2)
 
 
 @pytest.mark.parametrize("psi, d, message", [
     # r = 9 is past the (2, 3) grid, whose row 1 holds codes 0..1 only
     (GR.psi_out, GR.GravityDiagram("out", 4, 2, ((1, 1, 9),)),
-     r"segment \[1, 9\] cannot sit in row 1"),
+     r"code \[15\] is no caracol code at n=4, k=2"),
     (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((3, 1, 2),)),
-     r"segment \[1, 2\] cannot sit in row 3 of 2"),
+     r"not the canonical out diagram of its code \[0, 0\]"),
     (GR.xi, GR.GravityDiagram("out", 5, 2, ((0, 1, 2),)),
-     r"segment \[1, 2\] cannot sit in row 0 of 2"),
+     r"not the canonical out diagram of its code \[0, 0\]"),
     (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 3, 4),)),
-     r"segment \[3, 4\] is not \[j, 5\] with 2 < j < 5"),
+     r"not the canonical in diagram of its code \[1, 1\]"),
     # a segment from column k or n would sit at height 0 or a
     (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 2, 5),)),
-     r"segment \[2, 5\] is not \[j, 5\] with 2 < j < 5"),
+     r"not the canonical in diagram of its code \[1, 1\]"),
     (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 5, 5),)),
-     r"segment \[5, 5\] is not \[j, 5\] with 2 < j < 5"),
+     r"not the canonical in diagram of its code \[0, 0\]"),
     # a lone segment sits in row 1
     (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((7, 3, 5),)),
-     r"segment \[3, 5\] cannot sit in row 7"),
+     r"not the canonical in diagram of its code \[1, 1\]"),
     # the canonical drawing lists its rows top down
     (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((2, 4, 5), (1, 3, 5))),
-     r"segment \[4, 5\] cannot sit in row 2"),
+     r"not the canonical in diagram of its code \[1, 2\]"),
     (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1, 2), (2, 2, 3))),
-     "row 2 holds two segments"),
+     r"not the canonical out diagram of its code \[0, 2\]"),
     # the canonical drawing lists its nontrivial rows bottom up, and no trivial one
     (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1, 3), (1, 1, 2))),
-     "row 1 is listed after row 2"),
+     r"not the canonical out diagram of its code \[1, 3\]"),
     (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((1, 2, 2),)),
-     r"segment \[2, 2\] cannot sit in row 1"),
+     r"not the canonical out diagram of its code \[0, 0\]"),
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (1,)),
-     "a multicaracol diagram at a=3 has 2 segments and colours"),
+     r"code \[3\] is no caracol code at n=5, k=2"),
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (3, 1)),
-     r"segment \(1, 0, 1\) of colour 3 cannot be row 1 of 2"),
+     r"not the canonical mcar-out diagram of its code \[1, 1\]"),
     # row 1 of a = 3 reaches column 1 only
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 2), (2, 0, 0)), (1, 1)),
-     r"segment \(1, 0, 2\) of colour 1 cannot be row 1 of 2"),
+     r"code \[1, 5\] is no caracol code at n=5, k=2"),
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((2, 0, 0), (1, 0, 1)), (1, 1)),
-     r"segment \(2, 0, 0\) of colour 1 cannot be row 1 of 2"),
+     r"code \[3, 1\] is no caracol code at n=5, k=2"),
     # lengths must descend down the rows
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), (2, 1)),
-     "multicaracol rows must run by length descending, colour ascending"),
+     r"code \[1, 0\] is no caracol code at n=5, k=2"),
 ], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
         "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n",
         "psi_in row past its column", "psi_in rows out of order", "out row with two segments",
@@ -352,8 +356,8 @@ def _outcome(f, *args):
 def test_psi_out_inverse_is_the_embedding_formula():
     """On every composition of a into b parts for n <= 6, k <= 3, each its
     own reference so that non-Dyck shapes reach every rejection, the row
-    decoder gives the diagram or the InputError message of the embedding's
-    arithmetic."""
+    decoder gives the diagram of the embedding's arithmetic, and rejects
+    with its one path message each shape that the embedding rejects."""
     kinds = set()
     for n in range(2, 7):
         for k in range(1, min(n, 4)):
@@ -361,13 +365,10 @@ def test_psi_out_inverse_is_the_embedding_formula():
             for s in C.weak_compositions(a, b):
                 path = P.TDyckPath(s, s)
                 got = _outcome(GR.psi_out_inverse, path, n, k)
-                assert got == _outcome(psi_out_inverse_by_embedding, path, n, k), (n, k, s)
-                kinds.add(re.sub(r" \d+", " #", got) if isinstance(got, str) else "diagram")
-    assert kinds == {
-        "diagram",
-        "a rational (a, ka-1)-Dyck path must start north",
-        "crossing # cannot sit in row #",
-    }
+                want = _outcome(psi_out_inverse_by_embedding, path, n, k)
+                assert got == want or isinstance(got, str) and isinstance(want, str), (n, k, s)
+                kinds.add(re.sub(r"\d+", "#", got) if isinstance(got, str) else "diagram")
+    assert kinds == {"diagram", "path is not an (#,#)-Dyck path"}
 
 
 def test_count_gravity_checks_the_caracol_parameters():

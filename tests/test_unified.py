@@ -79,6 +79,21 @@ def theta_inverse_5_2(m):
      r"segment \(3, 1\) lies outside the 3 x 2 grid"),
     (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((0, 3), (1, 1))),
      r"segment \(0, 3\) lies outside the 2 x 2 grid"),
+    # the car label sits in column 2, where the tail has no step
+    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((), (1,)), ((0, 1),)),
+     "a record at r=2 has 2 tail parts, each with one label per step"),
+    (U.theta, U.TruncatedDiagram(5, 2, 0, (1, 0), ((1,), ()), ((0, 1),)),
+     r"a level-0 record has the car labels 1..i once each, not \[1\]"),
+    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((1,),), ((0, 1),)),
+     "a record at r=2 has 2 tail parts, each with one label per step"),
+    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((1, 1), (0, 1))),
+     "a level-0 record at r=2 has 2 sorted segment pairs"),
+    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 1, 2))),
+     "a level-0 record at r=2 has 2 sorted segment pairs"),
+    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((1, 1), (1, 2))),
+     "image column 1 is below the diagonal or does not ascend"),
+    (U.theta, U.TruncatedDiagram(5, 2, 2, (2, 0), ((2, 1), ()), ()),
+     "image column 1 is below the diagonal or does not ascend"),
     (theta_inverse_5_2, P.MultiLabeledDyckPath((0, 2), ((), (1, 0))),
      r"\(0, 2\) does not dominate \(1\^2\): it is no Dyck path"),
     (theta_inverse_5_2, P.MultiLabeledDyckPath((2, 0), ((1,), ())),
@@ -93,6 +108,9 @@ def theta_inverse_5_2(m):
     (theta_inverse_5_2, P.MultiLabeledDyckPath((1, 1), ((-2,), (1,))),
      r"column 1 needs ascending labels above -2, got \(-2,\)"),
 ], ids=["theta segment past the last column", "theta segment from past column k",
+        "theta label off the tail", "theta level below its labels",
+        "theta labels shorter than the tail", "theta segments unsorted", "theta segment not a pair",
+        "theta image not Dyck", "theta labels not ascending",
         "theta_inverse shape not Dyck", "theta_inverse fewer labels than steps",
         "theta_inverse labels not ascending", "theta_inverse label columns missing",
         "theta_inverse more steps than columns", "theta_inverse barred label past k"])
