@@ -295,6 +295,11 @@ def _image(f: Callable, x):
         return None
 
 
+def _round_trip(mapped: list[tuple], back: Callable) -> bool:
+    """Whether back takes each (record, image) pair's image to the record; a rejected image fails."""
+    return all(image is not None and _image(back, image) == x for x, image in mapped)
+
+
 def _suite_bijections(report: RunReport, n: int, k: int) -> None:
     gr.check_caracol(n, k)
     if k * (n - k) < 2:  # the (n-k, k(n-k)-1)-Dyck paths need a column
@@ -304,29 +309,22 @@ def _suite_bijections(report: RunReport, n: int, k: int) -> None:
     outs = [(d, _image(gravity.psi_out, d)) for d in gravity.enumerate_out_gravity(n, k)]
     report.check(f"|in-gravity({n},{k})|", count, len(ins))
     report.check(f"|out-gravity({n},{k})|", count, len(outs))
-    report.check(
-        "psi_in round trip",
-        True,
-        all(p is not None and gravity.psi_in_inverse(p, n, k) == d for d, p in ins),
-    )
-    report.check(
-        "psi_out round trip",
-        True,
-        all(p is not None and gravity.psi_out_inverse(p, n, k) == d for d, p in outs),
-    )
+    report.check("psi_in round trip", True, _round_trip(ins, lambda p: gravity.psi_in_inverse(p, n, k)))
+    report.check("psi_out round trip", True, _round_trip(outs, lambda p: gravity.psi_out_inverse(p, n, k)))
     pairs, unmatched = gravity.in_out_correspondence(
         [m for m in ins if m[1] is not None], [m for m in outs if m[1] is not None])
     report.check("in/out correspondence size", count, len(pairs))
     if unmatched:
         report.check("in/out diagrams left unmatched", [], [d.to_json() for d, _ in unmatched])
-    theta_ok = all(_image(lambda u: unified.theta_inverse(unified.theta(u), n, k), u) == u
-                   for i in range(n - k) for u in unified.enumerate_truncated(n, k, i))
-    report.check("theta round trip", True, theta_ok)
     a = n - k
+    theta_ok = all({_image(unified.theta, u) for u in unified.enumerate_truncated(n, k, i)}
+                   == {*paths.enumerate_multilabeled(k, a - 1, i)} for i in range(a))
+    report.check("theta images are the multi-labeled paths", True, theta_ok)
     mcar_diagrams = list(gravity.enumerate_out_gravity_mcar(a, k))
-    xi_ok = all(_image(lambda d: gravity.xi_inverse(gravity.xi(d)), d) == d for d, _ in outs)
-    report.check("xi round trip", True, xi_ok)
+    xis = [(d, _image(gravity.xi, d)) for d, _ in outs]
+    report.check("xi round trip", True, _round_trip(xis, gravity.xi_inverse))
     report.check(f"|mcar-out-gravity({a},{k})|", count, len(mcar_diagrams))
+    report.check("xi images are the mcar-out listing", True, {m for _, m in xis} == {*mcar_diagrams})
 
 
 def _small_zoo() -> list[tuple[str, gr.DirectedMultigraph]]:

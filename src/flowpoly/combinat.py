@@ -81,6 +81,11 @@ def check_composition(t: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
+def all_ints(values: Iterable) -> bool:
+    """True iff every value is an int; True, 1.0 and '1' are not."""
+    return {*map(type, values)} <= {int}
+
+
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / (parts[0]! * parts[1]! * ...), requiring sum(parts) == n."""
     parts = check_composition(parts)

@@ -28,17 +28,17 @@ reads crosses (step 1 at x = 0).  xi sends x to y_j = k(a-1)-1 - x_{a-j}.
 Every map reads a diagram by one rule: it reads the raw code, requires the
 code domain above, and accepts the diagram only when the family's canonical
 writer (`_in_diagram`, `_out_diagram`, `_mcar_diagram`) gives it back from
-that code; a path is read when it has b columns and dominates rational_shape(a, b).
+that code; a path is read when its b columns are ints and it dominates rational_shape(a, b).
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import gt, le
 from typing import Callable, Iterable, Iterator
 
-from .combinat import ElementTexts, InputError, Record, dominates, monotone_concat, rational_catalan
+from .combinat import ElementTexts, InputError, Record, all_ints, dominates, monotone_concat, rational_catalan
 from .graphs import check_caracol, check_multicaracol
 from .paths import TDyckPath, rational_shape
 
@@ -71,9 +71,10 @@ def _code_tops(n: int, k: int) -> list[int]:
 
 
 def _triples(d: GravityDiagram) -> tuple:
-    if {*map(len, d.segments)} - {3}:
-        raise InputError(f"segments are (row, left, right) triples, got {d.segments}")
-    return d.segments
+    segs = d.segments
+    if {*map(type, segs)} - {tuple} or {*map(len, segs)} - {3} or not all_ints(chain(*segs, d.colors or ())):
+        raise InputError(f"segments are (row, left, right) int triples, colours ints, got {segs}, {d.colors}")
+    return segs
 
 
 def _accepted(d: GravityDiagram, n: int, k: int, code: list[int], write: Callable) -> list[int]:
@@ -150,6 +151,7 @@ def _out_code(d: GravityDiagram) -> list[int]:
 
 
 def _family_ab(n: int, k: int) -> tuple[int, int]:
+    check_caracol(n, k)
     a = n - k
     return a, k * a - 1
 
@@ -167,7 +169,7 @@ def _code(path: TDyckPath, n: int, k: int) -> list[int]:
     """The crossings x_i of north steps i+1 of a rational (a, b)-Dyck path."""
     a, b = _family_ab(n, k)
     s = path.shape
-    if len(s) != b or sum(s) != a or not dominates(s, rational_shape(a, b)):
+    if len(s) != b or not all_ints(s) or sum(s) != a or not dominates(s, rational_shape(a, b)):
         raise InputError(f"path is not an ({a},{b})-Dyck path")
     heights = list(accumulate(s))  # x_i: the columns ending at height <= i
     return [bisect_right(heights, i) for i in range(1, a)]
@@ -268,7 +270,6 @@ def xi_inverse(d: GravityDiagram) -> GravityDiagram:
 
 def count_gravity(n: int, k: int) -> int:
     """The common count of in- and out-degree diagrams, Cat(n-k, k(n-k)-1)."""
-    check_caracol(n, k)
     a, b = _family_ab(n, k)
     if b < 1:
         return 1

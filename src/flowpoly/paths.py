@@ -36,7 +36,11 @@ class TDyckPath(Record):
     reference: tuple[int, ...]
 
     def __post_init__(self):
-        if not dominates(self.shape, self.reference):
+        try:
+            dominating = dominates(self.shape, self.reference)
+        except TypeError:  # an entry that adds to no int; the maps read ints only
+            dominating = False
+        if not dominating:
             raise InputError(f"{self.shape} does not dominate {self.reference}")
 
     def word(self) -> str:

@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 from .combinat import (
     InputError,
     Record,
+    all_ints,
     binomial,
     check_composition,
     check_parking_level,
@@ -140,51 +141,41 @@ def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
 
 def theta(u: TruncatedDiagram) -> MultiLabeledDyckPath:
     """Slide each segment's barred label to its right end: (h, l) becomes a
-    north step at east position h labeled bar(k-l).  u must be shaped as a
-    level-i record (r = n-k-1 tail parts, one label per step, the labels
-    1..i once each, r-i sorted segment pairs) and its image must be Dyck."""
-    k, i, tail, cars, segs = u.k, u.level, u.tail, u.tail_labels, u.segments
-    r = _check_level(u.n, k, i)
-    if len(tail) != r or tuple(map(len, cars)) != tail:
-        raise InputError(f"a record at r={r} has {r} tail parts, each with one label per step")
-    if (flat := sorted(sum(cars, ()))) != list(range(1, i + 1)):
-        raise InputError(f"a level-{i} record has the car labels 1..i once each, not {flat}")
-    if len(segs) != r - i or {*map(len, segs)} - {2} or sorted(segs) != [*segs]:
-        raise InputError(f"a level-{i} record at r={r} has {r - i} sorted segment pairs")
-    barred: list[list[int]] = [[] for _ in range(r)]
-    for h, l in segs:  # sorted, so each column's barred labels ascend
-        if not (0 <= h < r and 0 < l <= k):
-            raise InputError(f"segment ({h}, {l}) lies outside the {r} x {k} grid")
-        barred[h].append(l - k)
-    labels, height = [], 0
-    for j, (low, high) in enumerate(zip(barred, cars)):
-        col = (*low, *high)
-        height += len(col)
-        if height <= j or len(high) > 1 and list(high) != sorted(high):
-            raise InputError(f"image column {j + 1} is below the diagonal or does not ascend")
-        labels.append(col)
-    return MultiLabeledDyckPath(tuple(map(len, labels)), tuple(labels))
+    north step at east position h labeled bar(k-l).  u is accepted only when
+    theta_inverse gives it back from that image."""
+    segs, k = u.segments, u.k
+    _check_level(u.n, k, u.level)
+    if ({*map(type, (*u.tail_labels, *segs))} - {tuple} or {*map(len, segs)} - {2}
+            or not all_ints(chain(u.tail, *segs))):
+        raise InputError("tail parts are ints, tail labels tuples and segments (h, l) int pairs")
+    # a segment whose h names no column slides nowhere, so theta_inverse does not give u back
+    labels = tuple([(*[l - k for h, l in segs if h == x], *cars)
+                    for x, cars in enumerate(u.tail_labels)])
+    m = MultiLabeledDyckPath(tuple(map(len, labels)), labels)
+    if theta_inverse(m, u.n, k) != u:
+        raise InputError(f"not the canonical level-{u.level} record of its image {labels}")
+    return m
 
 
 def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
     """Strip the barred steps back into segments and keep the rest as the
     labeled tail; a column's labels ascend, so its barred ones come first."""
-    r = n - k - 1
-    if m.r != r or tuple(map(len, m.labels)) != m.shape:
-        raise InputError(f"a path at r={r} has {r} columns, each with one label per north step")
+    check_caracol(n, k)
+    r, labels = n - k - 1, m.labels
+    if ({*map(type, labels)} - {tuple} or not all_ints(chain(m.shape, *labels))
+            or m.r != r or tuple(map(len, labels)) != m.shape):
+        raise InputError(f"a path at r={r} has {r} columns, each with one label per north step, all ints")
     segs, tail_labels, height = [], [], 0
-    for x, col in enumerate(m.labels):
+    for x, col in enumerate(labels):
         height += len(col)
         if height <= x or height > r:
             raise InputError(f"{m.shape} does not dominate (1^{r}): it is no Dyck path")
-        if not col:
-            tail_labels.append(col)
-            continue
-        if col[0] <= -k or len(col) > 1 and list(col) != sorted(col):
+        if col and (col[0] <= -k or len(col) > 1 and list(col) != sorted(col)):
             raise InputError(f"column {x + 1} needs ascending labels above {-k}, got {col}")
-        cut = bisect_right(col, 0)
-        segs += [(x, lab + k) for lab in col[:cut]]
-        tail_labels.append(col[cut:])
+        if cut := bisect_right(col, 0):
+            segs += [(x, lab + k) for lab in col[:cut]]
+            col = col[cut:]
+        tail_labels.append(col)
     tail = tuple(map(len, tail_labels))
     i = sum(tail)
     if sorted(chain.from_iterable(tail_labels)) != list(range(1, i + 1)):

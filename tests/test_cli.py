@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from flowpoly import cli, combinat, gravity, lidskii, unified
+from flowpoly import cli, combinat, gravity, lidskii, paths, unified
 from flowpoly import graphs as G
 from flowpoly.gravity import GravityDiagram, enumerate_out_gravity_mcar
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
@@ -627,6 +627,15 @@ def constant(value):
     return lambda f: lambda *args: value
 
 
+def one_colour_changed(f):
+    """f with the first colour of its first diagram moved to the next colour."""
+    def listing(*args):
+        first, *rest = f(*args)
+        colors = (first.colors[0] % first.k + 1, *first.colors[1:])
+        return [dataclasses.replace(first, colors=colors), *rest]
+    return listing
+
+
 def one_pair_fewer(f):
     def correspondence(ins, outs):
         pairs, unmatched = f(ins, outs)
@@ -642,9 +651,9 @@ def one_more_unmatched(f):
 
 
 BIJECTIONS, LIDSKII = "verify bijections --n 5 --k 2", "verify lidskii"
-# One row per report.check site of cli.py, in source order: a run, the
-# route it takes that is perturbed (module, attribute, the wrapper of the
-# original), and the [FAIL] line that the perturbation brings.
+# At least one row per report.check site of cli.py, in source order: a run,
+# the route it takes that is perturbed (module, attribute, the wrapper of
+# the original), and the [FAIL] line that the perturbation brings.
 CHECK_SITES = [
     ("volume --graph caracol:n=5,k=2 --netflow ones --method all",
      unified, "volume_closed_form", plus_one, "lidskii = closed: expected 2800, got 2801"),
@@ -662,11 +671,15 @@ CHECK_SITES = [
      "in/out diagrams left unmatched: expected [], got "
      """['{"kind": "in", "n": 5, "k": 2, "segments": []}']"""),
     (BIJECTIONS, unified, "theta_inverse", constant(None),
-     "theta round trip: expected True, got False"),
+     "theta images are the multi-labeled paths: expected True, got False"),
+    (BIJECTIONS, paths, "enumerate_multilabeled", one_fewer,
+     "theta images are the multi-labeled paths: expected True, got False"),
     (BIJECTIONS, gravity, "xi_inverse", constant(None),
      "xi round trip: expected True, got False"),
     (BIJECTIONS, gravity, "enumerate_out_gravity_mcar", one_fewer,
      "|mcar-out-gravity(3,2)|: expected 7, got 6"),
+    (BIJECTIONS, gravity, "enumerate_out_gravity_mcar", one_colour_changed,
+     "xi images are the mcar-out listing: expected True, got False"),
     (LIDSKII, cli, "integral_flows", one_more,
      "lattice points on caracol:n=3,k=1 at [1, 0, 0, -1]: expected 3, got (3, 3, 4)"),
     (LIDSKII, lidskii, "volume", plus_one,
@@ -710,15 +723,25 @@ WRITER_SITES = [
 ]
 
 
+def _check_name(line: str) -> str:
+    return line.split(": expected")[0]
+
+
 def test_every_check_site_has_a_row():
-    assert len(CHECK_SITES) == Path(cli.__file__).read_text().count("report.check(") == 20
+    checks = {_check_name(line) for *_, line in CHECK_SITES}
+    assert len(checks) == Path(cli.__file__).read_text().count("report.check(") == 21
 
 
-@pytest.mark.parametrize(
-    "argv, module, name, wrap, line", CHECK_SITES + WRITER_SITES,
-    ids=[line.split(": expected")[0] for *_, line in CHECK_SITES]
-    + [f"{name} fault" for _, _, name, *_ in WRITER_SITES],
-)
+def _site_ids() -> list[str]:
+    """Each row's check name, with the perturbed route after a name already
+    taken, then each writer fault."""
+    ids = []
+    for _, _, name, _, line in CHECK_SITES:
+        ids.append(f"{_check_name(line)} ({name})" if _check_name(line) in ids else _check_name(line))
+    return ids + [f"{name} fault" for _, _, name, *_ in WRITER_SITES]
+
+
+@pytest.mark.parametrize("argv, module, name, wrap, line", CHECK_SITES + WRITER_SITES, ids=_site_ids())
 def test_every_check_can_fail(monkeypatch, capsys, argv, module, name, wrap, line):
     """Each check fails on its own [FAIL] line, in one report and with
     exit 1, when one route it compares is perturbed; none of them ends in

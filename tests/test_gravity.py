@@ -292,13 +292,28 @@ def test_malformed_diagram_errors():
     # lengths must descend down the rows
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), (2, 1)),
      r"code \[1, 0\] is no caracol code at n=5, k=2"),
+    # each reader takes ints only: True and 1.0 equal 1, so the writer alone would give them back
+    (GR.psi_in, GR.GravityDiagram("in", 5, 2, (3,)), r"int triples, colours ints, got \(3,\)"),
+    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((1, "1", 3),)), "int triples, colours ints"),
+    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, True, 3),)), "int triples, colours ints"),
+    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1.0, 3),)), "int triples, colours ints"),
+    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), ("1", 1)),
+     r"int triples, colours ints, got .*, \('1', 1\)"),
+    (lambda p: GR.psi_in_inverse(p, 3, 1), P.TDyckPath(("1",), ("1",)), r"path is not an \(2,1\)-Dyck path"),
+    (lambda p: GR.psi_out_inverse(p, 3, 1), P.TDyckPath((True,), (1,)), r"path is not an \(2,1\)-Dyck path"),
+    # the path readers check (n, k) before they read the path
+    (lambda p: GR.psi_in_inverse(p, 2, 0), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=2, k=0"),
+    (lambda p: GR.psi_out_inverse(p, 3, 3), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=3, k=3"),
 ], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
         "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n",
         "psi_in row past its column", "psi_in rows out of order", "out row with two segments",
         "psi_out rows out of order", "psi_out trivial row listed",
         "xi_inverse colours and segments differ in number", "xi_inverse colour past k",
         "xi_inverse length past its row", "xi_inverse rows out of order",
-        "xi_inverse colours falling on a tie"])
+        "xi_inverse colours falling on a tie", "psi_in segment an int", "psi_out entry a string",
+        "psi_out entry True", "psi_out entry a float", "xi_inverse colour a string",
+        "psi_in_inverse step a string", "psi_out_inverse step True", "psi_in_inverse k = 0",
+        "psi_out_inverse n = k"])
 def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
     with pytest.raises(C.InputError, match=message):
         psi(d)

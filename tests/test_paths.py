@@ -113,6 +113,17 @@ def test_rational_shape_not_coprime():
         P.rational_shape(0, 3)
 
 
+@pytest.mark.parametrize("shape, reference, message", [
+    ((0, 1), (1, 0), r"\(0, 1\) does not dominate \(1, 0\)"),
+    ((1, 0), (1,), "lengths differ: 2 vs 1"),
+    ((1, 0), (0, 2), "sums differ: 1 vs 2"),
+    (("1", 0), ("1", 0), r"\('1', 0\) does not dominate \('1', 0\)"),
+], ids=["not dominating", "length mismatch", "sum mismatch", "string step"])
+def test_t_dyck_path_rejects_a_shape_off_its_reference(shape, reference, message):
+    with pytest.raises(C.InputError, match=message):
+        P.TDyckPath(shape, reference)
+
+
 def test_t_dyck_counts():
     assert sum(1 for _ in P.enumerate_t_dyck((3,))) == 1
     assert sum(1 for _ in P.enumerate_t_dyck(P.rational_shape(3, 5))) == 7

@@ -73,27 +73,43 @@ def theta_inverse_5_2(m):
     return U.theta_inverse(m, 5, 2)
 
 
+# theta accepts a record only when theta_inverse gives it back from its image,
+# so most malformed records fail on theta_inverse's reading of that image
 @pytest.mark.parametrize("apply, arg, message", [
-    # caracol(6, 2) has r = 3 grid columns, so h runs over 0..2 only
+    # caracol(6, 2) has r = 3 grid columns, so h runs over 0..2 only: (3, 1)
+    # slides to no column, and the image keeps one barred label fewer
     (U.theta, U.TruncatedDiagram(6, 2, 1, (1, 0, 0), ((1,), (), ()), ((0, 1), (3, 1))),
-     r"segment \(3, 1\) lies outside the 3 x 2 grid"),
+     r"\(2, 0, 0\) does not dominate \(1\^3\): it is no Dyck path"),
+    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((-1, 1), (1, 1))),
+     r"\(0, 1\) does not dominate \(1\^2\): it is no Dyck path"),
+    # l = 3 > k slides to the car label 1
     (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((0, 3), (1, 1))),
-     r"segment \(0, 3\) lies outside the 2 x 2 grid"),
+     r"not the canonical level-0 record of its image \(\(1,\), \(-1,\)\)"),
     # the car label sits in column 2, where the tail has no step
     (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((), (1,)), ((0, 1),)),
-     "a record at r=2 has 2 tail parts, each with one label per step"),
+     r"not the canonical level-1 record of its image \(\(-1,\), \(1,\)\)"),
     (U.theta, U.TruncatedDiagram(5, 2, 0, (1, 0), ((1,), ()), ((0, 1),)),
-     r"a level-0 record has the car labels 1..i once each, not \[1\]"),
+     r"not the canonical level-0 record of its image \(\(-1, 1\), \(\)\)"),
     (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((1,),), ((0, 1),)),
-     "a record at r=2 has 2 tail parts, each with one label per step"),
+     "a path at r=2 has 2 columns, each with one label per north step"),
     (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((1, 1), (0, 1))),
-     "a level-0 record at r=2 has 2 sorted segment pairs"),
+     r"not the canonical level-0 record of its image \(\(-1,\), \(-1,\)\)"),
     (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 1, 2))),
-     "a level-0 record at r=2 has 2 sorted segment pairs"),
+     r"tail labels tuples and segments \(h, l\) int pairs"),
     (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((1, 1), (1, 2))),
-     "image column 1 is below the diagonal or does not ascend"),
+     r"\(0, 2\) does not dominate \(1\^2\): it is no Dyck path"),
     (U.theta, U.TruncatedDiagram(5, 2, 2, (2, 0), ((2, 1), ()), ()),
-     "image column 1 is below the diagonal or does not ascend"),
+     r"column 1 needs ascending labels above -2, got \(2, 1\)"),
+    # a tail column that is no tuple, and segment entries that are no ints
+    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), (1, ()), ((0, 1),)),
+     "tail parts are ints, tail labels tuples and segments"),
+    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((1,), ()), ((0, True),)),
+     "tail parts are ints, tail labels tuples and segments"),
+    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((1,), ()), ((0.0, 1),)),
+     "tail parts are ints, tail labels tuples and segments"),
+    # theta reads no tail part, and theta_inverse gives back a tail equal to this one
+    (U.theta, U.TruncatedDiagram(5, 1, 1, (0, 1.0, 0), ((), (1,), ()), ((0, 1), (1, 1))),
+     "tail parts are ints, tail labels tuples and segments"),
     (theta_inverse_5_2, P.MultiLabeledDyckPath((0, 2), ((), (1, 0))),
      r"\(0, 2\) does not dominate \(1\^2\): it is no Dyck path"),
     (theta_inverse_5_2, P.MultiLabeledDyckPath((2, 0), ((1,), ())),
@@ -107,13 +123,25 @@ def theta_inverse_5_2(m):
     # bar(k-1) = 1-k is the lowest barred label
     (theta_inverse_5_2, P.MultiLabeledDyckPath((1, 1), ((-2,), (1,))),
      r"column 1 needs ascending labels above -2, got \(-2,\)"),
-], ids=["theta segment past the last column", "theta segment from past column k",
+    (lambda m: U.theta_inverse(m, 4, 1), P.MultiLabeledDyckPath((1, 1), (1, (0,))),
+     "one label per north step, all ints"),
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((1, 1), ((True,), (0,))), "all ints"),
+    (theta_inverse_5_2, P.MultiLabeledDyckPath((1.0, 1), ((0,), (1,))), "all ints"),
+    # (n, k) is checked before the path is read
+    (lambda m: U.theta_inverse(m, 2, 0), P.MultiLabeledDyckPath((1,), ((1,),)),
+     "the k-caracol graph needs n > k >= 1, got n=2, k=0"),
+], ids=["theta segment past the last column", "theta segment before the first column",
+        "theta segment from past column k",
         "theta label off the tail", "theta level below its labels",
         "theta labels shorter than the tail", "theta segments unsorted", "theta segment not a pair",
         "theta image not Dyck", "theta labels not ascending",
+        "theta tail column an int", "theta segment entry True", "theta segment entry a float",
+        "theta tail part a float",
         "theta_inverse shape not Dyck", "theta_inverse fewer labels than steps",
         "theta_inverse labels not ascending", "theta_inverse label columns missing",
-        "theta_inverse more steps than columns", "theta_inverse barred label past k"])
+        "theta_inverse more steps than columns", "theta_inverse barred label past k",
+        "theta_inverse label column an int", "theta_inverse label True", "theta_inverse step a float",
+        "theta_inverse k = 0"])
 def test_theta_maps_reject_malformed_input(apply, arg, message):
     with pytest.raises(C.InputError, match=message):
         apply(arg)
