@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import combinat, gravity, lidskii, paths, unified
 from . import graphs as gr
-from .combinat import ElementTexts, InputError, Record
+from .combinat import InputError
 from .kostant import integral_flows, kostant
 
 
@@ -311,12 +311,15 @@ def _suite_bijections(report: RunReport, n: int, k: int) -> None:
     report.check(f"|out-gravity({n},{k})|", count, len(outs))
     report.check("psi_in round trip", True, _round_trip(ins, lambda p: gravity.psi_in_inverse(p, n, k)))
     report.check("psi_out round trip", True, _round_trip(outs, lambda p: gravity.psi_out_inverse(p, n, k)))
+    a = n - k
+    dyck = {*paths.enumerate_t_dyck(paths.rational_shape(a, k * a - 1))}
+    report.check("psi_in images are the rational Dyck paths", True, {p for _, p in ins} == dyck)
+    report.check("psi_out images are the rational Dyck paths", True, {p for _, p in outs} == dyck)
     pairs, unmatched = gravity.in_out_correspondence(
         [m for m in ins if m[1] is not None], [m for m in outs if m[1] is not None])
     report.check("in/out correspondence size", count, len(pairs))
     if unmatched:
         report.check("in/out diagrams left unmatched", [], [d.to_json() for d, _ in unmatched])
-    a = n - k
     theta_ok = all({_image(unified.theta, u) for u in unified.enumerate_truncated(n, k, i)}
                    == {*paths.enumerate_multilabeled(k, a - 1, i)} for i in range(a))
     report.check("theta images are the multi-labeled paths", True, theta_ok)
@@ -426,14 +429,13 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 
 
 class _Listing(NamedTuple):
-    """An object's items, the count they must reach, the inputs to echo,
-    a text renderer of one item, and a JSON one that also takes a text table."""
+    """Items and JSON lines (lazy; a run takes one), their count, inputs to echo, an item's text."""
 
     items: Iterable
+    lines: Iterable[str]
     expected: int
     inputs: dict
     to_text: Callable
-    to_json: Callable = Record.to_json
 
 
 # gravity --kind -> (its enumerator in gravity, the count of its diagrams);
@@ -447,16 +449,10 @@ _GRAVITY_KINDS = {
 
 
 def _gravity(args: argparse.Namespace) -> _Listing:
-    """With --render json the items are gravity.json_lines, each diagram's
-    line written from the enumerator's piece table with no record built."""
     make, count = _GRAVITY_KINDS[args.kind]
-    if args.render == "json":
-        items, to_json = gravity.json_lines(args.kind, args.n, args.k), lambda line, _: line
-    else:
-        items, to_json = getattr(gravity, make)(args.n, args.k), Record.to_json
     return _Listing(
-        items, count(args.n, args.k), {"kind": args.kind, "n": args.n, "k": args.k},
-        gravity.render_text, to_json,
+        getattr(gravity, make)(args.n, args.k), gravity.json_lines(args.kind, args.n, args.k),
+        count(args.n, args.k), {"kind": args.kind, "n": args.n, "k": args.k}, gravity.render_text,
     )
 
 
@@ -471,19 +467,19 @@ def _dyck(args: argparse.Namespace) -> _Listing:
     else:
         t = paths.rational_shape(args.a, args.b)
     return _Listing(
-        paths.enumerate_t_dyck(t), combinat.count_dominating(t), {"t": list(t)},
-        lambda p: f"{p.word()}  shape={p.shape}",
+        paths.enumerate_t_dyck(t), paths.t_dyck_json_lines(t), combinat.count_dominating(t),
+        {"t": list(t)}, lambda p: f"{p.word()}  shape={p.shape}",
     )
 
 
 def _unified(args: argparse.Namespace) -> _Listing:
     g, family = parse_graph_spec(args.graph)
     a = parse_netflow_spec(args.netflow, g, family)
+    items = unified.unified_diagrams(g, a)
     return _Listing(
-        unified.unified_diagrams(g, a), lidskii.volume(g, a),
-        {"graph": args.graph, "netflow": list(a)},
+        items, (json.dumps({"shape": s, "sigma": p, "alpha": q, "gamma": f}) for s, p, q, f in items),
+        lidskii.volume(g, a), {"graph": args.graph, "netflow": list(a)},
         lambda q: f"s={q[0]} sigma={q[1]} alpha={q[2]} flow={q[3]}",
-        lambda q, _: json.dumps({"shape": q[0], "sigma": q[1], "alpha": q[2], "gamma": q[3]}),
     )
 
 
@@ -499,11 +495,13 @@ _OBJECTS = {
     "unified": _Object(("graph", "netflow"), _unified),
     "truncated": _Object(("n", "k", "i"), lambda args: _Listing(
         unified.enumerate_truncated(args.n, args.k, args.i),
-        combinat.k_parking_number(args.k, args.n - args.k - 1, args.i),
+        unified.truncated_json_lines(args.n, args.k, args.i),
+        gr.check_caracol(args.n, args.k) or combinat.k_parking_number(args.k, args.n - args.k - 1, args.i),
         {"n": args.n, "k": args.k, "i": args.i}, unified.render_truncated_text,
     )),
     "multilabeled": _Object(("k", "r", "i"), lambda args: _Listing(
         paths.enumerate_multilabeled(args.k, args.r, args.i),
+        paths.multilabeled_json_lines(args.k, args.r, args.i),
         combinat.k_parking_number(args.k, args.r, args.i),
         {"k": args.k, "r": args.r, "i": args.i}, paths.MultiLabeledDyckPath.word,
     )),
@@ -521,9 +519,7 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
     if listing.expected > args.cap:
         raise InputError(f"would emit {listing.expected} items, more than the cap "
                          f"{args.cap}; raise --cap")
-    texts = ElementTexts()
-    render = (lambda x: listing.to_json(x, texts)) if args.render == "json" else listing.to_text
-    emitted = [render(x) for x in listing.items]
+    emitted = list(listing.lines) if args.render == "json" else [*map(listing.to_text, listing.items)]
     report.results["count"] = len(emitted)
     if args.format == "json":
         report.results["items"] = emitted

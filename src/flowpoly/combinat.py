@@ -32,6 +32,10 @@ class ElementTexts(dict):
         text = self[value] = json.dumps(value)
         return text
 
+    def join(self, values: Iterable) -> str:
+        """The body of the JSON array of values: their texts joined by ", "."""
+        return ", ".join(map(self.__getitem__, values))
+
 
 @dataclass(frozen=True)
 class Record:
@@ -45,10 +49,14 @@ class Record:
         # __dataclass_fields__ keeps declaration order; fields() builds a tuple per call
         for name in self.__dataclass_fields__:
             if (v := getattr(self, name)) is not None:
-                text = (f"[{', '.join(map(texts.__getitem__, v))}]"
-                        if type(v) is tuple else texts[v])
+                text = f"[{texts.join(v)}]" if type(v) is tuple else texts[v]
                 items.append(f"{texts[name]}: {text}")
         return f"{{{', '.join(items)}}}"
+
+    def json_frame(self) -> list[str]:
+        """This line cut at its "[]"s, brackets kept: frame[0] + array 1 + frame[1] + ..."""
+        head, *rest = self.to_json().split("[]")
+        return [head + "[", *["]" + mid + "[" for mid in rest[:-1]], "]" + rest[-1]]
 
 
 def binomial(n: int, k: int) -> int:
@@ -124,11 +132,11 @@ def catalan(n: int) -> int:
 
 def check_parking_level(k: int, r: int, i: int) -> None:
     """Reject (k, r, i) unless it names entry (r, i) of the k-parking
-    triangle: k >= 1 and 0 <= i <= r."""
-    if k < 1:
-        raise InputError(f"the k-parking triangle needs k >= 1, got {k}")
-    if not 0 <= i <= r:
-        raise InputError(f"the k-parking triangle needs 0 <= i <= r, got i={i}, r={r}")
+    triangle: ints k >= 1 and 0 <= i <= r."""
+    if type(k) is not int or k < 1:
+        raise InputError(f"the k-parking triangle needs k >= 1, got {k!r}")
+    if not all_ints((r, i)) or not 0 <= i <= r:
+        raise InputError(f"the k-parking triangle needs 0 <= i <= r, got i={i!r}, r={r!r}")
 
 
 def k_parking_number(k: int, r: int, i: int) -> int:

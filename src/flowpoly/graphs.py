@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combinat import InputError, prefix_sums
+from .combinat import InputError, all_ints, prefix_sums
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,15 @@ def from_edge_list(num_vertices: int, edges: Sequence[tuple[int, int]]) -> Direc
 
 
 def check_caracol(n: int, k: int) -> None:
-    """Reject (n, k) unless it names a k-caracol graph: n > k >= 1."""
-    if not n > k >= 1:
-        raise InputError(f"the k-caracol graph needs n > k >= 1, got n={n}, k={k}")
+    """Reject (n, k) unless it names a k-caracol graph: ints n > k >= 1."""
+    if not all_ints((n, k)) or not n > k >= 1:
+        raise InputError(f"the k-caracol graph needs n > k >= 1, got n={n!r}, k={k!r}")
 
 
 def check_multicaracol(a: int, k: int) -> None:
-    """Reject (a, k) unless it names a k-multicaracol graph: a, k >= 1."""
-    if a < 1 or k < 1:
-        raise InputError(f"the k-multicaracol graph needs a, k >= 1, got a={a}, k={k}")
+    """Reject (a, k) unless it names a k-multicaracol graph: ints a, k >= 1."""
+    if not all_ints((a, k)) or a < 1 or k < 1:
+        raise InputError(f"the k-multicaracol graph needs a, k >= 1, got a={a!r}, k={k!r}")
 
 
 def caracol_k(n: int, k: int) -> DirectedMultigraph:

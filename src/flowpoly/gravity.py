@@ -142,8 +142,9 @@ def _out_diagram(n: int, k: int, code: Iterable[int]) -> GravityDiagram:
 def _out_code(d: GravityDiagram) -> list[int]:
     """Row i's (r-k)k + k-l, 0 for a row that d leaves out."""
     k = d.k
+    a, _ = _family_ab(d.n, k)
     x = {row: (r - k) * k + k - l for row, l, r in _triples(d)}
-    return _accepted(d, d.n, k, [x.get(i, 0) for i in range(1, d.n - k)], _out_diagram)
+    return _accepted(d, d.n, k, [x.get(i, 0) for i in range(1, a)], _out_diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def psi_in(d: GravityDiagram) -> TDyckPath:
     column holding segment [j, n] has its east step at height j - k."""
     n, k = d.n, d.k
     js = sorted([j for _, j, _ in _triples(d)])
-    code = [bisect_right(js, k + i) for i in range(1, n - k)]  # x_i: the [j, n] with j <= k+i
+    code = [bisect_right(js, k + i) for i in range(1, _family_ab(n, k)[0])]  # x_i: the [j, n] with j <= k+i
     return _path(n, k, _accepted(d, n, k, code, _in_diagram))
 
 
@@ -257,7 +258,7 @@ def xi(d: GravityDiagram) -> GravityDiagram:
     """Project a caracol out-degree diagram to a multicaracol one: the first
     k columns collapse to column 0 and a segment starting in column l is
     coloured l."""
-    return _mcar_diagram(d.n - d.k, d.k, _out_code(d))
+    return _mcar_diagram(_family_ab(d.n, d.k)[0], d.k, _out_code(d))
 
 
 def xi_inverse(d: GravityDiagram) -> GravityDiagram:
@@ -292,13 +293,11 @@ def json_lines(kind: str, n: int, k: int) -> Iterator[str]:
         raise InputError(f"unknown gravity kind {kind!r}; expected {', '.join(_ROWS)}")
     pieces = _ROWS[kind](n, k, ElementTexts().__getitem__)
     if kind != "mcar-out":
-        head, tail = GravityDiagram(kind, n, k, ()).to_json().split("[]")
-        head, tail = head + "[", "]" + tail
+        head, tail = GravityDiagram(kind, n, k, ()).json_frame()
         for segs in pieces:
             yield head + ", ".join(segs) + tail
         return
-    head, mid, tail = GravityDiagram(kind, n, k, (), ()).to_json().split("[]")
-    head, mid, tail = head + "[", "]" + mid + "[", "]" + tail
+    head, mid, tail = GravityDiagram(kind, n, k, (), ()).json_frame()
     for both in pieces:
         yield head + ", ".join(both[0::2]) + mid + ", ".join(both[1::2]) + tail
 

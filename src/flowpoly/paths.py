@@ -16,9 +16,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .combinat import (
+    ElementTexts,
     InputError,
     Record,
     check_parking_level,
@@ -52,6 +53,15 @@ def enumerate_t_dyck(t: Sequence[int]) -> Iterator[TDyckPath]:
     t = tuple(t)
     for s in dominating_compositions(t):
         yield TDyckPath(s, t)
+
+
+def t_dyck_json_lines(t: Sequence[int]) -> Iterator[str]:
+    """The `to_json` lines of enumerate_t_dyck(t), in its order, with no record built."""
+    t, join = tuple(t), ElementTexts().join
+    head, mid, tail = TDyckPath((), ()).json_frame()
+    tail = mid + join(t) + tail
+    for s in dominating_compositions(t):
+        yield head + join(s) + tail
 
 
 @functools.cache
@@ -110,10 +120,23 @@ class MultiLabeledDyckPath(Record):
 def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckPath]:
     """All k-multi-labeled Dyck paths with car labels 1..i; there are
     k_parking_number(k, r, i) of them."""
+    yield from _multilabeled_rows(k, r, i, tuple, MultiLabeledDyckPath)
+
+
+def multilabeled_json_lines(k: int, r: int, i: int) -> Iterator[str]:
+    """The `to_json` lines of enumerate_multilabeled(k, r, i), in its order, with no record built."""
+    head, mid, tail = MultiLabeledDyckPath((), ()).json_frame()
+    yield from _multilabeled_rows(k, r, i, ElementTexts().join, lambda s, cols: head + s + mid + cols + tail)
+
+
+def _multilabeled_rows(k: int, r: int, i: int, enc: Callable, make: Callable) -> Iterator:
+    """make(enc(shape), enc(labels)) for each k-multi-labeled Dyck path, enc once per
+    shape and per labeling; enc = tuple keeps each piece as it is."""
     check_parking_level(k, r, i)
     staircase = (1,) * r
     all_car_counts = list(weak_compositions(i, r))
     for path in dominating_compositions(staircase):
+        shape = enc(path)
         for car_counts in all_car_counts:
             if any(c > s for c, s in zip(car_counts, path)):
                 continue
@@ -124,8 +147,5 @@ def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckP
             )))
             for car_cols in _column_label_sets(tuple(range(1, i + 1)), car_counts):
                 for barred_cols in barred:
-                    labels = tuple(
-                        bar + car for bar, car in zip(barred_cols, car_cols)
-                    )
-                    yield MultiLabeledDyckPath(tuple(path), labels)
+                    yield make(shape, enc(tuple(bar + car for bar, car in zip(barred_cols, car_cols))))
 

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .combinat import (
+    ElementTexts,
     InputError,
     Record,
     all_ints,
@@ -127,12 +129,27 @@ def _check_level(n: int, k: int, i: int) -> int:
 
 def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
     """All truncated level-(k, i) diagrams; there are T_k(n-k-1, i)."""
+    yield from _truncated_rows(n, k, i, tuple, partial(TruncatedDiagram, n, k, i))
+
+
+def truncated_json_lines(n: int, k: int, i: int) -> Iterator[str]:
+    """The `to_json` lines of enumerate_truncated(n, k, i), in its order, with no record built."""
+    head, mid, mid2, end = TruncatedDiagram(n, k, i, (), (), ()).json_frame()
+    yield from _truncated_rows(n, k, i, ElementTexts().join,
+                               lambda q, lab, segs: f"{head}{q}{mid}{lab}{mid2}{segs}{end}")
+
+
+def _truncated_rows(n: int, k: int, i: int, enc: Callable, make: Callable) -> Iterator:
+    """make(enc(tail), enc(labels), enc(segments)) for each diagram, enc once per tail,
+    labeling and segment multiset of the tail; enc = tuple keeps each piece as it is."""
     r = _check_level(n, k, i)
     for tail in dominating_compositions((0,) * (r - i) + (1,) * i):
-        multisets = list(_segment_multisets(k, r, i, tail))  # shared by all labels
-        for labels in _column_label_sets(tuple(range(1, i + 1)), tail):
+        multisets = [*map(enc, _segment_multisets(k, r, i, tail))]  # shared by all labels
+        labelings = map(enc, _column_label_sets(tuple(range(1, i + 1)), tail))
+        tail = enc(tail)
+        for labels in labelings:
             for segs in multisets:
-                yield TruncatedDiagram(n, k, i, tail, labels, segs)
+                yield make(tail, labels, segs)
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,9 @@ def test_verify_bijections_reports_diagrams_left_unmatched(monkeypatch, capsys):
 
 
 def test_verify_bijections_lists_each_family_once(monkeypatch, capsys):
-    """The round trips and the in/out correspondence share one listing of
-    each caracol family, and theta runs over every truncated level."""
+    """The round trips, the psi image lines and the in/out correspondence
+    share one listing of each caracol family and of the rational Dyck
+    paths, and theta runs over every truncated level."""
     calls = []
 
     def counted(module, name):
@@ -294,12 +295,14 @@ def test_verify_bijections_lists_each_family_once(monkeypatch, capsys):
     for name in ("enumerate_in_gravity", "enumerate_out_gravity", "enumerate_out_gravity_mcar"):
         counted(gravity, name)
     counted(unified, "enumerate_truncated")
+    counted(paths, "enumerate_t_dyck")
     code, _, _ = run(capsys, "verify", "bijections", "--n", "6", "--k", "2")
     assert code == 0
     assert sorted(calls) == [
         ("enumerate_in_gravity", (6, 2)),
         ("enumerate_out_gravity", (6, 2)),
         ("enumerate_out_gravity_mcar", (4, 2)),
+        ("enumerate_t_dyck", (paths.rational_shape(4, 7),)),
         *(("enumerate_truncated", (6, 2, i)) for i in range(4)),
     ]
 
@@ -511,6 +514,8 @@ BAD_INPUTS = [
     ("enumerate gravity --kind in --n 3 --k 5", "needs n > k >= 1, got n=3, k=5"),
     ("enumerate gravity --kind mcar-out --n 0 --k 2", "needs a, k >= 1, got a=0, k=2"),
     ("enumerate multilabeled --k 2 --r 2 --i 3", "needs 0 <= i <= r, got i=3, r=2"),
+    # truncated checks (n, k) before the level, whose r = n-k-1 the user never gave
+    ("enumerate truncated --n 3 --k 3 --i 0", "needs n > k >= 1, got n=3, k=3"),
     ("volume --graph caracol:n=5 --netflow unit", "needs k"),
     ("volume --graph caracol:n=5,k=2 --netflow xy:x=1", "needs y"),
     ("kostant --graph ps:n=4 --vector [2.5,-0.5,1,-3]", "list of integers"),
@@ -665,6 +670,11 @@ CHECK_SITES = [
      "psi_in round trip: expected True, got False"),
     (BIJECTIONS, gravity, "psi_out_inverse", constant(None),
      "psi_out round trip: expected True, got False"),
+    # a path the listing leaves out is an image of both maps
+    (BIJECTIONS, paths, "enumerate_t_dyck", one_fewer,
+     "psi_in images are the rational Dyck paths: expected True, got False"),
+    (BIJECTIONS, paths, "enumerate_t_dyck", one_fewer,
+     "psi_out images are the rational Dyck paths: expected True, got False"),
     (BIJECTIONS, gravity, "in_out_correspondence", one_pair_fewer,
      "in/out correspondence size: expected 7, got 6"),
     (BIJECTIONS, gravity, "in_out_correspondence", one_more_unmatched,
@@ -705,6 +715,17 @@ CHECK_SITES = [
 ]
 
 
+def test_a_path_left_out_of_the_dyck_listing_fails_both_image_lines(monkeypatch, capsys):
+    """Both psi maps are onto the listed rational Dyck paths; the counts and
+    round trips, which read no listing of paths, still pass."""
+    monkeypatch.setattr(paths, "enumerate_t_dyck", one_fewer(paths.enumerate_t_dyck))
+    code, out, err = run(capsys, *BIJECTIONS.split())
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        f"[FAIL] psi_{kind} images are the rational Dyck paths: expected True, got False"
+        for kind in ("in", "out")]
+
+
 def one_segment_fewer(write):
     """A canonical writer that leaves out the last segment it writes."""
     return lambda *args: dataclasses.replace(d := write(*args), segments=d.segments[:-1])
@@ -729,7 +750,7 @@ def _check_name(line: str) -> str:
 
 def test_every_check_site_has_a_row():
     checks = {_check_name(line) for *_, line in CHECK_SITES}
-    assert len(checks) == Path(cli.__file__).read_text().count("report.check(") == 21
+    assert len(checks) == Path(cli.__file__).read_text().count("report.check(") == 23
 
 
 def _site_ids() -> list[str]:

@@ -162,6 +162,11 @@ DIGESTS = {
         "3aaa609c546b4711f5dddcd63bec0e9da3c10bd6c96290a790584449dbeaba23",
     "enumerate truncated --n 7 --k 2 --i 2 --render json":
         "43f4263f212e495b5ed6839d64f60e25d3c5dd73d3d7958339da65272c3d6d4d",
+    "enumerate multilabeled --k 3 --r 3 --i 2 --render json":
+        "c0ebd6872a0966e638a01399a63a721a89b66660c0add5fba8fce40f4c94e047",
+    # a reference shape with a zero part
+    "enumerate dyck --t 2,0,1,1 --render json":
+        "9032fc5ecc1c22496dd58a24e3eeec5f4ace17cf8cad1e8730995523b5ec5136",
     "enumerate gravity --kind in --n 8 --k 2 --render text":
         "e29d7ed99b41af2c6e6c3f105a80a1fb287b8b2a210601760746e6f4286b6b90",
     "enumerate gravity --kind out --n 8 --k 3 --render text":

@@ -79,7 +79,7 @@ def _mutate_tuple(rng: random.Random, value: tuple):
 
 def mutants(rng: random.Random, records: list, count: int) -> list:
     """count records, each a listed one with one field changed: a scalar
-    moved by one or a tuple changed by `_mutate_tuple`; a change that
+    moved by one or retyped, or a tuple changed by `_mutate_tuple`; a change that
     leaves the record as it was, or that no field takes, is drawn again.
     Records are told apart by repr, where True and 1.0 differ from 1."""
     out = []
@@ -89,7 +89,7 @@ def mutants(rng: random.Random, records: list, count: int) -> list:
                  if type(getattr(record, f.name)) in (int, tuple)]
         name = rng.choice(names)
         value = getattr(record, name)
-        new = value + rng.choice((-1, 1)) if type(value) is int else _mutate_tuple(rng, value)
+        new = rng.choice((_shift, _retype))(rng, value) if type(value) is int else _mutate_tuple(rng, value)
         if new is not None and repr(new) != repr(value):
             out.append(dataclasses.replace(record, **{name: new}))
     return out

@@ -304,6 +304,12 @@ def test_malformed_diagram_errors():
     # the path readers check (n, k) before they read the path
     (lambda p: GR.psi_in_inverse(p, 2, 0), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=2, k=0"),
     (lambda p: GR.psi_out_inverse(p, 3, 3), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=3, k=3"),
+    # a scalar field that is no int is read by the family check, before any code
+    (GR.psi_in, GR.GravityDiagram("in", "5", 2, ()), "needs n > k >= 1, got n='5', k=2"),
+    (GR.psi_in, GR.GravityDiagram("in", 5.0, 2, ()), "needs n > k >= 1, got n=5.0, k=2"),
+    (GR.psi_out, GR.GravityDiagram("out", 5, "2", ()), "needs n > k >= 1, got n=5, k='2'"),
+    (GR.xi, GR.GravityDiagram("out", 5, 2.0, ()), "needs n > k >= 1, got n=5, k=2.0"),
+    (GR.xi_inverse, GR.GravityDiagram("mcar-out", True, 2, (), ()), "needs a, k >= 1, got a=True, k=2"),
 ], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
         "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n",
         "psi_in row past its column", "psi_in rows out of order", "out row with two segments",
@@ -313,7 +319,8 @@ def test_malformed_diagram_errors():
         "xi_inverse colours falling on a tie", "psi_in segment an int", "psi_out entry a string",
         "psi_out entry True", "psi_out entry a float", "xi_inverse colour a string",
         "psi_in_inverse step a string", "psi_out_inverse step True", "psi_in_inverse k = 0",
-        "psi_out_inverse n = k"])
+        "psi_out_inverse n = k", "psi_in n a string", "psi_in n a float", "psi_out k a string",
+        "xi k a float", "xi_inverse a True"])
 def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
     with pytest.raises(C.InputError, match=message):
         psi(d)

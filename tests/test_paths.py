@@ -280,3 +280,48 @@ def test_every_multilabeled_path_parks_clean():
                 occ = circular_park(k, r, motos, cars)
                 assert occ[r] is None
                 assert sum(1 for v in occ if v is not None) == r
+
+
+# rational shapes both ways round, and shapes with zero parts: t = (0, 0)
+# has the one path (0, 0), t = () the one empty path
+DYCK_SHAPES = [
+    *(P.rational_shape(a, b) for a, b in [(1, 1), (3, 5), (5, 3), (5, 7), (8, 9)]),
+    (2, 0, 1, 1), (0, 2, 0, 1), (0, 0), (),
+]
+
+
+def test_t_dyck_json_lines_are_the_records_lines():
+    for t in DYCK_SHAPES:
+        texts = C.ElementTexts()
+        assert list(P.t_dyck_json_lines(t)) == [p.to_json(texts) for p in P.enumerate_t_dyck(t)], t
+    assert list(P.t_dyck_json_lines((0, 0))) == ['{"shape": [0, 0], "reference": [0, 0]}']
+
+
+def test_multilabeled_json_lines_are_the_records_lines():
+    """At every level for k <= 3 and r <= 5, r = 0 included."""
+    count = 0
+    for k in range(1, 4):
+        for r in range(6):
+            for i in range(r + 1):
+                texts = C.ElementTexts()
+                lines = list(P.multilabeled_json_lines(k, r, i))
+                assert lines == [m.to_json(texts) for m in P.enumerate_multilabeled(k, r, i)], (k, r, i)
+                count += len(lines)
+    assert count == sum(C.k_parking_number(k, r, i)
+                        for k in range(1, 4) for r in range(6) for i in range(r + 1))
+
+
+@pytest.mark.parametrize("records, lines, args", [
+    (P.enumerate_t_dyck, P.t_dyck_json_lines, ((2, -1, 1),)),
+    (P.enumerate_multilabeled, P.multilabeled_json_lines, (0, 2, 1)),
+    (P.enumerate_multilabeled, P.multilabeled_json_lines, (2, 2, 3)),
+    (P.enumerate_multilabeled, P.multilabeled_json_lines, (2, 2, -1)),
+    (P.enumerate_multilabeled, P.multilabeled_json_lines, (2, 2.0, 1)),
+], ids=["dyck negative part", "multilabeled k = 0", "multilabeled i > r", "multilabeled i < 0",
+        "multilabeled r a float"])
+def test_json_lines_reject_what_the_enumerators_reject(records, lines, args):
+    with pytest.raises(C.InputError) as want:
+        list(records(*args))
+    with pytest.raises(C.InputError) as got:
+        list(lines(*args))
+    assert str(got.value) == str(want.value)

@@ -130,6 +130,13 @@ def theta_inverse_5_2(m):
     # (n, k) is checked before the path is read
     (lambda m: U.theta_inverse(m, 2, 0), P.MultiLabeledDyckPath((1,), ((1,),)),
      "the k-caracol graph needs n > k >= 1, got n=2, k=0"),
+    # scalars that are no ints, though 5.0 and 0.0 equal the ints theta_inverse gives back
+    (lambda m: U.theta_inverse(m, "5", 2), P.MultiLabeledDyckPath((1, 1), ((0,), (0,))),
+     "the k-caracol graph needs n > k >= 1, got n='5', k=2"),
+    (U.theta, U.TruncatedDiagram(5.0, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 1))),
+     "the k-caracol graph needs n > k >= 1, got n=5.0, k=2"),
+    (U.theta, U.TruncatedDiagram(5, 2, 0.0, (0, 0), ((), ()), ((0, 1), (0, 1))),
+     r"the k-parking triangle needs 0 <= i <= r, got i=0.0, r=2"),
 ], ids=["theta segment past the last column", "theta segment before the first column",
         "theta segment from past column k",
         "theta label off the tail", "theta level below its labels",
@@ -141,7 +148,7 @@ def theta_inverse_5_2(m):
         "theta_inverse labels not ascending", "theta_inverse label columns missing",
         "theta_inverse more steps than columns", "theta_inverse barred label past k",
         "theta_inverse label column an int", "theta_inverse label True", "theta_inverse step a float",
-        "theta_inverse k = 0"])
+        "theta_inverse k = 0", "theta_inverse n a string", "theta n a float", "theta level a float"])
 def test_theta_maps_reject_malformed_input(apply, arg, message):
     with pytest.raises(C.InputError, match=message):
         apply(arg)
@@ -416,6 +423,29 @@ def test_parking_row_log_concavity():
 def test_truncated_json_round_trip():
     for u in U.enumerate_truncated(5, 2, 1):
         assert record_from_json(U.TruncatedDiagram, u.to_json()) == u
+
+
+def test_truncated_json_lines_are_the_records_lines():
+    """At every level of every caracol (n, k) <= (8, 3)."""
+    count = 0
+    for n in range(2, 9):
+        for k in range(1, min(n, 4)):
+            for i in range(n - k):
+                texts = C.ElementTexts()
+                lines = list(U.truncated_json_lines(n, k, i))
+                assert lines == [u.to_json(texts) for u in U.enumerate_truncated(n, k, i)], (n, k, i)
+                count += len(lines)
+    assert count == sum(C.k_parking_number(k, n - k - 1, i)
+                        for n in range(2, 9) for k in range(1, min(n, 4)) for i in range(n - k))
+
+
+@pytest.mark.parametrize("n,k,i", [(3, 3, 0), (5, 0, 0), (5, 2, 3), (5, 2, -1), (5.0, 2, 0)])
+def test_truncated_json_lines_reject_what_the_enumerator_rejects(n, k, i):
+    with pytest.raises(C.InputError) as want:
+        list(U.enumerate_truncated(n, k, i))
+    with pytest.raises(C.InputError) as got:
+        list(U.truncated_json_lines(n, k, i))
+    assert str(got.value) == str(want.value)
 
 
 def test_caracol_outdegree_closed_form():
