@@ -380,12 +380,13 @@ def _suite_simplex(report: RunReport, total: int, k: int) -> None:
     if total < 0 or k < 2:
         raise InputError(f"the simplex suite needs N >= 0 and k >= 2, got N={total}, k={k}")
     simplex = sorted(combinat.weak_compositions(total, k))
+    weight = {d: combinat.multinomial(total, d) for d in simplex}
     count, off = 0, []  # count: the base points whose blocks cover the simplex disjointly
     for c0 in combinat.weak_compositions(total, k):
         members = [d for _, block in unified.simplex_partition(c0) for d in block]
         if sorted(members) == simplex:
             count += 1
-        if sum(combinat.multinomial(total, d) for d in members) != k**total:
+        if sum(map(weight.__getitem__, members)) != k**total:
             off.append(list(c0))
     covers = f"disjoint covers for all base points (N={total}, k={k})"
     report.check(covers, combinat.binomial(total + k - 1, k - 1), count)

@@ -15,17 +15,17 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from typing import Callable, Iterator, Sequence
 
 from .combinat import (
     ElementTexts,
     InputError,
     Record,
+    _dominating_steps,
     check_parking_level,
     dominates,
     dominating_compositions,
-    weak_compositions,
 )
 
 
@@ -49,19 +49,34 @@ class TDyckPath(Record):
 
 
 def enumerate_t_dyck(t: Sequence[int]) -> Iterator[TDyckPath]:
-    """All t-Dyck paths, in the dominance iterator's lex-decreasing order."""
-    t = tuple(t)
+    """All t-Dyck paths, in the dominance iterator's lex-decreasing order.
+    Each shape dominates t by construction, so its record skips the check
+    of __post_init__."""
+    t, new = tuple(t), TDyckPath.__new__
     for s in dominating_compositions(t):
-        yield TDyckPath(s, t)
+        path = new(TDyckPath)
+        fields = path.__dict__
+        fields["shape"], fields["reference"] = s, t
+        yield path
 
 
 def t_dyck_json_lines(t: Sequence[int]) -> Iterator[str]:
-    """The `to_json` lines of enumerate_t_dyck(t), in its order, with no record built."""
-    t, join = tuple(t), ElementTexts().join
+    """The `to_json` lines of enumerate_t_dyck(t), in its order, with no record built.
+    A step at p changes s_p and s_{p+1} and leaves only zeros after them, so each line
+    keeps the line before up to the text of s_p."""
+    t, texts = tuple(t), ElementTexts()
     head, mid, tail = TDyckPath((), ()).json_frame()
-    tail = mid + join(t) + tail
-    for s in dominating_compositions(t):
-        yield head + join(s) + tail
+    tail = mid + texts.join(t) + tail
+    size = len(t)
+    starts = [len(head)] * size  # starts[q]: where the text of s_q begins in `line`
+    line = head
+    for p, s in _dominating_steps(t):
+        if p + 1 < size:  # the next step's p is at most p + 1
+            line = f"{line[: starts[p]]}{texts[s[p]]}, {texts[s[p + 1]]}{', 0' * (size - p - 2)}{tail}"
+            starts[p + 1] = starts[p] + len(texts[s[p]]) + 2
+        else:  # at most one part: the one line
+            line = head + texts.join(s) + tail
+        yield line
 
 
 @functools.cache
@@ -88,7 +103,7 @@ def _column_label_sets(
     partial = [((), tuple(pool))]  # (columns so far, labels left)
     for size in shape:
         partial = [
-            (cols + (chosen,), tuple(x for x in left if x not in chosen))
+            (cols + (chosen,), tuple(x for x in left if x not in chosen) if chosen else left)
             for cols, left in partial
             for chosen in combinations(left, size)
         ]
@@ -131,21 +146,46 @@ def multilabeled_json_lines(k: int, r: int, i: int) -> Iterator[str]:
 
 def _multilabeled_rows(k: int, r: int, i: int, enc: Callable, make: Callable) -> Iterator:
     """make(enc(shape), enc(labels)) for each k-multi-labeled Dyck path, enc once per
-    shape and per labeling; enc = tuple keeps each piece as it is."""
+    shape and per labeling; enc = tuple keeps each piece as it is.  Per Dyck path it
+    walks the car counts c <= shape with |c| = i; each car count's column splits of
+    1..i are made once per call, and a column's barred labelings once per size."""
     check_parking_level(k, r, i)
-    staircase = (1,) * r
-    all_car_counts = list(weak_compositions(i, r))
-    for path in dominating_compositions(staircase):
+    cars, bars = tuple(range(1, i + 1)), range(1 - k, 1)
+    # the free slots sum to r - i, so every one holds a barred label
+    barred = functools.cache(lambda free: tuple(combinations_with_replacement(bars, free)))
+    splits: dict[tuple[int, ...], list] = {}
+    for path in dominating_compositions((1,) * r):
         shape = enc(path)
-        for car_counts in all_car_counts:
-            if any(c > s for c, s in zip(car_counts, path)):
-                continue
-            # the free slots sum to r - i, so every one holds a barred label
-            barred = list(product(*(
-                combinations_with_replacement(range(1 - k, 1), s - c)
-                for s, c in zip(path, car_counts)
-            )))
-            for car_cols in _column_label_sets(tuple(range(1, i + 1)), car_counts):
-                for barred_cols in barred:
-                    yield make(shape, enc(tuple(bar + car for bar, car in zip(barred_cols, car_cols))))
+        for car_counts in _capped_compositions(i, path):
+            if (car_split := splits.get(car_counts)) is None:
+                car_split = _column_label_sets(cars, car_counts)
+                if i < r:  # at i = r the car counts are the path, which never recurs
+                    splits[car_counts] = car_split
+            bar_split = list(product(*map(barred, map(operator.sub, path, car_counts))))
+            for car_cols in car_split:
+                for barred_cols in bar_split:
+                    yield make(shape, enc(tuple(map(operator.add, barred_cols, car_cols))))
 
+
+def _capped_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The weak compositions c of total with c_j <= caps[j], lex decreasing.
+    An odometer: each c puts as much as fits as early as it can after the
+    rightmost p whose c_p > 0 can move one unit into the room after p."""
+    size = len(caps)
+    room = [*accumulate(reversed(caps), initial=0)][::-1]  # room[p]: the most positions p.. hold
+    if total > room[0]:
+        return
+    c, p, left = [0] * size, 0, total  # fill positions p.. with `left`
+    while True:
+        for q in range(p, size):
+            c[q] = min(caps[q], left)
+            left -= c[q]
+        yield tuple(c)
+        p, left = size - 1, 0  # left: what positions p+1.. hold
+        while p >= 0 and not (c[p] and left < room[p + 1]):
+            left += c[p]
+            p -= 1
+        if p < 0:
+            return
+        c[p] -= 1
+        p, left = p + 1, left + 1

@@ -26,7 +26,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product
+from itertools import accumulate, chain, product
+from operator import ge
 from typing import Callable, Iterator, Sequence
 
 from .combinat import (
@@ -38,7 +39,6 @@ from .combinat import (
     check_composition,
     check_parking_level,
     count_dominating,
-    dominates,
     dominating_compositions,
     k_parking_number,
     monotone_sequences,
@@ -332,11 +332,12 @@ def simplex_partition(
     up = c0[:-1] + (c0[-1] + 1,)  # c0 + e_{k-1}
     bases = [c0] + [up[: j - 1] + (up[j - 1] - 1,) + up[j:] for j in range(1, k)]
     blocks = [(cj, []) for cj in bases]
-    owners = [(j, cj[j:] + cj[:j], members)
+    # each owner's rotated base point as prefix sums, once; d and it share length and sum
+    owners = [(j, prefix_sums(cj[j:] + cj[:j]), members)
               for j, (cj, members) in enumerate(blocks) if min(cj) >= 0]
     for d in weak_compositions(sum(c0), k):
         for j, floor, members in owners:
-            if dominates(d[j:] + d[:j], floor):
+            if all(map(ge, accumulate(d[j:] + d[:j]), floor)):
                 members.append(d)
     return blocks
 

@@ -11,10 +11,18 @@ from typing import Sequence
 
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
-from flowpoly.combinat import InputError, Record, multinomial, prefix_sums, weak_compositions
+from flowpoly.combinat import (
+    InputError,
+    Record,
+    dominates,
+    monotone_sequences,
+    multinomial,
+    prefix_sums,
+    weak_compositions,
+)
 from flowpoly.gravity import GravityDiagram, _out_code, _out_row
 from flowpoly.kostant import KostantEvaluator, kostant
-from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
+from flowpoly.paths import MultiLabeledDyckPath, TDyckPath, _column_label_sets
 from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
 
 
@@ -192,3 +200,52 @@ def standardized_count_listed(n: int, k: int, i: int) -> int:
     """unified.standardized_count by listing every truncated diagram and
     completing each over its k-hull."""
     return sum(completions(u) for u in enumerate_truncated(n, k, i))
+
+
+def dominating_compositions_by_units(t: Sequence[int]) -> list[tuple[int, ...]]:
+    """combinat.dominating_compositions by placing units: x[u], the part
+    that holds the u-th unit, dominates t iff it never exceeds the same
+    sequence for t, and lex-increasing x is lex-decreasing s."""
+    units = [j for j, tj in enumerate(t) for _ in range(tj)]
+    listing = []
+    for x in monotone_sequences([0] * len(units), units):
+        s = [0] * len(t)
+        for j in x:
+            s[j] += 1
+        listing.append(tuple(s))
+    return listing
+
+
+def multilabeled_by_filter(k: int, r: int, i: int) -> list[MultiLabeledDyckPath]:
+    """paths.enumerate_multilabeled by trying every weak composition of i
+    as the car counts of every Dyck path, in lex decreasing order, and
+    keeping those that fit under the path."""
+    all_car_counts = list(weak_compositions(i, r))
+    listing = []
+    for path in dominating_compositions_by_units((1,) * r):
+        for car_counts in all_car_counts:
+            if any(c > s for c, s in zip(car_counts, path)):
+                continue
+            barred = list(itertools.product(*(
+                itertools.combinations_with_replacement(range(1 - k, 1), s - c)
+                for s, c in zip(path, car_counts)
+            )))
+            for car_cols in _column_label_sets(tuple(range(1, i + 1)), car_counts):
+                for barred_cols in barred:
+                    labels = tuple(bar + car for bar, car in zip(barred_cols, car_cols))
+                    listing.append(MultiLabeledDyckPath(path, labels))
+    return listing
+
+
+def simplex_partition_by_dominance(
+    c0: tuple[int, ...],
+) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """unified.simplex_partition by asking `dominates` of each weak
+    composition d and each block j whose base point has no negative part:
+    does d rotated by j dominate c_j rotated by j?"""
+    k = len(c0)
+    up = c0[:-1] + (c0[-1] + 1,)
+    bases = [c0] + [up[: j - 1] + (up[j - 1] - 1,) + up[j:] for j in range(1, k)]
+    simplex = list(weak_compositions(sum(c0), k))
+    return [(cj, [d for d in simplex if min(cj) >= 0 and dominates(d[j:] + d[:j], cj[j:] + cj[:j])])
+            for j, cj in enumerate(bases)]

@@ -701,7 +701,8 @@ CHECK_SITES = [
     # off by one at the doubled ones flow alone, the only flows with a[0] = 2
     (LIDSKII, lidskii, "volume", lambda f: lambda g, a: f(g, a) + (a[0] == 2),
      "volume homogeneity of degree m-n: expected True, got False"),
-    ("verify simplex --N 3 --simplex-k 3", unified, "dominates", constant(True),
+    # every rotated d read as (3, 3, 3), above every base point: d joins every block
+    ("verify simplex --N 3 --simplex-k 3", unified, "accumulate", constant((3, 3, 3)),
      "disjoint covers for all base points (N=3, k=3): expected 10, got 1"),
     ("verify simplex --N 3 --simplex-k 2", combinat, "multinomial", constant(1),
      "base points whose block totals differ from k^N: expected [], got "

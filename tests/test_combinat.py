@@ -11,7 +11,7 @@ from flowpoly import combinat as C
 from flowpoly import gravity as GR
 from flowpoly import paths as P
 from flowpoly import unified as U
-from oracles import is_log_concave, record_from_json, record_json
+from oracles import dominating_compositions_by_units, is_log_concave, record_from_json, record_json
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -229,6 +229,40 @@ def test_dominating_compositions_matches_filter():
                 listed = list(C.dominating_compositions(t))
                 assert listed == sorted(listed, reverse=True)
                 assert len(set(listed)) == len(listed)
+
+
+def test_dominating_compositions_match_the_unit_placement():
+    """The odometer on s lists what placing units lists, in the same order,
+    at every t of length <= 7 and sum <= 7, zero parts anywhere."""
+    count = 0
+    for length in range(8):
+        for total in range(8):
+            for t in C.weak_compositions(total, length):
+                listed = list(C.dominating_compositions(t))
+                assert listed == dominating_compositions_by_units(t), t
+                count += len(listed)
+    assert count == 1_362_315
+
+
+@pytest.mark.parametrize("t", [(1.5, 0.5), (True, 0)])
+def test_dominating_compositions_take_int_parts_only(t):
+    with pytest.raises(C.InputError, match="composition parts must be ints"):
+        next(C.dominating_compositions(t))
+
+
+def test_dominating_steps_name_the_first_changed_part():
+    """Each step's p is the first part that differs from the s before, at
+    most one past the p before; every part after p+1 is 0."""
+    for t in [(0, 0, 3, 0, 1), (2, 0, 1, 1), P.rational_shape(4, 7), (1,) * 6]:
+        before, last = None, 0
+        for p, s in C._dominating_steps(t):
+            s = tuple(s)
+            if before is None:
+                assert (p, s) == (0, (sum(t),) + (0,) * (len(t) - 1))
+            else:
+                assert s[:p] == before[:p] and s[p] == before[p] - 1, (t, p, s)
+                assert p <= last + 1 and not any(s[p + 2 :]), (t, p, s)
+            before, last = s, p
 
 
 def test_monotone_sequences_match_filter():

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from flowpoly import combinat as C
 from flowpoly import paths as P
-from oracles import parking_preferences, record_from_json
+from oracles import multilabeled_by_filter, parking_preferences, record_from_json
 
 
 def rational_row_signature(a: int, b: int) -> tuple[int, ...]:
@@ -122,6 +123,23 @@ def test_rational_shape_not_coprime():
 def test_t_dyck_path_rejects_a_shape_off_its_reference(shape, reference, message):
     with pytest.raises(C.InputError, match=message):
         P.TDyckPath(shape, reference)
+
+
+
+def test_listed_t_dyck_paths_skip_the_dominance_check(monkeypatch):
+    """enumerate_t_dyck builds each record without asking `dominates`, and
+    its records equal the checked ones; a record built anywhere else is
+    still checked."""
+    t = P.rational_shape(4, 7)
+    checked = [P.TDyckPath(s, t) for s in C.dominating_compositions(t)]
+
+    def refuse(s, t):
+        raise AssertionError("dominates asked of a listed shape")
+
+    monkeypatch.setattr(P, "dominates", refuse)
+    assert list(P.enumerate_t_dyck(t)) == checked
+    with pytest.raises(AssertionError, match="dominates asked"):
+        P.TDyckPath((4, 0, 0, 0, 0, 0, 0), t)
 
 
 def test_t_dyck_counts():
@@ -309,6 +327,61 @@ def test_multilabeled_json_lines_are_the_records_lines():
                 count += len(lines)
     assert count == sum(C.k_parking_number(k, r, i)
                         for k in range(1, 4) for r in range(6) for i in range(r + 1))
+
+
+
+def test_multilabeled_paths_match_the_car_count_filter():
+    """The walk over car counts under each path lists what trying every weak
+    composition of i lists, in the same order, for k <= 3 and r <= 5."""
+    for k in range(1, 4):
+        for r in range(6):
+            for i in range(r + 1):
+                assert list(P.enumerate_multilabeled(k, r, i)) == multilabeled_by_filter(k, r, i), (k, r, i)
+
+
+@pytest.mark.parametrize("caps", [(), (0,), (2,), (1, 0, 2), (0, 3, 0, 1), (2, 2, 2), (1, 1, 1, 1, 1)])
+def test_capped_compositions_match_the_filter(caps):
+    """Every total from 0 to one past what the caps hold."""
+    for total in range(sum(caps) + 2):
+        want = [c for c in C.weak_compositions(total, len(caps)) if all(map(int.__le__, c, caps))]
+        assert list(P._capped_compositions(total, caps)) == want, (total, caps)
+
+
+@pytest.mark.parametrize("lines", [
+    lambda: P.t_dyck_json_lines((1,) * 2000),
+    lambda: P.t_dyck_json_lines((0,) * 1999 + (2000,)),
+    lambda: P.multilabeled_json_lines(2, 40, 3),
+    lambda: P.multilabeled_json_lines(3, 40, 2),
+], ids=["dyck 2000 ones", "dyck 2000 at the end", "multilabeled (2, 40, 3)", "multilabeled (3, 40, 2)"])
+def test_first_line_of_a_large_listing_is_cheap(lines):
+    """The line routes' per-call tables grow with positions, not with their
+    squares: a table of zero-suffix texts, one per length, would take about
+    6 MB at 2,000 parts.  The multi-labeled walk lists no car count before
+    it needs it (all weak compositions of 3 into 40 parts take about 4.6 MB);
+    at (3, 40, 2) most of the about 570 KB is the 780 barred labelings of
+    the first column's 38 free slots."""
+    tracemalloc.start()
+    try:
+        next(lines())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+
+def test_a_multilabeled_listing_at_i_equal_r_keeps_no_splits():
+    """At i = r every car count is its path's shape, so no split recurs and
+    none is kept: the whole (1, 6, 6) listing peaks at about 600 KB, and at
+    about 3.9 MB when each of its 16,807 splits is kept."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in P.multilabeled_json_lines(1, 6, 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == C.k_parking_number(1, 6, 6)
+    assert peak < 1_500_000
 
 
 @pytest.mark.parametrize("records, lines, args", [

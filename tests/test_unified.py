@@ -17,6 +17,7 @@ from oracles import (
     is_log_concave,
     parking_preferences,
     record_from_json,
+    simplex_partition_by_dominance,
     standardized_count_enumerated,
     standardized_count_listed,
 )
@@ -331,6 +332,16 @@ def test_simplex_partition_exhaustive():
                 assert combined == sorted(C.weak_compositions(total, k))
                 digest.update(repr(blocks).encode())
     assert digest.hexdigest() == "7fce499b2ca532167702f8ee3df3f92e2809b3a3ab29a0618adb8f089e48bcdc"
+
+
+def test_simplex_partition_matches_the_dominance_test():
+    """Testing each rotated d's prefix sums against each owner's is asking
+    `dominates`: the same blocks, in the same order, for every base point
+    with N <= 5 and k <= 4."""
+    for k in (2, 3, 4):
+        for total in range(6):
+            for c0 in C.weak_compositions(total, k):
+                assert U.simplex_partition(c0) == simplex_partition_by_dominance(c0), c0
 
 
 def test_closed_forms():
