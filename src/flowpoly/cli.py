@@ -237,9 +237,9 @@ def cmd_volume(args: argparse.Namespace) -> RunReport:
 
 def cmd_kostant(args: argparse.Namespace) -> RunReport:
     g, family = parse_graph_spec(args.graph)
-    if bool(args.vector) == bool(args.netflow):
+    if (args.vector is None) == (args.netflow is None):
         raise InputError("kostant needs one of --vector and --netflow")
-    v = (_int_list(args.vector, f"vector {args.vector!r}") if args.vector
+    v = (_int_list(args.vector, f"vector {args.vector!r}") if args.vector is not None
          else parse_netflow_spec(args.netflow, g, family))
     report = RunReport("kostant", {"graph": args.graph, "vector": list(v)})
     report.results["kostant"] = kostant(g, v)
@@ -379,12 +379,13 @@ def _suite_lidskii(report: RunReport) -> None:
 def _suite_simplex(report: RunReport, total: int, k: int) -> None:
     if total < 0 or k < 2:
         raise InputError(f"the simplex suite needs N >= 0 and k >= 2, got N={total}, k={k}")
-    simplex = sorted(combinat.weak_compositions(total, k))
+    simplex = [*combinat.capped_compositions(total, (total,) * k)]
     weight = {d: combinat.multinomial(total, d) for d in simplex}
+    covered = sorted(simplex)
     count, off = 0, []  # count: the base points whose blocks cover the simplex disjointly
-    for c0 in combinat.weak_compositions(total, k):
+    for c0 in simplex:
         members = [d for _, block in unified.simplex_partition(c0) for d in block]
-        if sorted(members) == simplex:
+        if sorted(members) == covered:
             count += 1
         if sum(map(weight.__getitem__, members)) != k**total:
             off.append(list(c0))
@@ -458,7 +459,7 @@ def _gravity(args: argparse.Namespace) -> _Listing:
 
 
 def _dyck(args: argparse.Namespace) -> _Listing:
-    if args.t:
+    if args.t is not None:
         if args.a is not None or args.b is not None:
             raise InputError("enumerate dyck takes --t or --a, --b, not both")
         try:
@@ -511,7 +512,7 @@ _OBJECTS = {
 
 def cmd_enumerate(args: argparse.Namespace) -> RunReport:
     row = _OBJECTS[args.object]
-    needs = () if row.unless and getattr(args, row.unless) else row.needs
+    needs = () if row.unless and getattr(args, row.unless) is not None else row.needs
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise InputError(f"enumerate {args.object} needs {', '.join(missing)}")

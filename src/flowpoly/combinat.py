@@ -171,56 +171,49 @@ def dominates(s: Sequence[int], t: Sequence[int]) -> bool:
     return all(map(operator.ge, ps, pt))
 
 
-def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of `total` into `parts` parts, lex decreasing."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def capped_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The weak compositions c of total with c_j <= caps[j], lex decreasing;
+    caps (total,) * k gives every weak composition of total into k parts.
 
-
-def monotone_sequences(lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every weakly increasing x with lo[p] <= x[p] <= hi[p], lex increasing.
-
-    lo and hi must be nondecreasing, so x = lo comes first when it fits.
-    An odometer: raise the rightmost entry below its bound, then reset each
-    later entry q to max(that entry, lo[q]), which hi[q] cannot be below.
-    """
-    if any(a > b for a, b in zip(lo, hi)):
+    An odometer: each c puts as much as fits as early as it can after the
+    rightmost p whose c_p > 0 can move one unit into the room after p.  The
+    fill stops when no unit is left, and the search for p zeroes each
+    position it passes, so every position after the fill is already 0."""
+    size = len(caps)
+    room = [*accumulate(reversed(caps), initial=0)][::-1]  # room[p]: the most positions p.. hold
+    if total > room[0]:
         return
-    x = list(lo)
-    size = len(x)
+    c, p, left = [0] * size, 0, total  # fill positions p.. with `left`
     while True:
-        yield tuple(x)
-        p = size - 1
-        while p >= 0 and x[p] == hi[p]:
+        while left:
+            c[p] = fill = min(caps[p], left)
+            left -= fill
+            p += 1
+        yield tuple(c)
+        p, left = size - 1, 0  # left: what positions p+1.. held
+        while p >= 0 and not (c[p] and left < room[p + 1]):
+            left += c[p]
+            c[p] = 0
             p -= 1
         if p < 0:
             return
-        v = x[p] = x[p] + 1
-        for q in range(p + 1, size):
-            x[q] = max(v, lo[q])
+        c[p] -= 1
+        p, left = p + 1, left + 1
 
 
 def monotone_concat(
     lo: Sequence[int], hi: Sequence[int], piece: Callable[[int, int, int], tuple]
 ) -> Iterator[tuple]:
-    """For each x of monotone_sequences(lo, hi), in the same order, the
-    concatenation piece(0, lo[0], x[0]) + piece(1, x[0], x[1]) + ... +
-    piece(q, x[q-1], x[q]) + ... over every position q.
+    """For each weakly increasing x with lo[q] <= x[q] <= hi[q], lex
+    increasing, the concatenation piece(0, lo[0], x[0]) + piece(1, x[0],
+    x[1]) + ... + piece(q, x[q-1], x[q]) + ... over every position q.
 
-    The same odometer, keeping the concatenation of the pieces before each
-    position: consecutive x agree up to the entry the odometer raised, so
-    only the pieces from that entry on are rebuilt.  Bare sequences stay
-    with monotone_sequences: listing them here with the piece (v,)
-    measured 1.4 to 1.5 times slower, on nondecreasing sequences of 12
-    entries and on the out-degree gravity codes of (10, 2).
+    lo and hi must be nondecreasing, so x = lo comes first when it fits.
+    An odometer: raise the rightmost entry below its bound, then reset each
+    later entry q to max(that entry, lo[q]), which hi[q] cannot be below.
+    It keeps the concatenation of the pieces before each position:
+    consecutive x agree up to the entry it raised, so only the pieces from
+    that entry on are rebuilt.
     """
     if any(a > b for a, b in zip(lo, hi)):
         return

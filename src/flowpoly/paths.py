@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Iterator, Sequence
 
 from .combinat import (
@@ -23,6 +23,7 @@ from .combinat import (
     InputError,
     Record,
     _dominating_steps,
+    capped_compositions,
     check_parking_level,
     dominates,
     dominating_compositions,
@@ -156,7 +157,7 @@ def _multilabeled_rows(k: int, r: int, i: int, enc: Callable, make: Callable) ->
     splits: dict[tuple[int, ...], list] = {}
     for path in dominating_compositions((1,) * r):
         shape = enc(path)
-        for car_counts in _capped_compositions(i, path):
+        for car_counts in capped_compositions(i, path):
             if (car_split := splits.get(car_counts)) is None:
                 car_split = _column_label_sets(cars, car_counts)
                 if i < r:  # at i = r the car counts are the path, which never recurs
@@ -166,26 +167,3 @@ def _multilabeled_rows(k: int, r: int, i: int, enc: Callable, make: Callable) ->
                 for barred_cols in bar_split:
                     yield make(shape, enc(tuple(map(operator.add, barred_cols, car_cols))))
 
-
-def _capped_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The weak compositions c of total with c_j <= caps[j], lex decreasing.
-    An odometer: each c puts as much as fits as early as it can after the
-    rightmost p whose c_p > 0 can move one unit into the room after p."""
-    size = len(caps)
-    room = [*accumulate(reversed(caps), initial=0)][::-1]  # room[p]: the most positions p.. hold
-    if total > room[0]:
-        return
-    c, p, left = [0] * size, 0, total  # fill positions p.. with `left`
-    while True:
-        for q in range(p, size):
-            c[q] = min(caps[q], left)
-            left -= c[q]
-        yield tuple(c)
-        p, left = size - 1, 0  # left: what positions p+1.. hold
-        while p >= 0 and not (c[p] and left < room[p + 1]):
-            left += c[p]
-            p -= 1
-        if p < 0:
-            return
-        c[p] -= 1
-        p, left = p + 1, left + 1

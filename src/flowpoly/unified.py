@@ -36,14 +36,14 @@ from .combinat import (
     Record,
     all_ints,
     binomial,
+    capped_compositions,
     check_composition,
     check_parking_level,
     count_dominating,
     dominating_compositions,
     k_parking_number,
-    monotone_sequences,
+    monotone_concat,
     prefix_sums,
-    weak_compositions,
 )
 from .graphs import (
     DirectedMultigraph,
@@ -109,14 +109,15 @@ def _segment_multisets(
     """Multisets of r-i segments (h, l) obeying the per-column dot caps,
     as sorted tuples in lex order.  A segment is encoded as x = hk + l - 1;
     the cap of column k+j holds iff the p-th smallest segment, counted
-    from 0, has h < j for every p < j - prefix_j(tail)."""
+    from 0, has h < j for every p < j - prefix_j(tail).  The codes x are
+    weakly increasing, and a table holds each code's one-segment piece."""
     prefix = (0,) + prefix_sums(tail)
     hi = [
         min((j * k - 1 for j in range(1, r) if p < j - prefix[j]), default=r * k - 1)
         for p in range(r - i)
     ]
-    for x in monotone_sequences([0] * (r - i), hi):
-        yield tuple((xp // k, xp % k + 1) for xp in x)
+    pieces = [((x // k, x % k + 1),) for x in range(r * k)]
+    return monotone_concat([0] * (r - i), hi, lambda q, _, x: pieces[x])
 
 
 def _check_level(n: int, k: int, i: int) -> int:
@@ -335,7 +336,8 @@ def simplex_partition(
     # each owner's rotated base point as prefix sums, once; d and it share length and sum
     owners = [(j, prefix_sums(cj[j:] + cj[:j]), members)
               for j, (cj, members) in enumerate(blocks) if min(cj) >= 0]
-    for d in weak_compositions(sum(c0), k):
+    total = sum(c0)
+    for d in capped_compositions(total, (total,) * k):
         for j, floor, members in owners:
             if all(map(ge, accumulate(d[j:] + d[:j]), floor)):
                 members.append(d)

@@ -7,23 +7,50 @@ import dataclasses
 import functools
 import itertools
 import json
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
-from flowpoly.combinat import (
-    InputError,
-    Record,
-    dominates,
-    monotone_sequences,
-    multinomial,
-    prefix_sums,
-    weak_compositions,
-)
+from flowpoly.combinat import InputError, Record, dominates, multinomial, prefix_sums
 from flowpoly.gravity import GravityDiagram, _out_code, _out_row
 from flowpoly.kostant import KostantEvaluator, kostant
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath, _column_label_sets
 from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
+
+
+def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All weak compositions of `total` into `parts` parts, lex decreasing,
+    by recursion on the first part."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def monotone_sequences(lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every weakly increasing x with lo[p] <= x[p] <= hi[p], lex increasing,
+    for nondecreasing lo and hi, as bare tuples: raise the rightmost entry
+    below its bound, then reset each later entry q to max(that entry, lo[q])."""
+    if any(a > b for a, b in zip(lo, hi)):
+        return
+    x = list(lo)
+    size = len(x)
+    while True:
+        yield tuple(x)
+        p = size - 1
+        while p >= 0 and x[p] == hi[p]:
+            p -= 1
+        if p < 0:
+            return
+        v = x[p] = x[p] + 1
+        for q in range(p + 1, size):
+            x[q] = max(v, lo[q])
 
 
 def is_log_concave(seq: Sequence[int]) -> bool:
@@ -200,6 +227,18 @@ def standardized_count_listed(n: int, k: int, i: int) -> int:
     """unified.standardized_count by listing every truncated diagram and
     completing each over its k-hull."""
     return sum(completions(u) for u in enumerate_truncated(n, k, i))
+
+
+def segment_multisets_by_codes(
+    k: int, r: int, i: int, tail: Sequence[int]
+) -> list[tuple[tuple[int, int], ...]]:
+    """unified._segment_multisets by listing the bare code sequences x
+    under the same per-position caps and decoding each x = hk + l - 1 on
+    its own."""
+    prefix = (0,) + prefix_sums(tail)
+    hi = [min((j * k - 1 for j in range(1, r) if p < j - prefix[j]), default=r * k - 1)
+          for p in range(r - i)]
+    return [tuple((x // k, x % k + 1) for x in xs) for xs in monotone_sequences([0] * (r - i), hi)]
 
 
 def dominating_compositions_by_units(t: Sequence[int]) -> list[tuple[int, ...]]:

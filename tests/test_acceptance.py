@@ -19,6 +19,7 @@ from oracles import (
     psi_out_subpartition,
     standardized_count_enumerated,
     volume_unit_flow,
+    weak_compositions,
 )
 
 
@@ -177,7 +178,7 @@ def test_criterion_06_simplex_partition():
     with criterion(6, "multinomial-simplex partitions cover disjointly (N <= 6)"):
         for k in (2, 3, 4):
             for total in range(7):
-                for c0 in C.weak_compositions(total, k):
+                for c0 in weak_compositions(total, k):
                     blocks = U.simplex_partition(c0)
                     got = sum(
                         C.multinomial(total, d) for _, members in blocks for d in members

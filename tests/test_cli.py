@@ -501,6 +501,12 @@ BAD_INPUTS = [
     ("kostant --graph ps:n=4 --vector [1,0,0,-1] --netflow ones",
      "kostant needs one of --vector and --netflow"),
     ("kostant --graph ps:n=4", "kostant needs one of --vector and --netflow"),
+    # an empty value is a value: it is read and refused, never taken as absent
+    ("enumerate dyck --t=", "bad --t ''"),
+    ("enumerate dyck --t= --a 2 --b 3", "not both"),
+    ("kostant --graph ps:n=4 --vector= --netflow unit", "kostant needs one of --vector and --netflow"),
+    ("kostant --graph ps:n=4 --vector=", "bad vector ''"),
+    ("kostant --graph ps:n=4 --netflow=", "unknown net flow spec ''"),
     ("tables parking --k 0", "k >= 1"),
     # a size that names no row, whatever the other parameters
     ("tables parking --k 0 --rmax -1", "tables parking needs --rmax >= 0, got -1"),

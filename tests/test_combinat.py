@@ -11,7 +11,9 @@ from flowpoly import combinat as C
 from flowpoly import gravity as GR
 from flowpoly import paths as P
 from flowpoly import unified as U
-from oracles import dominating_compositions_by_units, is_log_concave, record_from_json, record_json
+from oracles import (
+    dominating_compositions_by_units, is_log_concave, record_from_json, record_json, weak_compositions,
+)
 
 
 def pascal_triangle(rows: int) -> list[list[int]]:
@@ -72,7 +74,7 @@ def test_multinomial():
     with pytest.raises(C.InputError, match="do not sum to 6"):
         C.multinomial(6, (2, 2, 3))
     for n in range(8):
-        for parts in C.weak_compositions(n, 3):
+        for parts in weak_compositions(n, 3):
             assert C.multinomial(n, parts) == math.factorial(n) // math.prod(
                 math.factorial(p) for p in parts
             )
@@ -81,7 +83,7 @@ def test_multinomial():
 def test_multinomial_theorem():
     for k in range(1, 5):
         for n in range(11):
-            total = sum(C.multinomial(n, d) for d in C.weak_compositions(n, k))
+            total = sum(C.multinomial(n, d) for d in weak_compositions(n, k))
             assert total == k**n
 
 
@@ -219,9 +221,9 @@ def test_dominating_compositions():
 def test_dominating_compositions_matches_filter():
     for length in range(1, 7):
         for total in range(0, 9 - length):
-            for t in C.weak_compositions(total, length):
+            for t in weak_compositions(total, length):
                 expect = sorted(
-                    s for s in C.weak_compositions(total, length) if C.dominates(s, t)
+                    s for s in weak_compositions(total, length) if C.dominates(s, t)
                 )
                 got = sorted(C.dominating_compositions(t))
                 assert got == expect, t
@@ -237,7 +239,7 @@ def test_dominating_compositions_match_the_unit_placement():
     count = 0
     for length in range(8):
         for total in range(8):
-            for t in C.weak_compositions(total, length):
+            for t in weak_compositions(total, length):
                 listed = list(C.dominating_compositions(t))
                 assert listed == dominating_compositions_by_units(t), t
                 count += len(listed)
@@ -265,19 +267,26 @@ def test_dominating_steps_name_the_first_changed_part():
             before, last = s, p
 
 
-def test_monotone_sequences_match_filter():
+def _monotone_by_filter(lo, hi) -> list[tuple[int, ...]]:
+    """The weakly increasing members of the product of the bound ranges, in
+    the product's lex order."""
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    return [x for x in product(*ranges) if list(x) == sorted(x)]
+
+
+def test_monotone_concat_lists_the_filtered_sequences():
     """Every pair of nondecreasing bounds up to length 4 and bound 4,
-    infeasible ones included: the lister gives the weakly increasing
-    members of the product of the bound ranges, in the product's lex order."""
+    infeasible ones included: with the piece (v,), the lister gives the
+    weakly increasing members of the product of the bound ranges, in the
+    product's lex order."""
+    bare = lambda q, prev, v: (v,)
     for length in range(5):
         bounds = [b for b in product(range(5), repeat=length) if list(b) == sorted(b)]
         for lo in bounds:
             for hi in bounds:
-                ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-                expect = [x for x in product(*ranges) if list(x) == sorted(x)]
-                assert list(C.monotone_sequences(lo, hi)) == expect, (lo, hi)
-    assert list(C.monotone_sequences((), ())) == [()]
-    assert list(C.monotone_sequences((0, 3), (2, 2))) == []
+                assert list(C.monotone_concat(lo, hi, bare)) == _monotone_by_filter(lo, hi), (lo, hi)
+    assert list(C.monotone_concat((), (), bare)) == [()]
+    assert list(C.monotone_concat((0, 3), (2, 2), bare)) == []
 
 
 def _labelled(q, prev, v):
@@ -286,16 +295,16 @@ def _labelled(q, prev, v):
     return ((q, prev, v),) * (v - prev + 1)
 
 
-def test_monotone_concat_matches_monotone_sequences():
+def test_monotone_concat_joins_the_pieces_of_each_sequence():
     """On every pair of nondecreasing bounds up to length 4 and bound 3, the
-    concatenation of the pieces of each monotone sequence, in its order,
-    with lo[0] as the previous entry of position 0."""
+    concatenation of the pieces of each weakly increasing sequence, in lex
+    order, with lo[0] as the previous entry of position 0."""
     for length in range(5):
         bounds = [b for b in product(range(4), repeat=length) if list(b) == sorted(b)]
         for lo in bounds:
             for hi in bounds:
                 expect = []
-                for x in C.monotone_sequences(lo, hi):
+                for x in _monotone_by_filter(lo, hi):
                     prevs = lo[:1] + x[:-1]
                     pieces = [_labelled(q, *pv) for q, pv in enumerate(zip(prevs, x))]
                     expect.append(sum(pieces, ()))
@@ -309,6 +318,33 @@ def test_monotone_concat_edge_cases():
     # two thousand positions: the walk is a loop, not a recursion
     first = next(C.monotone_concat([0] * 2000, [1] * 2000, lambda q, prev, v: (q,)))
     assert first == tuple(range(2000))
+
+
+def _capped_by_filter(total: int, caps) -> list[tuple[int, ...]]:
+    """Every c with 0 <= c_j <= caps[j] and |c| = total, in lex decreasing
+    order: the product of the descending ranges, filtered by the sum."""
+    return [c for c in product(*(range(cap, -1, -1) for cap in caps)) if sum(c) == total]
+
+
+@pytest.mark.parametrize("caps", [(), (0,), (2,), (1, 0, 2), (0, 3, 0, 1), (2, 2, 2), (1, 1, 1, 1, 1),
+                                  (3, 0, 0, 2), (0, 0), (4, 1, 3, 0, 2)])
+def test_capped_compositions_match_the_filter(caps):
+    """Every total from 0 to two past what the caps hold: no parts at totals
+    0 and 1, zero caps anywhere, and totals the caps cannot hold."""
+    for total in range(sum(caps) + 3):
+        assert list(C.capped_compositions(total, caps)) == _capped_by_filter(total, caps), (total, caps)
+
+
+def test_capped_compositions_list_the_simplex():
+    """Caps (N,) * k list every weak composition of N into k parts, in the
+    order of the recursion on the first part, for N <= 8 and k <= 5."""
+    for k in range(6):
+        for total in range(9):
+            caps = (total,) * k
+            listed = list(C.capped_compositions(total, caps))
+            assert listed == _capped_by_filter(total, caps) == list(weak_compositions(total, k)), (total, k)
+    assert list(C.capped_compositions(0, ())) == [()]
+    assert list(C.capped_compositions(1, ())) == []
 
 
 def test_count_dominating():

@@ -14,7 +14,8 @@ from flowpoly import graphs as G
 from flowpoly import paths as P
 from flowpoly.kostant import kostant
 from oracles import (
-    out_segments_by_row, psi_out_inverse_by_embedding, psi_out_subpartition, record_from_json,
+    monotone_sequences, out_segments_by_row, psi_out_inverse_by_embedding, psi_out_subpartition,
+    record_from_json, weak_compositions,
 )
 
 FAMILIES = [(5, 1), (5, 2), (6, 2), (7, 3)]
@@ -359,7 +360,7 @@ def test_one_code_behind_every_map(n, k):
     are the two listings side by side, and xi complements and reverses."""
     a = n - k
     ins, outs = list(GR.enumerate_in_gravity(n, k)), list(GR.enumerate_out_gravity(n, k))
-    codes = list(C.monotone_sequences([0] * (a - 1), [k * i - 1 for i in range(1, a)]))
+    codes = list(monotone_sequences([0] * (a - 1), [k * i - 1 for i in range(1, a)]))
     assert [_crossings(GR.psi_in(d)) for d in ins] == codes
     assert [_crossings(GR.psi_out(d)) for d in outs] == codes
     assert correspondence(n, k) == (list(zip(outs, ins)), [])
@@ -384,7 +385,7 @@ def test_psi_out_inverse_is_the_embedding_formula():
     for n in range(2, 7):
         for k in range(1, min(n, 4)):
             a, b = n - k, k * (n - k) - 1
-            for s in C.weak_compositions(a, b):
+            for s in weak_compositions(a, b):
                 path = P.TDyckPath(s, s)
                 got = _outcome(GR.psi_out_inverse, path, n, k)
                 want = _outcome(psi_out_inverse_by_embedding, path, n, k)

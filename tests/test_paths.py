@@ -9,7 +9,7 @@ import pytest
 
 from flowpoly import combinat as C
 from flowpoly import paths as P
-from oracles import multilabeled_by_filter, parking_preferences, record_from_json
+from oracles import multilabeled_by_filter, parking_preferences, record_from_json, weak_compositions
 
 
 def rational_row_signature(a: int, b: int) -> tuple[int, ...]:
@@ -216,7 +216,7 @@ def test_circular_park_all_prefer_first():
 
 def all_preferences(k: int, r: int, i: int):
     """Every parking-preference profile with r - i motorcycles and i cars."""
-    for sizes in C.weak_compositions(r - i, k):
+    for sizes in weak_compositions(r - i, k):
         moto_choices = [
             list(combinations_with_replacement(range(1, r + 2), d)) for d in sizes
         ]
@@ -337,14 +337,6 @@ def test_multilabeled_paths_match_the_car_count_filter():
         for r in range(6):
             for i in range(r + 1):
                 assert list(P.enumerate_multilabeled(k, r, i)) == multilabeled_by_filter(k, r, i), (k, r, i)
-
-
-@pytest.mark.parametrize("caps", [(), (0,), (2,), (1, 0, 2), (0, 3, 0, 1), (2, 2, 2), (1, 1, 1, 1, 1)])
-def test_capped_compositions_match_the_filter(caps):
-    """Every total from 0 to one past what the caps hold."""
-    for total in range(sum(caps) + 2):
-        want = [c for c in C.weak_compositions(total, len(caps)) if all(map(int.__le__, c, caps))]
-        assert list(P._capped_compositions(total, caps)) == want, (total, caps)
 
 
 @pytest.mark.parametrize("lines", [

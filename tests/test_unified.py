@@ -17,9 +17,11 @@ from oracles import (
     is_log_concave,
     parking_preferences,
     record_from_json,
+    segment_multisets_by_codes,
     simplex_partition_by_dominance,
     standardized_count_enumerated,
     standardized_count_listed,
+    weak_compositions,
 )
 
 
@@ -313,10 +315,25 @@ def test_simplex_partition_k2():
                 )
 
 
+def test_segment_multisets_match_the_bare_codes():
+    """The piece table lists what decoding each bare code sequence lists, in
+    the same order, for every tail of every level with n <= 9."""
+    tails = 0
+    for n in range(2, 10):
+        for k in range(1, n):
+            r = n - k - 1
+            for i in range(r + 1):
+                for tail in C.dominating_compositions((0,) * (r - i) + (1,) * i):
+                    want = segment_multisets_by_codes(k, r, i, tail)
+                    assert list(U._segment_multisets(k, r, i, tail)) == want, (n, k, i, tail)
+                    tails += 1
+    assert tails == 2974
+
+
 def test_simplex_partition_corner():
     # every rotated base point dips negative, so the first block is everything
     blocks = U.simplex_partition((0, 0, 6))
-    assert len(blocks[0][1]) == len(list(C.weak_compositions(6, 3)))
+    assert len(blocks[0][1]) == len(list(weak_compositions(6, 3)))
     assert all(not members for _, members in blocks[1:])
 
 
@@ -326,10 +343,10 @@ def test_simplex_partition_exhaustive():
     digest = hashlib.sha256()
     for k in (2, 3, 4):
         for total in range(0, 7):
-            for c0 in C.weak_compositions(total, k):
+            for c0 in weak_compositions(total, k):
                 blocks = U.simplex_partition(c0)
                 combined = sorted(d for _, members in blocks for d in members)
-                assert combined == sorted(C.weak_compositions(total, k))
+                assert combined == sorted(weak_compositions(total, k))
                 digest.update(repr(blocks).encode())
     assert digest.hexdigest() == "7fce499b2ca532167702f8ee3df3f92e2809b3a3ab29a0618adb8f089e48bcdc"
 
@@ -340,7 +357,7 @@ def test_simplex_partition_matches_the_dominance_test():
     with N <= 5 and k <= 4."""
     for k in (2, 3, 4):
         for total in range(6):
-            for c0 in C.weak_compositions(total, k):
+            for c0 in weak_compositions(total, k):
                 assert U.simplex_partition(c0) == simplex_partition_by_dominance(c0), c0
 
 
