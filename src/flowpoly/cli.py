@@ -320,9 +320,10 @@ def _suite_bijections(report: RunReport, n: int, k: int) -> None:
     report.check("in/out correspondence size", count, len(pairs))
     if unmatched:
         report.check("in/out diagrams left unmatched", [], [d.to_json() for d, _ in unmatched])
-    theta_ok = all({_image(unified.theta, u) for u in unified.enumerate_truncated(n, k, i)}
-                   == {*paths.enumerate_multilabeled(k, a - 1, i)} for i in range(a))
-    report.check("theta images are the multi-labeled paths", True, theta_ok)
+    thetas = [(u, unified.theta(u)) for i in range(a) for u in unified.enumerate_truncated(n, k, i)]
+    report.check("theta round trip", True, _round_trip(thetas, lambda m: unified.theta_inverse(m, n, k)))
+    report.check("theta images are the multi-labeled paths", True, {m for _, m in thetas}
+                 == {m for i in range(a) for m in paths.enumerate_multilabeled(k, a - 1, i)})
     mcar_diagrams = list(gravity.enumerate_out_gravity_mcar(a, k))
     xis = [(d, _image(gravity.xi, d)) for d, _ in outs]
     report.check("xi round trip", True, _round_trip(xis, gravity.xi_inverse))
@@ -617,13 +618,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     payload = report.to_json() if args.format == "json" else report.layout(report.to_text())
 
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as fh:
                 fh.write(payload + "\n")
         else:
             print(payload, flush=True)
     except OSError as exc:
-        if not args.out:
+        if args.out is None:
             # the reader is gone or the device is full; send what is still
             # buffered to devnull, so that the interpreter's final flush of
             # stdout cannot fail

@@ -52,12 +52,12 @@ class TDyckPath(Record):
 def enumerate_t_dyck(t: Sequence[int]) -> Iterator[TDyckPath]:
     """All t-Dyck paths, in the dominance iterator's lex-decreasing order.
     Each shape dominates t by construction, so its record skips the check
-    of __post_init__."""
-    t, new = tuple(t), TDyckPath.__new__
+    of __post_init__; put writes each field as the dataclass __init__ does."""
+    t, new, put = tuple(t), object.__new__, object.__setattr__
     for s in dominating_compositions(t):
         path = new(TDyckPath)
-        fields = path.__dict__
-        fields["shape"], fields["reference"] = s, t
+        put(path, "shape", s)
+        put(path, "reference", t)
         yield path
 
 

@@ -95,12 +95,38 @@ def unified_diagrams(
 
 @dataclass(frozen=True)
 class TruncatedDiagram(Record):
+    """A truncated level-(k, i) diagram, level = i, accepted when it is built only if
+    theta_inverse gives it back from its theta image; so no map of it checks it, and
+    the code that writes canonical fields builds it unchecked with _truncated."""
+
     n: int
     k: int
     level: int
     tail: tuple[int, ...]
     tail_labels: tuple[tuple[int, ...], ...]
     segments: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        _check_level(self.n, self.k, self.level)
+        segs = self.segments
+        if ({*map(type, (*self.tail_labels, *segs))} - {tuple} or {*map(len, segs)} - {2}
+                or not all_ints(chain(self.tail, *segs))):
+            raise InputError("tail parts are ints, tail labels tuples and segments (h, l) int pairs")
+        m = theta(self)  # drops a segment whose h names no column, which so does not come back
+        if theta_inverse(m, self.n, self.k) != self:
+            raise InputError(f"not the canonical level-{self.level} record of its image {m.labels}")
+
+
+def _truncated(n, k, level, tail, tail_labels, segments, new=object.__new__, put=object.__setattr__):
+    """The record of canonical fields, unchecked; put writes each as the dataclass __init__ does."""
+    u = new(TruncatedDiagram)
+    put(u, "n", n)
+    put(u, "k", k)
+    put(u, "level", level)
+    put(u, "tail", tail)
+    put(u, "tail_labels", tail_labels)
+    put(u, "segments", segments)
+    return u
 
 
 def _segment_multisets(
@@ -130,12 +156,12 @@ def _check_level(n: int, k: int, i: int) -> int:
 
 def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
     """All truncated level-(k, i) diagrams; there are T_k(n-k-1, i)."""
-    yield from _truncated_rows(n, k, i, tuple, partial(TruncatedDiagram, n, k, i))
+    yield from _truncated_rows(n, k, i, tuple, partial(_truncated, n, k, i))
 
 
 def truncated_json_lines(n: int, k: int, i: int) -> Iterator[str]:
     """The `to_json` lines of enumerate_truncated(n, k, i), in its order, with no record built."""
-    head, mid, mid2, end = TruncatedDiagram(n, k, i, (), (), ()).json_frame()
+    head, mid, mid2, end = _truncated(n, k, i, (), (), ()).json_frame()
     yield from _truncated_rows(n, k, i, ElementTexts().join,
                                lambda q, lab, segs: f"{head}{q}{mid}{lab}{mid2}{segs}{end}")
 
@@ -159,20 +185,11 @@ def _truncated_rows(n: int, k: int, i: int, enc: Callable, make: Callable) -> It
 
 def theta(u: TruncatedDiagram) -> MultiLabeledDyckPath:
     """Slide each segment's barred label to its right end: (h, l) becomes a
-    north step at east position h labeled bar(k-l).  u is accepted only when
-    theta_inverse gives it back from that image."""
+    north step at east position h labeled bar(k-l)."""
     segs, k = u.segments, u.k
-    _check_level(u.n, k, u.level)
-    if ({*map(type, (*u.tail_labels, *segs))} - {tuple} or {*map(len, segs)} - {2}
-            or not all_ints(chain(u.tail, *segs))):
-        raise InputError("tail parts are ints, tail labels tuples and segments (h, l) int pairs")
-    # a segment whose h names no column slides nowhere, so theta_inverse does not give u back
     labels = tuple([(*[l - k for h, l in segs if h == x], *cars)
                     for x, cars in enumerate(u.tail_labels)])
-    m = MultiLabeledDyckPath(tuple(map(len, labels)), labels)
-    if theta_inverse(m, u.n, k) != u:
-        raise InputError(f"not the canonical level-{u.level} record of its image {labels}")
-    return m
+    return MultiLabeledDyckPath(tuple(map(len, labels)), labels)
 
 
 def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
@@ -198,7 +215,7 @@ def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
     i = sum(tail)
     if sorted(chain.from_iterable(tail_labels)) != list(range(1, i + 1)):
         raise InputError("car labels must be 1..i, once each")
-    return TruncatedDiagram(n, k, i, tail, tuple(tail_labels), tuple(segs))
+    return _truncated(n, k, i, tail, tuple(tail_labels), tuple(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +308,7 @@ def cyclic_shift(z: int, u: TruncatedDiagram) -> TruncatedDiagram:
     column, keeping everything right of column k fixed."""
     k = u.k
     segs = tuple(sorted((h, (l - 1 - z) % k + 1) for h, l in u.segments))
-    return TruncatedDiagram(u.n, u.k, u.level, u.tail, u.tail_labels, segs)
+    return _truncated(u.n, k, u.level, u.tail, u.tail_labels, segs)
 
 
 def truncated_orbits(n: int, k: int, i: int) -> list[list[TruncatedDiagram]]:
@@ -393,15 +410,8 @@ def count_unified_stratified_mcar(a: int, k: int, x: int, y: int) -> int:
     check_multicaracol(a, k)
     _check_xy(x, y)
     mn = (k + 1) * a - 2
-    total = 0
-    for i in range(a):
-        total += (
-            binomial(mn, i)
-            * (k * x) ** (mn - i)
-            * y**i
-            * k_parking_number(k, a - 1, i)
-        )
-    return total
+    return sum(binomial(mn, i) * (k * x) ** (mn - i) * y**i * k_parking_number(k, a - 1, i)
+               for i in range(a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Seeded fuzz of the maps of the model and of the command line.
 
 Each map of the model accepts a record only when its family's canonical
-writer gives the record back from its code (theta: when theta_inverse gives
-it back from its image).  So a mutated listed record, an entry of it moved,
-dropped or given another type among them, is either rejected with an
-InputError or mapped to an image that the inverse takes back to the same
-record, a record the enumerator lists.  The command line keeps its
-exit-code contract on every argv: 0, 1 or 2, no traceback, and one
-`error:` line on exit 2.
+writer gives the record back from its code.  A truncated record is
+checked once, when it is built: it is accepted only when theta_inverse
+gives it back from its theta image, and theta, cyclic_shift, k_hull and
+completions check nothing.  So a mutated listed record, an entry of it
+moved, dropped or given another type among them, is built inside the
+rejection check, and is either rejected with an InputError or mapped to an
+image that the inverse takes back to the same record, a record the
+enumerator lists; a truncated mutant that is built is a listed record, and
+each truncated map gives for it what it gives for that record.  The
+command line keeps its exit-code contract on every argv: 0, 1 or 2, no
+traceback, and one `error:` line on exit 2.
 """
 from __future__ import annotations
 
@@ -78,10 +82,12 @@ def _mutate_tuple(rng: random.Random, value: tuple):
 
 
 def mutants(rng: random.Random, records: list, count: int) -> list:
-    """count records, each a listed one with one field changed: a scalar
-    moved by one or retyped, or a tuple changed by `_mutate_tuple`; a change that
-    leaves the record as it was, or that no field takes, is drawn again.
-    Records are told apart by repr, where True and 1.0 differ from 1."""
+    """count builders, each of a listed record with one field changed: a
+    scalar moved by one or retyped, or a tuple changed by `_mutate_tuple`; a
+    change that leaves the record as it was, or that no field takes, is
+    drawn again.  A record that checks itself raises when its builder is
+    called, so the caller builds it inside its rejection check.  Records
+    are told apart by repr, where True and 1.0 differ from 1."""
     out = []
     while len(out) < count:
         record = rng.choice(records)
@@ -91,7 +97,7 @@ def mutants(rng: random.Random, records: list, count: int) -> list:
         value = getattr(record, name)
         new = rng.choice((_shift, _retype))(rng, value) if type(value) is int else _mutate_tuple(rng, value)
         if new is not None and repr(new) != repr(value):
-            out.append(dataclasses.replace(record, **{name: new}))
+            out.append(functools.partial(dataclasses.replace, record, **{name: new}))
     return out
 
 
@@ -149,8 +155,9 @@ def test_every_map_rejects_a_mutant_or_takes_it_back_to_a_listed_record():
     seen = {"rejected": 0, "round trip": 0}
     for n, k in SIZES:
         for name, records, forward, back, is_listed in families(n, k):
-            for x in mutants(rng, records, MUTANTS):
+            for build in mutants(rng, records, MUTANTS):
                 try:
+                    x = build()
                     image = forward(x)
                 except InputError:
                     seen["rejected"] += 1
@@ -158,6 +165,28 @@ def test_every_map_rejects_a_mutant_or_takes_it_back_to_a_listed_record():
                 assert repr(back(image, x)) == repr(x), (name, x, image)
                 assert is_listed(x), (name, x)
                 seen["round trip"] += 1
+    assert min(seen.values()) > 0, seen  # both outcomes occur
+
+
+def test_a_truncated_mutant_is_rejected_when_built_or_is_read_as_its_listed_twin():
+    """cyclic_shift, k_hull and completions check nothing, so a mutant that
+    is built must equal a listed record, and every map must read it as
+    that record."""
+    rng = random.Random(1)
+    maps = (U.theta, functools.partial(U.cyclic_shift, 1), U.k_hull, U.completions)
+    seen = {"rejected": 0, "listed": 0}
+    for n, k in SIZES:
+        records = _each_level(lambda i: listed("truncated", n, k, i), n - k - 1)
+        twins = {u: u for u in records}
+        for build in mutants(rng, records, MUTANTS):
+            try:
+                u = build()
+            except InputError:
+                seen["rejected"] += 1
+                continue
+            assert u in twins, u
+            assert [repr(f(u)) for f in maps] == [repr(f(twins[u])) for f in maps], u
+            seen["listed"] += 1
     assert min(seen.values()) > 0, seen  # both outcomes occur
 
 

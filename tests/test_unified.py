@@ -76,42 +76,48 @@ def theta_inverse_5_2(m):
     return U.theta_inverse(m, 5, 2)
 
 
-# theta accepts a record only when theta_inverse gives it back from its image,
-# so most malformed records fail on theta_inverse's reading of that image
+def theta_of(fields):
+    """theta of the record with these fields, built when the row runs."""
+    return U.theta(U.TruncatedDiagram(*fields))
+
+
+# a truncated record is accepted when it is built, only if theta_inverse gives
+# it back from its theta image, so most malformed records fail on
+# theta_inverse's reading of that image
 @pytest.mark.parametrize("apply, arg, message", [
     # caracol(6, 2) has r = 3 grid columns, so h runs over 0..2 only: (3, 1)
     # slides to no column, and the image keeps one barred label fewer
-    (U.theta, U.TruncatedDiagram(6, 2, 1, (1, 0, 0), ((1,), (), ()), ((0, 1), (3, 1))),
+    (theta_of, (6, 2, 1, (1, 0, 0), ((1,), (), ()), ((0, 1), (3, 1))),
      r"\(2, 0, 0\) does not dominate \(1\^3\): it is no Dyck path"),
-    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((-1, 1), (1, 1))),
+    (theta_of, (5, 2, 0, (0, 0), ((), ()), ((-1, 1), (1, 1))),
      r"\(0, 1\) does not dominate \(1\^2\): it is no Dyck path"),
     # l = 3 > k slides to the car label 1
-    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((0, 3), (1, 1))),
+    (theta_of, (5, 2, 0, (0, 0), ((), ()), ((0, 3), (1, 1))),
      r"not the canonical level-0 record of its image \(\(1,\), \(-1,\)\)"),
     # the car label sits in column 2, where the tail has no step
-    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((), (1,)), ((0, 1),)),
+    (theta_of, (5, 2, 1, (1, 0), ((), (1,)), ((0, 1),)),
      r"not the canonical level-1 record of its image \(\(-1,\), \(1,\)\)"),
-    (U.theta, U.TruncatedDiagram(5, 2, 0, (1, 0), ((1,), ()), ((0, 1),)),
+    (theta_of, (5, 2, 0, (1, 0), ((1,), ()), ((0, 1),)),
      r"not the canonical level-0 record of its image \(\(-1, 1\), \(\)\)"),
-    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((1,),), ((0, 1),)),
+    (theta_of, (5, 2, 1, (1, 0), ((1,),), ((0, 1),)),
      "a path at r=2 has 2 columns, each with one label per north step"),
-    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((1, 1), (0, 1))),
+    (theta_of, (5, 2, 0, (0, 0), ((), ()), ((1, 1), (0, 1))),
      r"not the canonical level-0 record of its image \(\(-1,\), \(-1,\)\)"),
-    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 1, 2))),
+    (theta_of, (5, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 1, 2))),
      r"tail labels tuples and segments \(h, l\) int pairs"),
-    (U.theta, U.TruncatedDiagram(5, 2, 0, (0, 0), ((), ()), ((1, 1), (1, 2))),
+    (theta_of, (5, 2, 0, (0, 0), ((), ()), ((1, 1), (1, 2))),
      r"\(0, 2\) does not dominate \(1\^2\): it is no Dyck path"),
-    (U.theta, U.TruncatedDiagram(5, 2, 2, (2, 0), ((2, 1), ()), ()),
+    (theta_of, (5, 2, 2, (2, 0), ((2, 1), ()), ()),
      r"column 1 needs ascending labels above -2, got \(2, 1\)"),
     # a tail column that is no tuple, and segment entries that are no ints
-    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), (1, ()), ((0, 1),)),
+    (theta_of, (5, 2, 1, (1, 0), (1, ()), ((0, 1),)),
      "tail parts are ints, tail labels tuples and segments"),
-    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((1,), ()), ((0, True),)),
+    (theta_of, (5, 2, 1, (1, 0), ((1,), ()), ((0, True),)),
      "tail parts are ints, tail labels tuples and segments"),
-    (U.theta, U.TruncatedDiagram(5, 2, 1, (1, 0), ((1,), ()), ((0.0, 1),)),
+    (theta_of, (5, 2, 1, (1, 0), ((1,), ()), ((0.0, 1),)),
      "tail parts are ints, tail labels tuples and segments"),
     # theta reads no tail part, and theta_inverse gives back a tail equal to this one
-    (U.theta, U.TruncatedDiagram(5, 1, 1, (0, 1.0, 0), ((), (1,), ()), ((0, 1), (1, 1))),
+    (theta_of, (5, 1, 1, (0, 1.0, 0), ((), (1,), ()), ((0, 1), (1, 1))),
      "tail parts are ints, tail labels tuples and segments"),
     (theta_inverse_5_2, P.MultiLabeledDyckPath((0, 2), ((), (1, 0))),
      r"\(0, 2\) does not dominate \(1\^2\): it is no Dyck path"),
@@ -136,9 +142,9 @@ def theta_inverse_5_2(m):
     # scalars that are no ints, though 5.0 and 0.0 equal the ints theta_inverse gives back
     (lambda m: U.theta_inverse(m, "5", 2), P.MultiLabeledDyckPath((1, 1), ((0,), (0,))),
      "the k-caracol graph needs n > k >= 1, got n='5', k=2"),
-    (U.theta, U.TruncatedDiagram(5.0, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 1))),
+    (theta_of, (5.0, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 1))),
      "the k-caracol graph needs n > k >= 1, got n=5.0, k=2"),
-    (U.theta, U.TruncatedDiagram(5, 2, 0.0, (0, 0), ((), ()), ((0, 1), (0, 1))),
+    (theta_of, (5, 2, 0.0, (0, 0), ((), ()), ((0, 1), (0, 1))),
      r"the k-parking triangle needs 0 <= i <= r, got i=0.0, r=2"),
 ], ids=["theta segment past the last column", "theta segment before the first column",
         "theta segment from past column k",
@@ -281,6 +287,24 @@ def test_cyclic_shift_lowers_each_left_column_by_z():
     assert U.cyclic_shift(1, u).segments == ((0, 3), (1, 2))
     assert U.cyclic_shift(2, u).segments == ((0, 2), (1, 1))
     assert U.cyclic_shift(3, u) == u
+
+
+@pytest.mark.parametrize("fields, message", [
+    # unsorted segments, which cyclic_shift(1, .) once sorted into the listed ((0, 2), (1, 2))
+    ((5, 2, 0, (0, 0), ((), ()), ((1, 1), (0, 1))),
+     r"not the canonical level-0 record of its image \(\(-1,\), \(-1,\)\)"),
+    # a segment from column 5 > k, which cyclic_shift wrapped into the grid as (0, 2),
+    # and which k_hull and completions counted as (4, 3) and 64
+    ((5, 2, 0, (0, 0), ((), ()), ((0, 1), (0, 5))), "car labels must be 1..i, once each"),
+    # level 1 with no car label: hull (5, 1) and 7 completions
+    ((5, 2, 1, (0, 0), ((), ()), ((0, 1), (0, 1))),
+     r"not the canonical level-1 record of its image \(\(-1, -1\), \(\)\)"),
+], ids=["segments unsorted", "segment from past column k", "level above its car labels"])
+def test_records_the_truncated_maps_once_read_are_rejected_when_built(fields, message):
+    """cyclic_shift, k_hull and completions check nothing, so no record
+    that theta_inverse does not give back may reach them."""
+    with pytest.raises(C.InputError, match=message):
+        U.TruncatedDiagram(*fields)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 3)])
