@@ -180,6 +180,17 @@ DIGESTS = {
         "d89f0c1ff1e6ad8fca85371202f0fa83f547376a3cea7ca3c9f1b3dac929ce3d",
     "enumerate gravity --kind mcar-out --n 1 --k 2 --render text":
         "beb70956b137b9bc98b4b85d5b086164f652e96fb78d72e0fed994f99768dafd",
+    "enumerate multilabeled --k 3 --r 3 --i 2 --render text":
+        "0077c68f792c0cec45ef43068f317269a1753fe60b11f71b560bc94226ad119e",
+    "enumerate dyck --a 5 --b 7 --render text":
+        "99aae2d36c9f3e07158146986c7951a005e37f670571c0ce2ac65e2a3b8a6f04",
+    "enumerate dyck --t 2,0,1,1 --render text":
+        "353e3caece96b76275230283bab5ac9f34ae9d190f31cfdf084510a142a50cde",
+    "enumerate truncated --n 7 --k 2 --i 0 --render text":
+        "343cd624d05cd8e9d3f6c309285477d845899b091caaabe2f943571b01dbfdaf",
+    # i = r: a tail with no segments
+    "enumerate truncated --n 7 --k 2 --i 4 --render text":
+        "9686425e0013152b3a15d99b12bc0be6aca8b062cb123458092271450dcd0bcf",
 }
 
 
