@@ -432,31 +432,21 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
 
 
 class _Listing(NamedTuple):
-    """Items and JSON lines (lazy; a run takes one), their count, inputs to echo, an item's text."""
+    """The lines of each render (lazy; a run takes one), their count and the inputs to echo."""
 
-    items: Iterable
-    lines: Iterable[str]
+    text: Iterable[str]
+    json: Iterable[str]
     expected: int
     inputs: dict
-    to_text: Callable
 
 
-# gravity --kind -> (its enumerator in gravity, the count of its diagrams);
-# a multicaracol (a, k) is checked as one before count_gravity(a + k, k)
+# gravity --kind -> the count of its diagrams; a multicaracol (a, k) is
+# checked as one before count_gravity(a + k, k)
 _GRAVITY_KINDS = {
-    "in": ("enumerate_in_gravity", lambda n, k: gravity.count_gravity(n, k)),
-    "out": ("enumerate_out_gravity", lambda n, k: gravity.count_gravity(n, k)),
-    "mcar-out": ("enumerate_out_gravity_mcar",
-                 lambda a, k: gr.check_multicaracol(a, k) or gravity.count_gravity(a + k, k)),
+    "in": lambda n, k: gravity.count_gravity(n, k),
+    "out": lambda n, k: gravity.count_gravity(n, k),
+    "mcar-out": lambda a, k: gr.check_multicaracol(a, k) or gravity.count_gravity(a + k, k),
 }
-
-
-def _gravity(args: argparse.Namespace) -> _Listing:
-    make, count = _GRAVITY_KINDS[args.kind]
-    return _Listing(
-        getattr(gravity, make)(args.n, args.k), gravity.json_lines(args.kind, args.n, args.k),
-        count(args.n, args.k), {"kind": args.kind, "n": args.n, "k": args.k}, gravity.render_text,
-    )
 
 
 def _dyck(args: argparse.Namespace) -> _Listing:
@@ -469,10 +459,8 @@ def _dyck(args: argparse.Namespace) -> _Listing:
             raise InputError(f"bad --t {args.t!r}: expected comma-separated integers") from None
     else:
         t = paths.rational_shape(args.a, args.b)
-    return _Listing(
-        paths.enumerate_t_dyck(t), paths.t_dyck_json_lines(t), combinat.count_dominating(t),
-        {"t": list(t)}, lambda p: f"{p.word()}  shape={p.shape}",
-    )
+    return _Listing(paths.t_dyck_text_lines(t), paths.t_dyck_json_lines(t), combinat.count_dominating(t),
+                    {"t": list(t)})
 
 
 def _unified(args: argparse.Namespace) -> _Listing:
@@ -480,9 +468,9 @@ def _unified(args: argparse.Namespace) -> _Listing:
     a = parse_netflow_spec(args.netflow, g, family)
     items = unified.unified_diagrams(g, a)
     return _Listing(
-        items, (json.dumps({"shape": s, "sigma": p, "alpha": q, "gamma": f}) for s, p, q, f in items),
+        (f"s={s} sigma={p} alpha={q} flow={f}" for s, p, q, f in items),
+        (json.dumps({"shape": s, "sigma": p, "alpha": q, "gamma": f}) for s, p, q, f in items),
         lidskii.volume(g, a), {"graph": args.graph, "netflow": list(a)},
-        lambda q: f"s={q[0]} sigma={q[1]} alpha={q[2]} flow={q[3]}",
     )
 
 
@@ -493,20 +481,23 @@ class _Object(NamedTuple):
 
 
 _OBJECTS = {
-    "gravity": _Object(("n", "k"), _gravity),
+    "gravity": _Object(("n", "k"), lambda args: _Listing(
+        gravity.text_lines(args.kind, args.n, args.k), gravity.json_lines(args.kind, args.n, args.k),
+        _GRAVITY_KINDS[args.kind](args.n, args.k), {"kind": args.kind, "n": args.n, "k": args.k},
+    )),
     "dyck": _Object(("a", "b"), _dyck, unless="t"),
     "unified": _Object(("graph", "netflow"), _unified),
     "truncated": _Object(("n", "k", "i"), lambda args: _Listing(
-        unified.enumerate_truncated(args.n, args.k, args.i),
+        unified.truncated_text_lines(args.n, args.k, args.i),
         unified.truncated_json_lines(args.n, args.k, args.i),
         gr.check_caracol(args.n, args.k) or combinat.k_parking_number(args.k, args.n - args.k - 1, args.i),
-        {"n": args.n, "k": args.k, "i": args.i}, unified.render_truncated_text,
+        {"n": args.n, "k": args.k, "i": args.i},
     )),
     "multilabeled": _Object(("k", "r", "i"), lambda args: _Listing(
-        paths.enumerate_multilabeled(args.k, args.r, args.i),
+        paths.multilabeled_text_lines(args.k, args.r, args.i),
         paths.multilabeled_json_lines(args.k, args.r, args.i),
         combinat.k_parking_number(args.k, args.r, args.i),
-        {"k": args.k, "r": args.r, "i": args.i}, paths.MultiLabeledDyckPath.word,
+        {"k": args.k, "r": args.r, "i": args.i},
     )),
 }
 
@@ -522,7 +513,7 @@ def cmd_enumerate(args: argparse.Namespace) -> RunReport:
     if listing.expected > args.cap:
         raise InputError(f"would emit {listing.expected} items, more than the cap "
                          f"{args.cap}; raise --cap")
-    emitted = list(listing.lines) if args.render == "json" else [*map(listing.to_text, listing.items)]
+    emitted = list(listing.json if args.render == "json" else listing.text)
     report.results["count"] = len(emitted)
     if args.format == "json":
         report.results["items"] = emitted

@@ -25,11 +25,15 @@ class NonIntegral(ValueError):
 
 
 class ElementTexts(dict):
-    """Maps a field name, a scalar or a tuple field's element to its JSON
-    text, made by json.dumps the first time the value is asked for."""
+    """Maps a value to its text, made by `write` (json.dumps: a field name,
+    a scalar or a tuple field's element) the first time it is asked for."""
+
+    def __init__(self, write: Callable[..., str] = json.dumps):
+        super().__init__()
+        self.write = write
 
     def __missing__(self, value) -> str:
-        text = self[value] = json.dumps(value)
+        text = self[value] = self.write(value)
         return text
 
     def join(self, values: Iterable) -> str:
@@ -42,16 +46,9 @@ class Record:
     """An enumerated object, written as one JSON object: its fields in
     declaration order, a field holding None left out, tuples as arrays."""
 
-    def to_json(self, texts: ElementTexts | None = None) -> str:
-        """The line json.dumps writes; one listing shares one table."""
-        texts = ElementTexts() if texts is None else texts
-        items = []
+    def to_json(self) -> str:
         # __dataclass_fields__ keeps declaration order; fields() builds a tuple per call
-        for name in self.__dataclass_fields__:
-            if (v := getattr(self, name)) is not None:
-                text = f"[{texts.join(v)}]" if type(v) is tuple else texts[v]
-                items.append(f"{texts[name]}: {text}")
-        return f"{{{', '.join(items)}}}"
+        return json.dumps({name: v for name in self.__dataclass_fields__ if (v := getattr(self, name)) is not None})
 
     def json_frame(self) -> list[str]:
         """This line cut at its "[]"s, brackets kept: frame[0] + array 1 + frame[1] + ..."""

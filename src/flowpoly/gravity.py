@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
 from operator import gt, le
 from typing import Callable, Iterable, Iterator
@@ -59,7 +60,8 @@ class GravityDiagram(Record):
 
 # Each enumerator lists the pieces its _*_rows builder concatenates: the
 # builder puts enc(element) in its table for each segment and colour, the
-# element itself for the records and its JSON text for json_lines.
+# element itself for the records, its JSON text for json_lines and a
+# segment's picture row for text_lines.
 def _same(x):
     return x
 
@@ -278,9 +280,15 @@ def count_gravity(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# JSON lines
+# JSON and text lines
 
 _ROWS = {"in": _in_rows, "out": _out_rows, "mcar-out": _mcar_rows}
+
+
+def _rows(kind: str) -> Callable:
+    if kind not in _ROWS:
+        raise InputError(f"unknown gravity kind {kind!r}; expected {', '.join(_ROWS)}")
+    return _ROWS[kind]
 
 
 def json_lines(kind: str, n: int, k: int) -> Iterator[str]:
@@ -289,9 +297,7 @@ def json_lines(kind: str, n: int, k: int) -> Iterator[str]:
     record built: the enumerator's piece table holds each element's JSON
     text, and a line joins its pieces' texts inside the line of the
     diagram with no segments, cut at its empty arrays."""
-    if kind not in _ROWS:
-        raise InputError(f"unknown gravity kind {kind!r}; expected {', '.join(_ROWS)}")
-    pieces = _ROWS[kind](n, k, ElementTexts().__getitem__)
+    pieces = _rows(kind)(n, k, ElementTexts().__getitem__)
     if kind != "mcar-out":
         head, tail = GravityDiagram(kind, n, k, ()).json_frame()
         for segs in pieces:
@@ -302,34 +308,47 @@ def json_lines(kind: str, n: int, k: int) -> Iterator[str]:
         yield head + ", ".join(both[0::2]) + mid + ", ".join(both[1::2]) + tail
 
 
-# ---------------------------------------------------------------------------
-# text rendering
-
-
-def render_text(d: GravityDiagram) -> str:
-    """Dots-and-dashes picture of a diagram, one text row per diagram row,
-    top row first.  Every row holds at most one segment, kept as the span
-    (lo, hi) of the columns it covers."""
-    if d.kind == "in":
-        first, heights = d.k + 1, [d.k * i - 1 for i in range(1, d.n - d.k + 1)]
-        spans = {row: (l, d.n) for row, l, _ in d.segments}
-    elif d.kind == "out":
-        rows = d.n - d.k - 1
-        first, heights = 1, [min(rows, d.n - j - 1) for j in range(1, d.n - 1)]
-        spans = {rows + 1 - row: (l, r) for row, l, r in d.segments}
+def _picture(kind: str, n: int, k: int) -> tuple[str, int, Callable[[int, int, int], str]]:
+    """The column header, the number of rows and the row drawer of the
+    dots-and-dashes pictures of `kind` at (n, k), once (n, k) names the
+    family.  draw(row, lo, hi) is text row `row`, counted from the top,
+    holding one segment over the columns lo..hi, or none when hi < lo."""
+    if kind == "mcar-out":
+        check_multicaracol(n, k)
+        first, heights = 0, range(n - 1, 0, -1)
     else:
-        first, heights = 0, list(range(d.n - 1, 0, -1))
-        spans = {row: (0, c) for row, _, c in d.segments}
-    cols = range(first, first + len(heights))
-    lines = ["".join(f"a{j}".ljust(4) for j in cols).rstrip()]
-    for row in range(1, max(heights, default=0) + 1):
-        lo, hi = spans.get(row, (0, -1))
-        lines.append("".join([
-            "    " if row > height else
-            "o   " if not lo <= j <= hi else
-            "*---" if j < hi else "*   "
-            for j, height in zip(cols, heights)
-        ]).rstrip())
-    if d.colors:
-        lines.append("colors (top row first): " + ",".join(map(str, d.colors)))
-    return "\n".join(lines)
+        a, _ = _family_ab(n, k)
+        first, heights = ((k + 1, [k * i - 1 for i in range(1, a + 1)]) if kind == "in"
+                          else (1, [min(a - 1, n - j - 1) for j in range(1, n - 1)]))
+    cols = [*zip(range(first, first + len(heights)), heights)]
+
+    def draw(row: int, lo: int, hi: int) -> str:
+        return "".join(["    " if row > height else "o   " if not lo <= j <= hi else
+                        "*---" if j < hi else "*   " for j, height in cols]).rstrip()
+
+    return "".join(f"a{j}".ljust(4) for j, _ in cols).rstrip(), max(heights, default=0), draw
+
+
+def text_lines(kind: str, n: int, k: int) -> Iterator[str]:
+    """The picture of each diagram of `kind` at (n, k), in the enumerator's
+    order, with no record built: under the header, the rows of its segments
+    top first (out-degree rows are listed bottom up and the trivial ones are
+    the lowest), each drawn once in the enumerator's piece table, then the
+    rows no segment covers, drawn once per call; a multicaracol picture
+    ends in its colours."""
+    rows_of = _rows(kind)
+    header, height, draw = _picture(kind, n, k)
+    blank = [draw(row, 0, -1) for row in range(1, height + 1)]
+    if kind == "in":
+        for segs in rows_of(n, k, lambda seg: draw(*seg)):
+            yield "\n".join([header, *segs, *blank[len(segs):]])
+    elif kind == "out":
+        for segs in rows_of(n, k, lambda seg: draw(height + 1 - seg[0], seg[1], seg[2])):
+            yield "\n".join([header, *segs[::-1], *blank[len(segs):]])
+    else:
+        # a segment's k colours are asked for one after another: they share its
+        # row in a table of the last two segments and the k colours
+        enc = lru_cache(k + 2)(lambda v: draw(*v) if type(v) is tuple else str(v))
+        for both in rows_of(n, k, enc):
+            colours = "colors (top row first): " + ",".join(both[1::2])
+            yield "\n".join([header, *both[0::2], colours]) if both else header

@@ -45,9 +45,6 @@ class TDyckPath(Record):
         if not dominating:
             raise InputError(f"{self.shape} does not dominate {self.reference}")
 
-    def word(self) -> str:
-        return "".join("N" * sj + "E" for sj in self.shape)
-
 
 def enumerate_t_dyck(t: Sequence[int]) -> Iterator[TDyckPath]:
     """All t-Dyck paths, in the dominance iterator's lex-decreasing order.
@@ -78,6 +75,12 @@ def t_dyck_json_lines(t: Sequence[int]) -> Iterator[str]:
         else:  # at most one part: the one line
             line = head + texts.join(s) + tail
         yield line
+
+
+def t_dyck_text_lines(t: Sequence[int]) -> Iterator[str]:
+    """The NE word and the shape of each path of enumerate_t_dyck(t), in its order."""
+    for s in dominating_compositions(t):
+        yield f"{''.join(['N' * sj + 'E' for sj in s])}  shape={s}"
 
 
 @functools.cache
@@ -123,15 +126,6 @@ class MultiLabeledDyckPath(Record):
     def r(self) -> int:
         return len(self.shape)
 
-    def word(self) -> str:
-        """NE word with labels, barred ones shown as b0, b1, ..."""
-        out = []
-        for col in self.labels:
-            for lab in col:
-                out.append(f"N[{lab}]" if lab > 0 else f"N[b{-lab}]")
-            out.append("E")
-        return "".join(out)
-
 
 def enumerate_multilabeled(k: int, r: int, i: int) -> Iterator[MultiLabeledDyckPath]:
     """All k-multi-labeled Dyck paths with car labels 1..i; there are
@@ -143,6 +137,13 @@ def multilabeled_json_lines(k: int, r: int, i: int) -> Iterator[str]:
     """The `to_json` lines of enumerate_multilabeled(k, r, i), in its order, with no record built."""
     head, mid, tail = MultiLabeledDyckPath((), ()).json_frame()
     yield from _multilabeled_rows(k, r, i, ElementTexts().join, lambda s, cols: head + s + mid + cols + tail)
+
+
+def multilabeled_text_lines(k: int, r: int, i: int) -> Iterator[str]:
+    """The NE word of each path of enumerate_multilabeled(k, r, i), in its order, labels
+    in brackets, barred ones shown as b0, b1, ...: one text per column, cached per listing."""
+    cols = ElementTexts(lambda col: "".join([f"N[{lab}]" if lab > 0 else f"N[b{-lab}]" for lab in col]) + "E")
+    yield from _multilabeled_rows(k, r, i, tuple, lambda _, labels: "".join(map(cols.__getitem__, labels)))
 
 
 def _multilabeled_rows(k: int, r: int, i: int, enc: Callable, make: Callable) -> Iterator:

@@ -47,6 +47,7 @@ from .combinat import (
 )
 from .graphs import (
     DirectedMultigraph,
+    caracol_k,
     check_caracol,
     check_multicaracol,
     check_netflow,
@@ -156,24 +157,46 @@ def _check_level(n: int, k: int, i: int) -> int:
 
 def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
     """All truncated level-(k, i) diagrams; there are T_k(n-k-1, i)."""
-    yield from _truncated_rows(n, k, i, tuple, partial(_truncated, n, k, i))
+    yield from _truncated_rows(n, k, i, (tuple,) * 3, partial(_truncated, n, k, i))
 
 
 def truncated_json_lines(n: int, k: int, i: int) -> Iterator[str]:
     """The `to_json` lines of enumerate_truncated(n, k, i), in its order, with no record built."""
     head, mid, mid2, end = _truncated(n, k, i, (), (), ()).json_frame()
-    yield from _truncated_rows(n, k, i, ElementTexts().join,
+    yield from _truncated_rows(n, k, i, (ElementTexts().join,) * 3,
                                lambda q, lab, segs: f"{head}{q}{mid}{lab}{mid2}{segs}{end}")
 
 
-def _truncated_rows(n: int, k: int, i: int, enc: Callable, make: Callable) -> Iterator:
-    """make(enc(tail), enc(labels), enc(segments)) for each diagram, enc once per tail,
-    labeling and segment multiset of the tail; enc = tuple keeps each piece as it is."""
-    r = _check_level(n, k, i)
+def truncated_text_lines(n: int, k: int, i: int) -> Iterator[str]:
+    """A picture of each diagram of enumerate_truncated(n, k, i), in its order, with no
+    record built: '#' for the shaded region, 'o' for gravity dots, top row first, then
+    the tail path and the segments.  Column j = 1..n-1 is one strip: shaded up to
+    prefix_j(t), dotted up to m - n - i plus the tail steps in the columns k+1..j, and
+    blank up to m - n = |t| (zip leaves out column n).  The picture depends on the
+    tail alone, so it is drawn once per tail, in the tail's text."""
+    shade = prefix_sums(shifted_outdegree(caracol_k(n, k)))  # checks (n, k) as the listing does
+
+    def tail_text(tail: tuple[int, ...]) -> str:
+        top = shade[-1] - i
+        dots = [top] * k + [top + p for p in prefix_sums(tail)]
+        strips = [" " * (shade[-1] - max(s, d)) + "o" * (d - s) + "#" * s for s, d in zip(shade, dots)]
+        rows = ("".join(row).rstrip() for row in zip(*strips))
+        return "\n".join([*filter(None, rows), f"tail path: {tail} labels "])
+
+    segments = ElementTexts(lambda seg: f"[{seg[1]},{k + seg[0]}]")
+    yield from _truncated_rows(n, k, i, (tail_text, str, lambda segs: f"\nsegments: {segments.join(segs)}"),
+                               lambda q, lab, segs: f"{q}{lab}{segs}")
+
+
+def _truncated_rows(n: int, k: int, i: int, encs: tuple[Callable, ...], make: Callable) -> Iterator:
+    """make(enc_tail(tail), enc_labels(labels), enc_segs(segments)) for each diagram, each
+    piece encoded once per tail, labeling and segment multiset of the tail; encs =
+    (tuple,) * 3 keeps each piece as it is."""
+    r, (enc_tail, enc_labels, enc_segs) = _check_level(n, k, i), encs
     for tail in dominating_compositions((0,) * (r - i) + (1,) * i):
-        multisets = [*map(enc, _segment_multisets(k, r, i, tail))]  # shared by all labels
-        labelings = map(enc, _column_label_sets(tuple(range(1, i + 1)), tail))
-        tail = enc(tail)
+        multisets = [*map(enc_segs, _segment_multisets(k, r, i, tail))]  # shared by all labels
+        labelings = map(enc_labels, _column_label_sets(tuple(range(1, i + 1)), tail))
+        tail = enc_tail(tail)
         for labels in labelings:
             for segs in multisets:
                 yield make(tail, labels, segs)
@@ -243,14 +266,6 @@ def completions(u: TruncatedDiagram) -> int:
     initial paths, sum of multinomial(|hull|; s) over the compositions s
     dominating the hull."""
     return count_dominating(k_hull(u), labelled=True)
-
-
-def _caracol_outdegree(n: int, k: int) -> tuple[int, ...]:
-    """shifted_outdegree(caracol_k(n, k)) without building the graph: with
-    a = n - k, vertices 1..k-1 have out-degree a + 1, vertex k has a (its
-    successor is in the tail), vertices k+1..n-1 have 2 and vertex n 1."""
-    a = n - k
-    return (a,) * (k - 1) + (a - 1,) + (1,) * (a - 1) + (0,)
 
 
 def standardized_count(n: int, k: int, i: int) -> int:
@@ -412,29 +427,3 @@ def count_unified_stratified_mcar(a: int, k: int, x: int, y: int) -> int:
     mn = (k + 1) * a - 2
     return sum(binomial(mn, i) * (k * x) ** (mn - i) * y**i * k_parking_number(k, a - 1, i)
                for i in range(a))
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def render_truncated_text(u: TruncatedDiagram) -> str:
-    """Figure-style picture, top row first: '#' for the shaded region, 'o'
-    for gravity dots, with the tail path and the segments listed below.
-
-    Column j = 1..n-1 is one strip: shaded up to prefix_j(t), dotted up to
-    m - n - i plus the tail steps in the columns k+1..j, and blank up to
-    m - n = |t|.  The forced final column n has no entry in `dots`, so zip
-    leaves it out.
-    """
-    k = u.k
-    shade = prefix_sums(_caracol_outdegree(u.n, k))
-    top = shade[-1] - u.level
-    dots = [top] * k + [top + p for p in prefix_sums(u.tail)]
-    strips = [" " * (shade[-1] - max(s, d)) + "o" * (d - s) + "#" * s for s, d in zip(shade, dots)]
-    rows = ("".join(row).rstrip() for row in zip(*strips))
-    lines = [row for row in rows if row]
-    lines.append(f"tail path: {u.tail} labels {u.tail_labels}")
-    segs = ", ".join(f"[{l},{k + h}]" for h, l in u.segments)
-    lines.append(f"segments: {segs}")
-    return "\n".join(lines)

@@ -191,9 +191,12 @@ def parking_preferences(m: MultiLabeledDyckPath, k: int) -> tuple:
     return tuple(tuple(sorted(p)) for p in reversed(moto)), tuple(x for _, x in sorted(cars))
 
 
-@functools.cache
 def _caracol_outdegree(n: int, k: int) -> tuple[int, ...]:
-    return G.shifted_outdegree(G.caracol_k(n, k))
+    """shifted_outdegree(caracol_k(n, k)) without building the graph: with
+    a = n - k, vertices 1..k-1 have out-degree a + 1, vertex k has a (its
+    successor is in the tail), vertices k+1..n-1 have 2 and vertex n 1."""
+    a = n - k
+    return (a,) * (k - 1) + (a - 1,) + (1,) * (a - 1) + (0,)
 
 
 def completions_by_enumeration(u: TruncatedDiagram) -> int:
@@ -288,3 +291,70 @@ def simplex_partition_by_dominance(
     simplex = list(weak_compositions(sum(c0), k))
     return [(cj, [d for d in simplex if min(cj) >= 0 and dominates(d[j:] + d[:j], cj[j:] + cj[:j])])
             for j, cj in enumerate(bases)]
+
+
+# ---------------------------------------------------------------------------
+# per-record pictures, each drawn from the record alone
+
+
+def render_text(d: GravityDiagram) -> str:
+    """gravity.text_lines' picture of one diagram, from its segments: one
+    text row per diagram row, top row first.  Every row holds at most one
+    segment, kept as the span (lo, hi) of the columns it covers."""
+    if d.kind == "in":
+        first, heights = d.k + 1, [d.k * i - 1 for i in range(1, d.n - d.k + 1)]
+        spans = {row: (l, d.n) for row, l, _ in d.segments}
+    elif d.kind == "out":
+        rows = d.n - d.k - 1
+        first, heights = 1, [min(rows, d.n - j - 1) for j in range(1, d.n - 1)]
+        spans = {rows + 1 - row: (l, r) for row, l, r in d.segments}
+    else:
+        first, heights = 0, list(range(d.n - 1, 0, -1))
+        spans = {row: (0, c) for row, _, c in d.segments}
+    cols = range(first, first + len(heights))
+    lines = ["".join(f"a{j}".ljust(4) for j in cols).rstrip()]
+    for row in range(1, max(heights, default=0) + 1):
+        lo, hi = spans.get(row, (0, -1))
+        lines.append("".join([
+            "    " if row > height else
+            "o   " if not lo <= j <= hi else
+            "*---" if j < hi else "*   "
+            for j, height in zip(cols, heights)
+        ]).rstrip())
+    if d.colors:
+        lines.append("colors (top row first): " + ",".join(map(str, d.colors)))
+    return "\n".join(lines)
+
+
+def render_truncated_text(u: TruncatedDiagram) -> str:
+    """unified.truncated_text_lines' picture of one diagram, with the shade
+    from the closed-form out-degrees: column j = 1..n-1 is one strip,
+    shaded up to prefix_j(t), dotted up to m - n - i plus the tail steps in
+    the columns k+1..j, and blank up to m - n = |t|."""
+    k = u.k
+    shade = prefix_sums(_caracol_outdegree(u.n, k))
+    top = shade[-1] - u.level
+    dots = [top] * k + [top + p for p in prefix_sums(u.tail)]
+    strips = [" " * (shade[-1] - max(s, d)) + "o" * (d - s) + "#" * s for s, d in zip(shade, dots)]
+    rows = ("".join(row).rstrip() for row in zip(*strips))
+    lines = [row for row in rows if row]
+    lines.append(f"tail path: {u.tail} labels {u.tail_labels}")
+    segs = ", ".join(f"[{l},{k + h}]" for h, l in u.segments)
+    lines.append(f"segments: {segs}")
+    return "\n".join(lines)
+
+
+def dyck_text(p: TDyckPath) -> str:
+    """paths.t_dyck_text_lines' line of one path: its NE word and its shape."""
+    return "".join("N" * sj + "E" for sj in p.shape) + f"  shape={p.shape}"
+
+
+def multilabeled_word(m: MultiLabeledDyckPath) -> str:
+    """paths.multilabeled_text_lines' line of one path: its NE word with
+    labels, barred ones shown as b0, b1, ..."""
+    out = []
+    for col in m.labels:
+        for lab in col:
+            out.append(f"N[{lab}]" if lab > 0 else f"N[b{-lab}]")
+        out.append("E")
+    return "".join(out)

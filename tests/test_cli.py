@@ -17,7 +17,7 @@ from flowpoly import graphs as G
 from flowpoly.gravity import GravityDiagram, enumerate_out_gravity_mcar
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath
 from flowpoly.unified import TruncatedDiagram, volume_closed_form, volume_closed_form_mcar
-from oracles import record_from_json
+from oracles import dyck_text, multilabeled_word, record_from_json, render_text, render_truncated_text
 
 
 def run(capsys, *argv):
@@ -395,6 +395,55 @@ def test_record_json_lines_are_pinned(obj, line):
     type, and the object it reads back as."""
     assert obj.to_json() == line
     assert record_from_json(type(obj), line) == obj
+
+
+# enumerate's text routes -> (the records they draw, each record's picture in
+# the oracles, the parameters of every golden and digest text listing and of
+# every small family: gravity n <= 8, multicaracol a <= 5, truncated n <= 8 at
+# every level, multi-labeled r <= 4, and Dyck shapes with zero parts)
+GRAVITY_RECORDS = {"in": gravity.enumerate_in_gravity, "out": gravity.enumerate_out_gravity,
+                   "mcar-out": gravity.enumerate_out_gravity_mcar}
+TEXT_ROUTES = {
+    "gravity": (gravity.text_lines, lambda kind, n, k: GRAVITY_RECORDS[kind](n, k), render_text,
+                [(kind, n, k) for kind in ("in", "out") for n in range(2, 9) for k in range(1, n)]
+                + [("mcar-out", a, k) for a in range(1, 6) for k in range(1, 4)]),
+    "truncated": (unified.truncated_text_lines, unified.enumerate_truncated, render_truncated_text,
+                  [(n, k, i) for n in range(2, 9) for k in range(1, n) for i in range(n - k)]),
+    "multilabeled": (paths.multilabeled_text_lines, paths.enumerate_multilabeled, multilabeled_word,
+                     [(k, r, i) for k in range(1, 4) for r in range(5) for i in range(r + 1)]),
+    "dyck": (paths.t_dyck_text_lines, paths.enumerate_t_dyck, dyck_text,
+             [(paths.rational_shape(2, 3),), (paths.rational_shape(5, 7),), ((2, 0, 1, 1),),
+              ((0, 2, 0, 1),), ((1, 0, 2, 1),), ((0, 0),), ((0,),), ((),)]),
+}
+
+
+@pytest.mark.parametrize("route, records, picture, grid", TEXT_ROUTES.values(), ids=list(TEXT_ROUTES))
+def test_text_routes_draw_each_record_as_its_picture_does(route, records, picture, grid):
+    """Each text route writes, in the enumerator's order, what the per-record
+    picture of tests/oracles.py draws from each listed record."""
+    for params in grid:
+        assert list(route(*params)) == [*map(picture, records(*params))], params
+
+
+@pytest.mark.parametrize("route, records, args", [
+    *((gravity.text_lines, TEXT_ROUTES["gravity"][1], args) for args in [
+        ("in", 2, 2), ("in", 5.0, 2), ("out", 0, 1), ("out", 3, 0), ("mcar-out", 0, 2), ("mcar-out", 3, -1)]),
+    (gravity.text_lines, gravity.json_lines, ("sideways", 5, 2)),
+    *((unified.truncated_text_lines, unified.enumerate_truncated, args)
+      for args in [(3, 3, 0), (5, 0, 0), (5, 2, 3), (5, 2, -1), (5.0, 2, 0), (5, 2, 1.0)]),
+    *((paths.multilabeled_text_lines, paths.enumerate_multilabeled, args)
+      for args in [(0, 2, 1), (2, 2, 3), (2, 2, -1), (2, 2.0, 1)]),
+    (paths.t_dyck_text_lines, paths.enumerate_t_dyck, ((2, -1, 1),)),
+    (paths.t_dyck_text_lines, paths.enumerate_t_dyck, ((1, 1.5),)),
+])
+def test_text_routes_reject_what_the_enumerators_reject(route, records, args):
+    """Each text route raises the record enumerator's InputError message;
+    an unknown gravity kind, which no enumerator takes, the JSON route's."""
+    with pytest.raises(combinat.InputError) as want:
+        list(records(*args))
+    with pytest.raises(combinat.InputError) as got:
+        list(route(*args))
+    assert str(got.value) == str(want.value)
 
 
 def test_enumerate_unified(capsys):

@@ -13,7 +13,7 @@ import shlex
 
 import pytest
 
-from flowpoly import cli
+from flowpoly import cli, gravity, paths, unified
 from flowpoly.combinat import InputError
 from test_readme_examples import examples
 
@@ -199,6 +199,25 @@ def test_json_listing_is_pinned_by_digest(capsys, argv, digest):
     assert cli.main(argv.split()) == 0
     out = WALL_TIME.sub("wall_time: -", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_text_listings_build_no_record(monkeypatch, capsys):
+    """Every golden and digest `--render text` listing still exits 0 when
+    every record class, and the unchecked builder of truncated records,
+    raises when it is called: no text line is drawn from a record."""
+    def refuse(*args):
+        raise AssertionError("a text listing built a record")
+
+    for module, name in [(gravity, "GravityDiagram"), (gravity, "TDyckPath"), (paths, "TDyckPath"),
+                         (paths, "MultiLabeledDyckPath"), (unified, "MultiLabeledDyckPath"),
+                         (unified, "TruncatedDiagram"), (unified, "_truncated")]:
+        monkeypatch.setattr(module, name, refuse)
+    listings = [argv for argv in [*(argv for argv, _ in GOLDEN), *DIGESTS]
+                if argv.startswith("enumerate") and "--render json" not in argv]
+    assert len(listings) == 18
+    for argv in listings:
+        assert cli.main(argv.split()) == 0, argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]])

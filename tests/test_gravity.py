@@ -197,16 +197,19 @@ def test_json_round_trip():
 
 
 def test_render_text_golden():
-    d = GR.GravityDiagram("out", 5, 2, ((1, 1, 2), (2, 2, 3)))
-    assert GR.render_text(d) == "\n".join(
+    """Two pictures of the text route: an out-degree diagram with its two
+    rows nontrivial, and the in-degree diagram with no segments, the
+    first of its listing."""
+    outs = [d.segments for d in GR.enumerate_out_gravity(5, 2)]
+    picture = dict(zip(outs, GR.text_lines("out", 5, 2)))
+    assert picture[((1, 1, 2), (2, 2, 3))] == "\n".join(
         [
             "a1  a2  a3",
             "o   *---*",
             "*---*",
         ]
     )
-    empty = GR.GravityDiagram("in", 5, 2, ())
-    assert GR.render_text(empty) == "\n".join(
+    assert next(GR.text_lines("in", 5, 2)) == "\n".join(
         [
             "a3  a4  a5",
             "o   o   o",
@@ -480,20 +483,22 @@ def test_json_lines_reject_an_unknown_kind():
 
 
 @pytest.mark.parametrize("kind,n,k", [("in", 40, 2), ("out", 40, 3), ("mcar-out", 40, 3)])
-@pytest.mark.parametrize("route", ["records", "json_lines"])
+@pytest.mark.parametrize("route", ["records", "json_lines", "text_lines"])
 def test_first_diagram_of_a_large_family_is_cheap(route, kind, n, k):
     """The enumerators' per-call tables grow with positions times values,
     not with pairs of values, so the first diagram of a family with about
     40 positions costs well under 1 MB.  A multicaracol row builds its
     pairs from its lowest code only, about half the table (200 KB here).
-    The JSON route's tables hold each element's text in place of the
-    element, and peak at about 210, 210 and 140 KB here, under the same bounds."""
+    The line routes' tables hold each element's text in place of the
+    element, under the same bounds: a picture row is about 150 characters
+    here, and the k colours of a multicaracol segment share one, which
+    keeps its first picture near 350 KB (one row text per code: 660 KB)."""
     tracemalloc.start()
     try:
-        if route == "json_lines":
-            next(GR.json_lines(kind, n, k))
-        else:
+        if route == "records":
             next(_LISTING_GRIDS[kind][0](n, k))
+        else:
+            next(getattr(GR, route)(kind, n, k))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -310,8 +310,7 @@ DYCK_SHAPES = [
 
 def test_t_dyck_json_lines_are_the_records_lines():
     for t in DYCK_SHAPES:
-        texts = C.ElementTexts()
-        assert list(P.t_dyck_json_lines(t)) == [p.to_json(texts) for p in P.enumerate_t_dyck(t)], t
+        assert list(P.t_dyck_json_lines(t)) == [p.to_json() for p in P.enumerate_t_dyck(t)], t
     assert list(P.t_dyck_json_lines((0, 0))) == ['{"shape": [0, 0], "reference": [0, 0]}']
 
 
@@ -321,9 +320,8 @@ def test_multilabeled_json_lines_are_the_records_lines():
     for k in range(1, 4):
         for r in range(6):
             for i in range(r + 1):
-                texts = C.ElementTexts()
                 lines = list(P.multilabeled_json_lines(k, r, i))
-                assert lines == [m.to_json(texts) for m in P.enumerate_multilabeled(k, r, i)], (k, r, i)
+                assert lines == [m.to_json() for m in P.enumerate_multilabeled(k, r, i)], (k, r, i)
                 count += len(lines)
     assert count == sum(C.k_parking_number(k, r, i)
                         for k in range(1, 4) for r in range(6) for i in range(r + 1))

@@ -483,9 +483,8 @@ def test_truncated_json_lines_are_the_records_lines():
     for n in range(2, 9):
         for k in range(1, min(n, 4)):
             for i in range(n - k):
-                texts = C.ElementTexts()
                 lines = list(U.truncated_json_lines(n, k, i))
-                assert lines == [u.to_json(texts) for u in U.enumerate_truncated(n, k, i)], (n, k, i)
+                assert lines == [u.to_json() for u in U.enumerate_truncated(n, k, i)], (n, k, i)
                 count += len(lines)
     assert count == sum(C.k_parking_number(k, n - k - 1, i)
                         for n in range(2, 9) for k in range(1, min(n, 4)) for i in range(n - k))
@@ -498,14 +497,6 @@ def test_truncated_json_lines_reject_what_the_enumerator_rejects(n, k, i):
     with pytest.raises(C.InputError) as got:
         list(U.truncated_json_lines(n, k, i))
     assert str(got.value) == str(want.value)
-
-
-def test_caracol_outdegree_closed_form():
-    """The shade of render_truncated_text comes from (n, k) alone, without
-    building the caracol graph."""
-    for n in range(2, 13):
-        for k in range(1, n):
-            assert U._caracol_outdegree(n, k) == G.shifted_outdegree(G.caracol_k(n, k)), (n, k)
 
 
 def test_truncated_count_large_instance():
