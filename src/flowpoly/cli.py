@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import combinat, gravity, lidskii, paths, unified
 from . import graphs as gr
-from .combinat import InputError
+from .combinat import InputError, all_ints
 from .kostant import integral_flows, kostant
 
 
@@ -126,14 +126,10 @@ def _int_list(text: str, what: str, pairs: bool = False) -> tuple:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad {what}: {exc}") from None
-
-    def ints(x) -> bool:
-        return isinstance(x, list) and all(type(e) is int for e in x)
-
     if pairs:
-        ok = isinstance(value, list) and all(ints(p) and len(p) == 2 for p in value)
+        ok = isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 and all_ints(p) for p in value)
     else:
-        ok = ints(value)
+        ok = isinstance(value, list) and all_ints(value)
     if not ok:
         shape = "[i, j] pairs of integers" if pairs else "integers"
         raise InputError(f"bad {what}: expected a JSON list of {shape}")

@@ -55,6 +55,17 @@ class Record:
         head, *rest = self.to_json().split("[]")
         return [head + "[", *["]" + mid + "[" for mid in rest[:-1]], "]" + rest[-1]]
 
+    @classmethod
+    def unchecked(cls, *values):
+        """The record of these field values, in declaration order, without the check
+        of __post_init__: for code whose fields are valid by construction.  Each field
+        is written as the dataclass __init__ writes it; vars(record).update would give
+        the record its own dict, which slows every later read and hash of it."""
+        record, put = object.__new__(cls), object.__setattr__
+        for name, value in zip(cls.__dataclass_fields__, values):
+            put(record, name, value)
+        return record
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k); zero when k > n, and an error on negative arguments."""
@@ -78,10 +89,13 @@ def multichoose(n: int, k: int) -> int:
     return (-1) ** k * math.comb(-n, k)
 
 
-def check_composition(t: Sequence[int]) -> tuple[int, ...]:
-    """t as a tuple, once no part of it is negative."""
+def check_composition(t: Iterable[int]) -> tuple[int, ...]:
+    """t as a tuple, once every part is an int and none is negative: the one
+    reader of a composition."""
     t = tuple(t)
-    if any(tj < 0 for tj in t):
+    if not all_ints(t):  # first: '1' < 0 is itself a TypeError
+        raise InputError(f"composition parts must be ints, got {t}")
+    if t and min(t) < 0:
         raise InputError(f"composition parts must be nonnegative, got {t}")
     return t
 
@@ -160,6 +174,7 @@ def dominates(s: Sequence[int], t: Sequence[int]) -> bool:
 
     Both compositions must have the same length and the same total.
     """
+    s, t = check_composition(s), check_composition(t)
     if len(s) != len(t):
         raise InputError(f"lengths differ: {len(s)} vs {len(t)}")
     ps, pt = prefix_sums(s), prefix_sums(t)
@@ -176,6 +191,7 @@ def capped_compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, 
     rightmost p whose c_p > 0 can move one unit into the room after p.  The
     fill stops when no unit is left, and the search for p zeroes each
     position it passes, so every position after the fill is already 0."""
+    total, *caps = check_composition((total, *caps))  # the total and each cap: nonnegative ints
     size = len(caps)
     room = [*accumulate(reversed(caps), initial=0)][::-1]  # room[p]: the most positions p.. hold
     if total > room[0]:
@@ -258,8 +274,6 @@ def _dominating_steps(t: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
     it may step from next are a stack: it pops p, keeps p if s_p > 0 and
     P_p(s) > P_p(t) still hold, then pushes p+1 if P_{p+1}(t) < |t|."""
     t = check_composition(t)
-    if not all_ints(t):  # the steps do arithmetic on the parts: 1.5 or True would pass through
-        raise InputError(f"composition parts must be ints, got {t}")
     size, total = len(t), sum(t)
     floor = prefix_sums(t)
     s = [0] * size

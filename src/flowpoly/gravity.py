@@ -160,12 +160,13 @@ def _family_ab(n: int, k: int) -> tuple[int, int]:
 
 
 def _path(n: int, k: int, code: list[int]) -> TDyckPath:
-    """The path whose north steps cross at x = 0 and at the code's x_i."""
+    """The path whose north steps cross at x = 0 and at the code's x_i; a caracol code
+    gives a rational Dyck path, so it is built unchecked."""
     a, b = _family_ab(n, k)
     steps = [1] + [0] * (b - 1)
     for x in code:
         steps[x] += 1
-    return TDyckPath(tuple(steps), rational_shape(a, b))
+    return TDyckPath.unchecked(tuple(steps), rational_shape(a, b))
 
 
 def _code(path: TDyckPath, n: int, k: int) -> list[int]:

@@ -23,6 +23,7 @@ from .combinat import (
     InputError,
     Record,
     _dominating_steps,
+    all_ints,
     capped_compositions,
     check_parking_level,
     dominates,
@@ -38,24 +39,16 @@ class TDyckPath(Record):
     reference: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            dominating = dominates(self.shape, self.reference)
-        except TypeError:  # an entry that adds to no int; the maps read ints only
-            dominating = False
-        if not dominating:
+        if not dominates(self.shape, self.reference):
             raise InputError(f"{self.shape} does not dominate {self.reference}")
 
 
 def enumerate_t_dyck(t: Sequence[int]) -> Iterator[TDyckPath]:
     """All t-Dyck paths, in the dominance iterator's lex-decreasing order.
-    Each shape dominates t by construction, so its record skips the check
-    of __post_init__; put writes each field as the dataclass __init__ does."""
-    t, new, put = tuple(t), object.__new__, object.__setattr__
+    Each shape dominates t by construction, so its record is built unchecked."""
+    t = tuple(t)
     for s in dominating_compositions(t):
-        path = new(TDyckPath)
-        put(path, "shape", s)
-        put(path, "reference", t)
-        yield path
+        yield TDyckPath.unchecked(s, t)
 
 
 def t_dyck_json_lines(t: Sequence[int]) -> Iterator[str]:
@@ -63,7 +56,7 @@ def t_dyck_json_lines(t: Sequence[int]) -> Iterator[str]:
     A step at p changes s_p and s_{p+1} and leaves only zeros after them, so each line
     keeps the line before up to the text of s_p."""
     t, texts = tuple(t), ElementTexts()
-    head, mid, tail = TDyckPath((), ()).json_frame()
+    head, mid, tail = TDyckPath.unchecked((), ()).json_frame()
     tail = mid + texts.join(t) + tail
     size = len(t)
     starts = [len(head)] * size  # starts[q]: where the text of s_q begins in `line`
@@ -83,7 +76,7 @@ def t_dyck_text_lines(t: Sequence[int]) -> Iterator[str]:
         yield f"{''.join(['N' * sj + 'E' for sj in s])}  shape={s}"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True never hit the keys 2 and 1
 def rational_shape(a: int, b: int) -> tuple[int, ...]:
     """The composition t (length b, sum a) whose t-Dyck paths are exactly the
     rational (a,b)-Dyck paths: t_j = ceil(aj/b) - ceil(a(j-1)/b).
@@ -91,8 +84,8 @@ def rational_shape(a: int, b: int) -> tuple[int, ...]:
     Both orderings of a and b occur (the k = 1 caracol family uses b = a-1),
     so only coprimality is required.
     """
-    if a < 1 or b < 1:
-        raise InputError(f"rational_shape needs a, b >= 1, got ({a}, {b})")
+    if not all_ints((a, b)) or a < 1 or b < 1:
+        raise InputError(f"rational_shape needs a, b >= 1, got ({a!r}, {b!r})")
     if math.gcd(a, b) != 1:
         raise InputError(f"({a}, {b}) are not coprime")
     heights = [-(-a * j // b) for j in range(b + 1)]

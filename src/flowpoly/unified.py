@@ -98,7 +98,7 @@ def unified_diagrams(
 class TruncatedDiagram(Record):
     """A truncated level-(k, i) diagram, level = i, accepted when it is built only if
     theta_inverse gives it back from its theta image; so no map of it checks it, and
-    the code that writes canonical fields builds it unchecked with _truncated."""
+    the code that writes canonical fields builds it with TruncatedDiagram.unchecked."""
 
     n: int
     k: int
@@ -116,18 +116,6 @@ class TruncatedDiagram(Record):
         m = theta(self)  # drops a segment whose h names no column, which so does not come back
         if theta_inverse(m, self.n, self.k) != self:
             raise InputError(f"not the canonical level-{self.level} record of its image {m.labels}")
-
-
-def _truncated(n, k, level, tail, tail_labels, segments, new=object.__new__, put=object.__setattr__):
-    """The record of canonical fields, unchecked; put writes each as the dataclass __init__ does."""
-    u = new(TruncatedDiagram)
-    put(u, "n", n)
-    put(u, "k", k)
-    put(u, "level", level)
-    put(u, "tail", tail)
-    put(u, "tail_labels", tail_labels)
-    put(u, "segments", segments)
-    return u
 
 
 def _segment_multisets(
@@ -157,12 +145,12 @@ def _check_level(n: int, k: int, i: int) -> int:
 
 def enumerate_truncated(n: int, k: int, i: int) -> Iterator[TruncatedDiagram]:
     """All truncated level-(k, i) diagrams; there are T_k(n-k-1, i)."""
-    yield from _truncated_rows(n, k, i, (tuple,) * 3, partial(_truncated, n, k, i))
+    yield from _truncated_rows(n, k, i, (tuple,) * 3, partial(TruncatedDiagram.unchecked, n, k, i))
 
 
 def truncated_json_lines(n: int, k: int, i: int) -> Iterator[str]:
     """The `to_json` lines of enumerate_truncated(n, k, i), in its order, with no record built."""
-    head, mid, mid2, end = _truncated(n, k, i, (), (), ()).json_frame()
+    head, mid, mid2, end = TruncatedDiagram.unchecked(n, k, i, (), (), ()).json_frame()
     yield from _truncated_rows(n, k, i, (ElementTexts().join,) * 3,
                                lambda q, lab, segs: f"{head}{q}{mid}{lab}{mid2}{segs}{end}")
 
@@ -238,7 +226,7 @@ def theta_inverse(m: MultiLabeledDyckPath, n: int, k: int) -> TruncatedDiagram:
     i = sum(tail)
     if sorted(chain.from_iterable(tail_labels)) != list(range(1, i + 1)):
         raise InputError("car labels must be 1..i, once each")
-    return _truncated(n, k, i, tail, tuple(tail_labels), tuple(segs))
+    return TruncatedDiagram.unchecked(n, k, i, tail, tuple(tail_labels), tuple(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +311,7 @@ def cyclic_shift(z: int, u: TruncatedDiagram) -> TruncatedDiagram:
     column, keeping everything right of column k fixed."""
     k = u.k
     segs = tuple(sorted((h, (l - 1 - z) % k + 1) for h, l in u.segments))
-    return _truncated(u.n, k, u.level, u.tail, u.tail_labels, segs)
+    return TruncatedDiagram.unchecked(u.n, k, u.level, u.tail, u.tail_labels, segs)
 
 
 def truncated_orbits(n: int, k: int, i: int) -> list[list[TruncatedDiagram]]:

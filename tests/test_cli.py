@@ -577,6 +577,8 @@ BAD_INPUTS = [
     ("kostant --graph ps:n=4 --vector [true,0,0,-1]", "list of integers"),
     ("volume --graph ps:n=4 --netflow custom:[2.5,-0.5,1,-3]", "list of integers"),
     ("volume --graph edges:[(1,2),(2,3.9)] --netflow unit", "pairs of integers"),
+    ("volume --graph edges:[(1,2,3)] --netflow unit", "pairs of integers"),
+    ("volume --graph edges:[(1,2),(2)] --netflow unit", "pairs of integers"),
     ("tables parking --k 2 --rmax 3 --out /nonexistent/x.txt", "cannot write"),
     # an empty file name is a file that cannot be written, not an absent --out
     ("tables parking --k 1 --rmax 1 --out=", "cannot write"),
@@ -603,6 +605,12 @@ BAD_INPUTS = [
     ("volume --graph mcar:a=2,k=2 --netflow xy:x=1,y=-1 --method unified",
      "need x, y >= 0, got x=1, y=-1"),
 ]
+
+
+def test_an_edge_list_of_int_pairs_is_a_graph(capsys):
+    """Two parallel edges 1 -> 2, then 2 -> 3, and 1 -> 3: three flows of one unit."""
+    code, out, _ = run(capsys, "kostant", "--graph", "edges:[(1,2),(1,2),(2,3),(1,3)]", "--vector", "[1,0,-1]")
+    assert code == 0 and "kostant: 3\n" in out
 
 
 @pytest.mark.parametrize("argv, message", BAD_INPUTS)

@@ -370,6 +370,48 @@ def test_negative_parts_fail_one_check():
             C.multinomial(sum(t), t)
 
 
+# a bad part, and the message that rejects it
+BAD_PARTS = {"str": ("1", "must be ints"), "float": (1.0, "must be ints"), "fraction": (1.5, "must be ints"),
+             "bool": (True, "must be ints"), "negative": (-1, "must be nonnegative")}
+# each reader of a composition, given the composition (part, 1)
+COMPOSITION_READERS = {
+    "check_composition": C.check_composition,
+    "dominates s": lambda t: C.dominates(t, (0, 1)),
+    "dominates t": lambda t: C.dominates((1, 0), t),
+    "count_dominating": C.count_dominating,
+    "count_dominating labelled": lambda t: C.count_dominating(t, labelled=True),
+    "multinomial": lambda t: C.multinomial(1, t),
+    "dominating_compositions": lambda t: next(C.dominating_compositions(t)),
+    "simplex_partition": U.simplex_partition,
+    "capped_compositions caps": lambda t: next(C.capped_compositions(1, t)),
+    "capped_compositions total": lambda t: next(C.capped_compositions(t[0], (3, 3))),
+    "TDyckPath shape": lambda t: P.TDyckPath(t, (1, 0)),
+    "TDyckPath reference": lambda t: P.TDyckPath((1, 0), t),
+}
+
+
+@pytest.mark.parametrize("part, message", BAD_PARTS.values(), ids=list(BAD_PARTS))
+@pytest.mark.parametrize("read", COMPOSITION_READERS.values(), ids=list(COMPOSITION_READERS))
+def test_every_composition_reader_takes_nonnegative_ints_only(read, part, message):
+    """Each bad part once gave an answer or a TypeError somewhere; the type is
+    checked before the sign, since '1' < 0 is itself a TypeError."""
+    with pytest.raises(C.InputError, match=f"composition parts {message}"):
+        read((part, 1))
+
+
+def test_unchecked_records_equal_the_checked_ones():
+    """Record.unchecked writes the fields the constructor writes: every listed truncated
+    record with n <= 7 and every t-Dyck path of three shapes equals, and hashes as, the
+    record its class builds with the check."""
+    records = [u for n in range(2, 8) for k in range(1, n) for i in range(n - k) for u in U.enumerate_truncated(n, k, i)]
+    records += [p for t in [(1, 1, 0), (0, 0, 3, 0, 1), P.rational_shape(4, 7)] for p in P.enumerate_t_dyck(t)]
+    assert len(records) == 5751 + 2 + 35 + 30
+    for record in records:
+        fields = [getattr(record, name) for name in record.__dataclass_fields__]
+        unchecked, checked = type(record).unchecked(*fields), type(record)(*fields)
+        assert unchecked == checked == record and hash(unchecked) == hash(checked), record
+
+
 def test_compositions_dominating_prefixes():
     # the labeled initial paths completing a hull (3, 4): every composition
     # of 7 into two parts whose first part is at least 3

@@ -303,8 +303,9 @@ def test_malformed_diagram_errors():
     (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1.0, 3),)), "int triples, colours ints"),
     (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), ("1", 1)),
      r"int triples, colours ints, got .*, \('1', 1\)"),
-    (lambda p: GR.psi_in_inverse(p, 3, 1), P.TDyckPath(("1",), ("1",)), r"path is not an \(2,1\)-Dyck path"),
-    (lambda p: GR.psi_out_inverse(p, 3, 1), P.TDyckPath((True,), (1,)), r"path is not an \(2,1\)-Dyck path"),
+    # the constructor rejects these paths; one built unchecked still meets the map's reader
+    (lambda p: GR.psi_in_inverse(p, 3, 1), P.TDyckPath.unchecked(("1",), ("1",)), r"path is not an \(2,1\)-Dyck path"),
+    (lambda p: GR.psi_out_inverse(p, 3, 1), P.TDyckPath.unchecked((True,), (1,)), r"path is not an \(2,1\)-Dyck path"),
     # the path readers check (n, k) before they read the path
     (lambda p: GR.psi_in_inverse(p, 2, 0), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=2, k=0"),
     (lambda p: GR.psi_out_inverse(p, 3, 3), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=3, k=3"),
@@ -328,6 +329,22 @@ def test_malformed_diagram_errors():
 def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
     with pytest.raises(C.InputError, match=message):
         psi(d)
+
+
+@pytest.mark.parametrize("shape, reference", [(("1",), ("1",)), ((True,), (1,))], ids=["str", "bool"])
+def test_a_path_of_no_int_steps_is_not_built(shape, reference):
+    """The rows above reach the path readers only through TDyckPath.unchecked."""
+    with pytest.raises(C.InputError, match="composition parts must be ints"):
+        P.TDyckPath(shape, reference)
+
+
+def test_a_path_with_a_negative_step_reaches_no_diagram():
+    """(3, -1, 0) has the sum and prefix sums of a (2,3)-Dyck path; it would map to the
+    diagram of (2, 0, 0), so the inverse would not be injective."""
+    path = P.TDyckPath.unchecked((3, -1, 0), (1, 1, 0))
+    for inverse in GR.psi_in_inverse, GR.psi_out_inverse:
+        with pytest.raises(C.InputError, match="must be nonnegative"):
+            inverse(path, 4, 2)
 
 
 @pytest.mark.parametrize("n,k,segments", [

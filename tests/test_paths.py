@@ -114,12 +114,25 @@ def test_rational_shape_not_coprime():
         P.rational_shape(0, 3)
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 3), (2, 3.0), (True, 2), ("2", 3)])
+def test_rational_shape_reads_ints_only_whatever_is_cached(a, b):
+    """The cache is typed: 2.0 and True are not the cached keys 2 and 1."""
+    P.rational_shape.cache_clear()
+    with pytest.raises(C.InputError, match="rational_shape needs a, b >= 1"):
+        P.rational_shape(a, b)
+    P.rational_shape(int(a), int(b))
+    with pytest.raises(C.InputError, match="rational_shape needs a, b >= 1"):
+        P.rational_shape(a, b)
+
+
 @pytest.mark.parametrize("shape, reference, message", [
     ((0, 1), (1, 0), r"\(0, 1\) does not dominate \(1, 0\)"),
     ((1, 0), (1,), "lengths differ: 2 vs 1"),
     ((1, 0), (0, 2), "sums differ: 1 vs 2"),
-    (("1", 0), ("1", 0), r"\('1', 0\) does not dominate \('1', 0\)"),
-], ids=["not dominating", "length mismatch", "sum mismatch", "string step"])
+    (("1", 0), ("1", 0), r"composition parts must be ints, got \('1', 0\)"),
+    # its prefix sums dominate; psi_in_inverse(., 4, 2) would map it to the diagram of (2, 0, 0)
+    ((3, -1, 0), (1, 1, 0), r"composition parts must be nonnegative, got \(3, -1, 0\)"),
+], ids=["not dominating", "length mismatch", "sum mismatch", "string step", "negative step"])
 def test_t_dyck_path_rejects_a_shape_off_its_reference(shape, reference, message):
     with pytest.raises(C.InputError, match=message):
         P.TDyckPath(shape, reference)
