@@ -394,9 +394,13 @@ def _suite_simplex(report: RunReport, total: int, k: int) -> None:
 def _suite_orbits(report: RunReport, n: int, k: int) -> None:
     m = gr.caracol_k(n, k).num_edges  # rejects n <= k, which would run no check
     for i in range(n - k):
+        # completions(u) depends on k_hull(u) alone, so it is counted once per hull
+        orbits = [[(unified.k_hull(u), u) for u in orbit] for orbit in unified.truncated_orbits(n, k, i)]
+        by_hull = {hull: u for orbit in orbits for hull, u in orbit}
+        by_hull = {hull: unified.completions(u) for hull, u in by_hull.items()}
         ok = all(
-            sum(unified.completions(u) for u in orbit) * k == len(orbit) * k ** (m - n - i)
-            for orbit in unified.truncated_orbits(n, k, i)
+            sum(by_hull[hull] for hull, _ in orbit) * k == len(orbit) * k ** (m - n - i)
+            for orbit in orbits
         )
         report.check(f"orbit completion sums at level {i}", True, ok)
         report.check(

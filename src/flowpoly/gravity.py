@@ -25,10 +25,8 @@ x_i <= ki - 1, listed lex increasing by both enumerators; x_i is where north
 step i+1 of the rational (a, ka-1)-Dyck path that `_path` writes and `_code`
 reads crosses (step 1 at x = 0).  xi sends x to y_j = k(a-1)-1 - x_{a-j}.
 
-Every map reads a diagram by one rule: it reads the raw code, requires the
-code domain above, and accepts the diagram only when the family's canonical
-writer (`_in_diagram`, `_out_diagram`, `_mcar_diagram`) gives it back from
-that code; a path is read when its b columns are ints and it dominates rational_shape(a, b).
+A diagram is checked once, when it is built (`GravityDiagram`), so a map checks
+its kind alone; a path is read when its b columns are ints and dominate rational_shape(a, b).
 """
 from __future__ import annotations
 
@@ -49,13 +47,32 @@ class GravityDiagram(Record):
     """kind is "in", "out" or "mcar-out"; n holds the family's first
     parameter (a for the multicaracol family).  segments are (row, left,
     right) triples; colors align with segments for the multicaracol kind
-    and are None for the other two."""
+    and are None for the other two.  The one acceptance rule: a diagram is
+    built only when (n, k) names its family, its segments and colours are
+    ints, the raw code `_read` gives is a caracol code and its kind's writer
+    gives it back from that code; code that writes canonical fields builds
+    with GravityDiagram.unchecked."""
 
     kind: str
     n: int
     k: int
     segments: tuple[tuple[int, int, int], ...]
     colors: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        kind, n, k, segs = self.kind, self.n, self.k, self.segments
+        write = _kind(kind)[1]  # bound at import, so a writer rebound in the module is not called here
+        if kind == "mcar-out":
+            check_multicaracol(n, k)
+            n += k  # xi_inverse reads the caracol code at (a + k, k)
+        tops = _code_tops(n, k)
+        if {*map(type, segs)} - {tuple} or {*map(len, segs)} - {3} or not all_ints(chain(*segs, self.colors or ())):
+            raise InputError(f"segments are (row, left, right) int triples, colours ints, got {segs}, {self.colors}")
+        code = _read(self, kind)
+        if len(code) != len(tops) or not all(map(le, [0, *code], code)) or any(map(gt, code, tops)):
+            raise InputError(f"code {code} is no caracol code at n={n}, k={k}")
+        if write(self.n, k, code) != self:
+            raise InputError(f"not the canonical {kind} diagram of its code {code}")
 
 
 # Each enumerator lists the pieces its _*_rows builder concatenates: the
@@ -72,21 +89,19 @@ def _code_tops(n: int, k: int) -> list[int]:
     return [k * i - 1 for i in range(1, n - k)]
 
 
-def _triples(d: GravityDiagram) -> tuple:
-    segs = d.segments
-    if {*map(type, segs)} - {tuple} or {*map(len, segs)} - {3} or not all_ints(chain(*segs, d.colors or ())):
-        raise InputError(f"segments are (row, left, right) int triples, colours ints, got {segs}, {d.colors}")
-    return segs
-
-
-def _accepted(d: GravityDiagram, n: int, k: int, code: list[int], write: Callable) -> list[int]:
-    """code, once it is a caracol code at (n, k) and `write` gives d back from it."""
-    tops = _code_tops(n, k)
-    if len(code) != len(tops) or not all(map(le, [0, *code], code)) or any(map(gt, code, tops)):
-        raise InputError(f"code {code} is no caracol code at n={n}, k={k}")
-    if (canonical := write(d.n, d.k, code)) != d:
-        raise InputError(f"not the canonical {canonical.kind} diagram of its code {code}")
-    return code
+def _read(d: GravityDiagram, kind: str) -> list[int]:
+    """The raw code x_1..x_{a-1} of d, once d is a diagram of `kind`, read as its kind's writer writes it."""
+    if d.kind != kind:
+        raise InputError(f"expected a diagram of kind {kind!r}, got {d.kind!r}")
+    k, segs = d.k, d.segments
+    if kind == "in":  # x_i counts the segments [j, n] with j <= k+i
+        js = sorted([j for _, j, _ in segs])
+        return [bisect_right(js, k + i) for i in range(1, d.n - k)]
+    if kind == "out":  # row i's (r-k)k + k-l, 0 for a row that d leaves out
+        x = {row: (r - k) * k + k - l for row, l, r in segs}
+        return [x.get(i, 0) for i in range(1, d.n - k)]
+    # each [0, c] of colour l stretched back to [l, k + c], whose code is k(c+1) - l
+    return [k * (c + 1) - col for (_, _, c), col in zip(segs, d.colors or ())][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +111,7 @@ def _accepted(d: GravityDiagram, n: int, k: int, code: list[int], write: Callabl
 def enumerate_in_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     """Canonical in-degree diagrams for the (n, k) caracol graph, lex increasing in their code."""
     for segs in _in_rows(n, k, _same):
-        yield GravityDiagram("in", n, k, segs)
+        yield GravityDiagram.unchecked("in", n, k, segs, None)
 
 
 def _in_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
@@ -110,7 +125,7 @@ def _in_diagram(n: int, k: int, code: list[int]) -> GravityDiagram:
     """Column k+i takes rows x_{i-1}+1..x_i."""
     segs = [(row, j, n) for j, low, x in zip(range(k + 1, n), [0, *code], code)
             for row in range(low + 1, x + 1)]
-    return GravityDiagram("in", n, k, tuple(segs))
+    return GravityDiagram.unchecked("in", n, k, tuple(segs), None)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +136,7 @@ def enumerate_out_gravity(n: int, k: int) -> Iterator[GravityDiagram]:
     """Canonical out-degree diagrams for the (n, k) caracol graph, lex
     increasing in their code; `segments` keeps the nontrivial rows only."""
     for segs in _out_rows(n, k, _same):
-        yield GravityDiagram("out", n, k, segs)
+        yield GravityDiagram.unchecked("out", n, k, segs, None)
 
 
 def _out_rows(n: int, k: int, enc: Callable) -> Iterator[tuple]:
@@ -138,15 +153,7 @@ def _out_row(k: int, i: int, x: int) -> tuple[int, int, int]:
 
 def _out_diagram(n: int, k: int, code: Iterable[int]) -> GravityDiagram:
     segs = [_out_row(k, i, x) for i, x in enumerate(code, 1) if x]
-    return GravityDiagram("out", n, k, tuple(segs))
-
-
-def _out_code(d: GravityDiagram) -> list[int]:
-    """Row i's (r-k)k + k-l, 0 for a row that d leaves out."""
-    k = d.k
-    a, _ = _family_ab(d.n, k)
-    x = {row: (r - k) * k + k - l for row, l, r in _triples(d)}
-    return _accepted(d, d.n, k, [x.get(i, 0) for i in range(1, a)], _out_diagram)
+    return GravityDiagram.unchecked("out", n, k, tuple(segs), None)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +190,7 @@ def psi_in(d: GravityDiagram) -> TDyckPath:
     """Rotate an in-degree diagram onto its rational (a, b)-Dyck path: the
     q segments, longest first, occupy the first q grid columns, and the
     column holding segment [j, n] has its east step at height j - k."""
-    n, k = d.n, d.k
-    js = sorted([j for _, j, _ in _triples(d)])
-    code = [bisect_right(js, k + i) for i in range(1, _family_ab(n, k)[0])]  # x_i: the [j, n] with j <= k+i
-    return _path(n, k, _accepted(d, n, k, code, _in_diagram))
+    return _path(d.n, d.k, _read(d, "in"))
 
 
 def psi_in_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
@@ -197,7 +201,7 @@ def psi_in_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
 def psi_out(d: GravityDiagram) -> TDyckPath:
     """Embed each row's segment [l, r] with its left endpoint in the grid
     column (r-k)(k-1), so its right endpoint lands on its code x."""
-    return _path(d.n, d.k, _out_code(d))
+    return _path(d.n, d.k, _read(d, "out"))
 
 
 def psi_out_inverse(path: TDyckPath, n: int, k: int) -> GravityDiagram:
@@ -231,7 +235,7 @@ def enumerate_out_gravity_mcar(a: int, k: int) -> Iterator[GravityDiagram]:
     """Canonical coloured out-degree diagrams for the (a, k) multicaracol
     graph, lex increasing in their code, y_i >= k(i-1); segments and colours alternate."""
     for both in _mcar_rows(a, k, _same):
-        yield GravityDiagram("mcar-out", a, k, both[0::2], both[1::2])
+        yield GravityDiagram.unchecked("mcar-out", a, k, both[0::2], both[1::2])
 
 
 def _mcar_rows(a: int, k: int, enc: Callable) -> Iterator[tuple]:
@@ -254,22 +258,19 @@ def _mcar_diagram(a: int, k: int, code: list[int]) -> GravityDiagram:
     """Row j's segment and colour from y_j = k(a-1)-1 - x_{a-j}."""
     top = k * (a - 1) - 1
     rows = [_mcar_row(a, k, j, top - x) for j, x in enumerate(reversed(code), 1)]
-    return GravityDiagram("mcar-out", a, k, tuple([s for s, _ in rows]), tuple([c for _, c in rows]))
+    return GravityDiagram.unchecked("mcar-out", a, k, tuple([s for s, _ in rows]), tuple([c for _, c in rows]))
 
 
 def xi(d: GravityDiagram) -> GravityDiagram:
     """Project a caracol out-degree diagram to a multicaracol one: the first
     k columns collapse to column 0 and a segment starting in column l is
     coloured l."""
-    return _mcar_diagram(_family_ab(d.n, d.k)[0], d.k, _out_code(d))
+    return _mcar_diagram(d.n - d.k, d.k, _read(d, "out"))
 
 
 def xi_inverse(d: GravityDiagram) -> GravityDiagram:
     """Stretch each [0, c] of colour l back to [l, k + c], whose code is x = k(c+1) - l."""
-    a, k = d.n, d.k
-    check_multicaracol(a, k)
-    code = [k * (c + 1) - col for (_, _, c), col in zip(_triples(d), d.colors or ())]
-    return _out_diagram(a + k, k, _accepted(d, a + k, k, code[::-1], _mcar_diagram))
+    return _out_diagram(d.n + d.k, d.k, _read(d, "mcar-out"))
 
 
 def count_gravity(n: int, k: int) -> int:
@@ -283,13 +284,14 @@ def count_gravity(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # JSON and text lines
 
-_ROWS = {"in": _in_rows, "out": _out_rows, "mcar-out": _mcar_rows}
+# kind -> its row builder and its canonical writer
+_KINDS = {"in": (_in_rows, _in_diagram), "out": (_out_rows, _out_diagram), "mcar-out": (_mcar_rows, _mcar_diagram)}
 
 
-def _rows(kind: str) -> Callable:
-    if kind not in _ROWS:
-        raise InputError(f"unknown gravity kind {kind!r}; expected {', '.join(_ROWS)}")
-    return _ROWS[kind]
+def _kind(kind: str) -> tuple[Callable, Callable]:
+    if kind not in _KINDS:
+        raise InputError(f"unknown gravity kind {kind!r}; expected {', '.join(_KINDS)}")
+    return _KINDS[kind]
 
 
 def json_lines(kind: str, n: int, k: int) -> Iterator[str]:
@@ -298,13 +300,13 @@ def json_lines(kind: str, n: int, k: int) -> Iterator[str]:
     record built: the enumerator's piece table holds each element's JSON
     text, and a line joins its pieces' texts inside the line of the
     diagram with no segments, cut at its empty arrays."""
-    pieces = _rows(kind)(n, k, ElementTexts().__getitem__)
+    pieces = _kind(kind)[0](n, k, ElementTexts().__getitem__)
     if kind != "mcar-out":
-        head, tail = GravityDiagram(kind, n, k, ()).json_frame()
+        head, tail = GravityDiagram.unchecked(kind, n, k, (), None).json_frame()
         for segs in pieces:
             yield head + ", ".join(segs) + tail
         return
-    head, mid, tail = GravityDiagram(kind, n, k, (), ()).json_frame()
+    head, mid, tail = GravityDiagram.unchecked(kind, n, k, (), ()).json_frame()
     for both in pieces:
         yield head + ", ".join(both[0::2]) + mid + ", ".join(both[1::2]) + tail
 
@@ -337,7 +339,7 @@ def text_lines(kind: str, n: int, k: int) -> Iterator[str]:
     the lowest), each drawn once in the enumerator's piece table, then the
     rows no segment covers, drawn once per call; a multicaracol picture
     ends in its colours."""
-    rows_of = _rows(kind)
+    rows_of = _kind(kind)[0]
     header, height, draw = _picture(kind, n, k)
     blank = [draw(row, 0, -1) for row in range(1, height + 1)]
     if kind == "in":

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 from flowpoly import graphs as G
 from flowpoly import lidskii as L
 from flowpoly.combinat import InputError, Record, dominates, multinomial, prefix_sums
-from flowpoly.gravity import GravityDiagram, _out_code, _out_row
+from flowpoly.gravity import GravityDiagram, _out_row, _read
 from flowpoly.kostant import KostantEvaluator, kostant
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath, _column_label_sets
 from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
@@ -140,7 +140,7 @@ def volume_unit_flow(g: G.DirectedMultigraph) -> int:
 def out_segments_by_row(d: GravityDiagram) -> list[tuple[int, int]]:
     """[l, r] per row 1..n-k-1 (bottom up), trivial rows as (k, k): each
     row's code from the one reader, written back by the one row writer."""
-    return [_out_row(d.k, i, x)[1:] for i, x in enumerate(_out_code(d), 1)]
+    return [_out_row(d.k, i, x)[1:] for i, x in enumerate(_read(d, "out"), 1)]
 
 
 def psi_out_subpartition(d: GravityDiagram) -> tuple[int, ...]:

@@ -797,9 +797,10 @@ def one_segment_fewer(write):
     return lambda *args: dataclasses.replace(d := write(*args), segments=d.segments[:-1])
 
 
-# Each map accepts a diagram only when its family's canonical writer gives it
-# back, so a fault in a writer makes a map reject the diagrams the library
-# lists: a failed check as well, not the exit 2 of bad input.
+# A diagram is checked when it is built, against its kind's canonical writer
+# as the module bound it, so a writer with a fault writes a diagram that its
+# check rejects or that is not the listed one, and a map of a listed record
+# fails: a failed check as well, not the exit 2 of bad input.
 WRITER_SITES = [
     (BIJECTIONS, gravity, "_in_diagram", one_segment_fewer,
      "psi_in round trip: expected True, got False"),

@@ -401,11 +401,15 @@ def test_every_composition_reader_takes_nonnegative_ints_only(read, part, messag
 
 def test_unchecked_records_equal_the_checked_ones():
     """Record.unchecked writes the fields the constructor writes: every listed truncated
-    record with n <= 7 and every t-Dyck path of three shapes equals, and hashes as, the
-    record its class builds with the check."""
+    record with n <= 7, every t-Dyck path of three shapes and every listed gravity
+    diagram of the three kinds with n <= 7 or a <= 4 passes the check, and equals and
+    hashes as the record its class builds with it."""
     records = [u for n in range(2, 8) for k in range(1, n) for i in range(n - k) for u in U.enumerate_truncated(n, k, i)]
     records += [p for t in [(1, 1, 0), (0, 0, 3, 0, 1), P.rational_shape(4, 7)] for p in P.enumerate_t_dyck(t)]
-    assert len(records) == 5751 + 2 + 35 + 30
+    records += [d for n in range(2, 8) for k in range(1, n)
+                for d in (*GR.enumerate_in_gravity(n, k), *GR.enumerate_out_gravity(n, k))]
+    records += [d for a in range(1, 5) for k in range(1, 4) for d in GR.enumerate_out_gravity_mcar(a, k)]
+    assert len(records) == 5751 + 2 + 35 + 30 + 792 + 159
     for record in records:
         fields = [getattr(record, name) for name in record.__dataclass_fields__]
         unchecked, checked = type(record).unchecked(*fields), type(record)(*fields)
@@ -491,7 +495,7 @@ def test_record_rejects_a_line_of_the_wrong_shape(line):
 
 
 def test_record_reads_a_null_field_as_none():
-    line = '{"kind": "in", "n": 1, "k": 2, "segments": [], "colors": null}'
+    line = '{"kind": "in", "n": 4, "k": 2, "segments": [], "colors": null}'
     d = record_from_json(GR.GravityDiagram, line)
-    assert d == GR.GravityDiagram("in", 1, 2, ())
-    assert d.to_json() == '{"kind": "in", "n": 1, "k": 2, "segments": []}'
+    assert d == GR.GravityDiagram("in", 4, 2, ())
+    assert d.to_json() == '{"kind": "in", "n": 4, "k": 2, "segments": []}'

@@ -1,17 +1,17 @@
 """Seeded fuzz of the maps of the model and of the command line.
 
-Each map of the model accepts a record only when its family's canonical
-writer gives the record back from its code.  A truncated record is
-checked once, when it is built: it is accepted only when theta_inverse
-gives it back from its theta image, and theta, cyclic_shift, k_hull and
-completions check nothing.  So a mutated listed record, an entry of it
-moved, dropped or given another type among them, is built inside the
-rejection check, and is either rejected with an InputError or mapped to an
-image that the inverse takes back to the same record, a record the
-enumerator lists; a truncated mutant that is built is a listed record, and
-each truncated map gives for it what it gives for that record.  The
-command line keeps its exit-code contract on every argv: 0, 1 or 2, no
-traceback, and one `error:` line on exit 2.
+A record of the model is checked once, when it is built: a gravity
+diagram is accepted only when its kind's canonical writer gives it back
+from its code, and a truncated record only when theta_inverse gives it back
+from its theta image.  psi_in, psi_out, xi and xi_inverse check the kind
+alone, and theta, cyclic_shift, k_hull and completions check nothing.  So a
+mutated listed record, an entry of it moved, dropped or given another type
+among them, is built inside the rejection check, and is either rejected
+with an InputError or mapped to an image that the inverse takes back to the
+same record, a record the enumerator lists; a gravity or truncated mutant
+that is built is a listed record, and each of its maps gives for it what
+it gives for that record.  The command line keeps its exit-code contract on
+every argv: 0, 1 or 2, no traceback, and one `error:` line on exit 2.
 """
 from __future__ import annotations
 
@@ -187,6 +187,29 @@ def test_a_truncated_mutant_is_rejected_when_built_or_is_read_as_its_listed_twin
             assert u in twins, u
             assert [repr(f(u)) for f in maps] == [repr(f(twins[u])) for f in maps], u
             seen["listed"] += 1
+    assert min(seen.values()) > 0, seen  # both outcomes occur
+
+
+def test_a_gravity_mutant_is_rejected_when_built_or_is_read_as_its_listed_twin():
+    """The gravity maps check the kind alone, so a mutant that is built must
+    equal a record listed at its own parameters, and every map of its kind
+    must read it as that record."""
+    rng = random.Random(1)
+    maps = {"in": (GR.psi_in,), "out": (GR.psi_out, GR.xi), "mcar-out": (GR.xi_inverse,)}
+    seen = {"rejected": 0, "listed": 0}
+    for n, k in SIZES:
+        for kind, params in [("in", (n, k)), ("out", (n, k)), ("mcar-out", (n - k, k))]:
+            for build in mutants(rng, listed(kind, *params), MUTANTS):
+                try:
+                    d = build()
+                except InputError:
+                    seen["rejected"] += 1
+                    continue
+                twins = listed(kind, d.n, d.k)  # a shifted n or k may name another family
+                assert d in twins, d
+                twin = twins[twins.index(d)]
+                assert [repr(f(d)) for f in maps[kind]] == [repr(f(twin)) for f in maps[kind]], d
+                seen["listed"] += 1
     assert min(seen.values()) > 0, seen  # both outcomes occur
 
 

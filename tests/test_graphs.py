@@ -143,6 +143,8 @@ def test_bad_parameters():
         G.caracol_k(4, 0)
     with pytest.raises(InputError, match="needs a, k >= 1"):
         G.multicaracol(0, 2)
+    with pytest.raises(InputError, match="complete_graph needs n >= 1"):
+        G.complete_graph(0)
 
 
 def test_degree_vectors_caracol():

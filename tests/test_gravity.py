@@ -223,30 +223,28 @@ def test_render_text_golden():
 
 def test_malformed_diagram_errors():
     d_in = GR.GravityDiagram("in", 5, 2, ())
-    with pytest.raises(C.InputError, match=r"not the canonical out diagram of its code \[0, 0\]"):
-        GR.psi_out(d_in)
     d_out = GR.GravityDiagram("out", 5, 2, ())
-    with pytest.raises(C.InputError, match=r"not the canonical in diagram of its code \[0, 0\]"):
+    # a built diagram was checked then, so each map checks its kind alone
+    with pytest.raises(C.InputError, match=r"expected a diagram of kind 'out', got 'in'"):
+        GR.psi_out(d_in)
+    with pytest.raises(C.InputError, match=r"expected a diagram of kind 'in', got 'out'"):
         GR.psi_in(d_out)
     bad_path = P.TDyckPath((3,) + (0,) * 4, P.rational_shape(3, 5))
     with pytest.raises(C.InputError, match=r"not an \(5,9\)-Dyck path"):
         GR.psi_in_inverse(bad_path, 7, 2)  # wrong family size
-    with pytest.raises(C.InputError, match=r"not the canonical out diagram of its code \[0, 0\]"):
+    with pytest.raises(C.InputError, match=r"expected a diagram of kind 'out', got 'in'"):
         GR.xi(d_in)
-    with pytest.raises(C.InputError, match=r"code \[\] is no caracol code at n=7, k=2"):
+    with pytest.raises(C.InputError, match=r"expected a diagram of kind 'mcar-out', got 'out'"):
         GR.xi_inverse(d_out)
     # (4, 2) has a (2, 3)-Dyck grid: three columns, so four segments overflow it
-    crowded = GR.GravityDiagram("in", 4, 2, tuple((row, 3, 4) for row in range(1, 5)))
     with pytest.raises(C.InputError, match=r"code \[4\] is no caracol code at n=4, k=2"):
-        GR.psi_in(crowded)
+        GR.GravityDiagram("in", 4, 2, tuple((row, 3, 4) for row in range(1, 5)))
     # longer segments sit in higher rows, so row 1 holds the longest
-    upside_down = GR.GravityDiagram("in", 5, 2, ((1, 4, 5), (2, 3, 5)))
     with pytest.raises(C.InputError, match=r"not the canonical in diagram of its code \[1, 2\]"):
-        GR.psi_in(upside_down)
+        GR.GravityDiagram("in", 5, 2, ((1, 4, 5), (2, 3, 5)))
     # row 1's code 1 above row 2's trivial code 0
-    falling = GR.GravityDiagram("out", 5, 2, ((1, 1, 2),))
     with pytest.raises(C.InputError, match=r"code \[1, 0\] is no caracol code at n=5, k=2"):
-        GR.psi_out(falling)
+        GR.GravityDiagram("out", 5, 2, ((1, 1, 2),))
     with pytest.raises(C.InputError, match=r"not an \(5,9\)-Dyck path"):
         GR.psi_out_inverse(bad_path, 7, 2)
     # (4, 2) has a (2, 3)-Dyck grid; each shape is its own reference here
@@ -256,52 +254,53 @@ def test_malformed_diagram_errors():
         GR.psi_out_inverse(P.TDyckPath((1, 0, 1), (1, 0, 1)), 4, 2)
 
 
+# d is a diagram's fields, built inside the rejection check, or a path
 @pytest.mark.parametrize("psi, d, message", [
     # r = 9 is past the (2, 3) grid, whose row 1 holds codes 0..1 only
-    (GR.psi_out, GR.GravityDiagram("out", 4, 2, ((1, 1, 9),)),
+    (GR.psi_out, ("out", 4, 2, ((1, 1, 9),)),
      r"code \[15\] is no caracol code at n=4, k=2"),
-    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((3, 1, 2),)),
+    (GR.psi_out, ("out", 5, 2, ((3, 1, 2),)),
      r"not the canonical out diagram of its code \[0, 0\]"),
-    (GR.xi, GR.GravityDiagram("out", 5, 2, ((0, 1, 2),)),
+    (GR.xi, ("out", 5, 2, ((0, 1, 2),)),
      r"not the canonical out diagram of its code \[0, 0\]"),
-    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 3, 4),)),
+    (GR.psi_in, ("in", 5, 2, ((1, 3, 4),)),
      r"not the canonical in diagram of its code \[1, 1\]"),
     # a segment from column k or n would sit at height 0 or a
-    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 2, 5),)),
+    (GR.psi_in, ("in", 5, 2, ((1, 2, 5),)),
      r"not the canonical in diagram of its code \[1, 1\]"),
-    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((1, 5, 5),)),
+    (GR.psi_in, ("in", 5, 2, ((1, 5, 5),)),
      r"not the canonical in diagram of its code \[0, 0\]"),
     # a lone segment sits in row 1
-    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((7, 3, 5),)),
+    (GR.psi_in, ("in", 5, 2, ((7, 3, 5),)),
      r"not the canonical in diagram of its code \[1, 1\]"),
     # the canonical drawing lists its rows top down
-    (GR.psi_in, GR.GravityDiagram("in", 5, 2, ((2, 4, 5), (1, 3, 5))),
+    (GR.psi_in, ("in", 5, 2, ((2, 4, 5), (1, 3, 5))),
      r"not the canonical in diagram of its code \[1, 2\]"),
-    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1, 2), (2, 2, 3))),
+    (GR.psi_out, ("out", 5, 2, ((2, 1, 2), (2, 2, 3))),
      r"not the canonical out diagram of its code \[0, 2\]"),
     # the canonical drawing lists its nontrivial rows bottom up, and no trivial one
-    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1, 3), (1, 1, 2))),
+    (GR.psi_out, ("out", 5, 2, ((2, 1, 3), (1, 1, 2))),
      r"not the canonical out diagram of its code \[1, 3\]"),
-    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((1, 2, 2),)),
+    (GR.psi_out, ("out", 5, 2, ((1, 2, 2),)),
      r"not the canonical out diagram of its code \[0, 0\]"),
-    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (1,)),
+    (GR.xi_inverse, ("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (1,)),
      r"code \[3\] is no caracol code at n=5, k=2"),
-    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (3, 1)),
+    (GR.xi_inverse, ("mcar-out", 3, 2, ((1, 0, 1), (2, 0, 0)), (3, 1)),
      r"not the canonical mcar-out diagram of its code \[1, 1\]"),
     # row 1 of a = 3 reaches column 1 only
-    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 2), (2, 0, 0)), (1, 1)),
+    (GR.xi_inverse, ("mcar-out", 3, 2, ((1, 0, 2), (2, 0, 0)), (1, 1)),
      r"code \[1, 5\] is no caracol code at n=5, k=2"),
-    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((2, 0, 0), (1, 0, 1)), (1, 1)),
+    (GR.xi_inverse, ("mcar-out", 3, 2, ((2, 0, 0), (1, 0, 1)), (1, 1)),
      r"code \[3, 1\] is no caracol code at n=5, k=2"),
     # lengths must descend down the rows
-    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), (2, 1)),
+    (GR.xi_inverse, ("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), (2, 1)),
      r"code \[1, 0\] is no caracol code at n=5, k=2"),
-    # each reader takes ints only: True and 1.0 equal 1, so the writer alone would give them back
-    (GR.psi_in, GR.GravityDiagram("in", 5, 2, (3,)), r"int triples, colours ints, got \(3,\)"),
-    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((1, "1", 3),)), "int triples, colours ints"),
-    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, True, 3),)), "int triples, colours ints"),
-    (GR.psi_out, GR.GravityDiagram("out", 5, 2, ((2, 1.0, 3),)), "int triples, colours ints"),
-    (GR.xi_inverse, GR.GravityDiagram("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), ("1", 1)),
+    # the check takes ints only: True and 1.0 equal 1, so the writer alone would give them back
+    (GR.psi_in, ("in", 5, 2, (3,)), r"int triples, colours ints, got \(3,\)"),
+    (GR.psi_out, ("out", 5, 2, ((1, "1", 3),)), "int triples, colours ints"),
+    (GR.psi_out, ("out", 5, 2, ((2, True, 3),)), "int triples, colours ints"),
+    (GR.psi_out, ("out", 5, 2, ((2, 1.0, 3),)), "int triples, colours ints"),
+    (GR.xi_inverse, ("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), ("1", 1)),
      r"int triples, colours ints, got .*, \('1', 1\)"),
     # the constructor rejects these paths; one built unchecked still meets the map's reader
     (lambda p: GR.psi_in_inverse(p, 3, 1), P.TDyckPath.unchecked(("1",), ("1",)), r"path is not an \(2,1\)-Dyck path"),
@@ -310,11 +309,11 @@ def test_malformed_diagram_errors():
     (lambda p: GR.psi_in_inverse(p, 2, 0), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=2, k=0"),
     (lambda p: GR.psi_out_inverse(p, 3, 3), P.TDyckPath((1,), (1,)), "needs n > k >= 1, got n=3, k=3"),
     # a scalar field that is no int is read by the family check, before any code
-    (GR.psi_in, GR.GravityDiagram("in", "5", 2, ()), "needs n > k >= 1, got n='5', k=2"),
-    (GR.psi_in, GR.GravityDiagram("in", 5.0, 2, ()), "needs n > k >= 1, got n=5.0, k=2"),
-    (GR.psi_out, GR.GravityDiagram("out", 5, "2", ()), "needs n > k >= 1, got n=5, k='2'"),
-    (GR.xi, GR.GravityDiagram("out", 5, 2.0, ()), "needs n > k >= 1, got n=5, k=2.0"),
-    (GR.xi_inverse, GR.GravityDiagram("mcar-out", True, 2, (), ()), "needs a, k >= 1, got a=True, k=2"),
+    (GR.psi_in, ("in", "5", 2, ()), "needs n > k >= 1, got n='5', k=2"),
+    (GR.psi_in, ("in", 5.0, 2, ()), "needs n > k >= 1, got n=5.0, k=2"),
+    (GR.psi_out, ("out", 5, "2", ()), "needs n > k >= 1, got n=5, k='2'"),
+    (GR.xi, ("out", 5, 2.0, ()), "needs n > k >= 1, got n=5, k=2.0"),
+    (GR.xi_inverse, ("mcar-out", True, 2, (), ()), "needs a, k >= 1, got a=True, k=2"),
 ], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
         "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n",
         "psi_in row past its column", "psi_in rows out of order", "out row with two segments",
@@ -327,8 +326,9 @@ def test_malformed_diagram_errors():
         "psi_out_inverse n = k", "psi_in n a string", "psi_in n a float", "psi_out k a string",
         "xi k a float", "xi_inverse a True"])
 def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
+    """A malformed diagram is rejected when it is built, so it never reaches the map."""
     with pytest.raises(C.InputError, match=message):
-        psi(d)
+        psi(GR.GravityDiagram(*d) if type(d) is tuple else d)
 
 
 @pytest.mark.parametrize("shape, reference", [(("1",), ("1",)), ((True,), (1,))], ids=["str", "bool"])
@@ -358,10 +358,10 @@ def test_a_path_with_a_negative_step_reaches_no_diagram():
 ], ids=["codes falling", "segment past its row", "left end 0", "row above the top",
         "two segments in a row", "rows out of order", "trivial row listed"])
 def test_xi_rejects_what_psi_out_rejects(n, k, segments):
-    d = GR.GravityDiagram("out", n, k, segments)
-    message = _outcome(GR.psi_out, d)
-    assert isinstance(message, str)
-    assert _outcome(GR.xi, d) == message
+    """psi_out and xi read the same out-degree records, so a diagram either
+    would reject is not built for both."""
+    with pytest.raises(C.InputError):
+        GR.GravityDiagram("out", n, k, segments)
 
 
 def _crossings(path):

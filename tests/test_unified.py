@@ -440,6 +440,8 @@ def test_stratified_counts_check_the_family_parameters():
         U.count_unified_stratified(3, 5, 1, 1)
     with pytest.raises(C.InputError, match="needs a, k >= 1, got a=0, k=2"):
         U.count_unified_stratified_mcar(0, 2, 1, 1)
+    with pytest.raises(C.InputError, match="simplex_partition needs at least 2 parts"):
+        U.simplex_partition((3,))
 
 
 def test_unified_iterate_matches_count():
