@@ -66,8 +66,10 @@ class GravityDiagram(Record):
             check_multicaracol(n, k)
             n += k  # xi_inverse reads the caracol code at (a + k, k)
         tops = _code_tops(n, k)
-        if {*map(type, segs)} - {tuple} or {*map(len, segs)} - {3} or not all_ints(chain(*segs, self.colors or ())):
-            raise InputError(f"segments are (row, left, right) int triples, colours ints, got {segs}, {self.colors}")
+        if (type(segs) is not tuple or {*map(type, (self.colors or (), *segs))} - {tuple}
+                or {*map(len, segs)} - {3} or not all_ints(chain(*segs, self.colors or ()))):
+            raise InputError(f"segments and colours are tuples, segments (row, left, right) int triples, "
+                             f"colours ints, got {segs}, {self.colors}")
         code = _read(self, kind)
         if len(code) != len(tops) or not all(map(le, [0, *code], code)) or any(map(gt, code, tops)):
             raise InputError(f"code {code} is no caracol code at n={n}, k={k}")
@@ -289,7 +291,7 @@ _KINDS = {"in": (_in_rows, _in_diagram), "out": (_out_rows, _out_diagram), "mcar
 
 
 def _kind(kind: str) -> tuple[Callable, Callable]:
-    if kind not in _KINDS:
+    if type(kind) is not str or kind not in _KINDS:  # a kind that is no str may not be hashable
         raise InputError(f"unknown gravity kind {kind!r}; expected {', '.join(_KINDS)}")
     return _KINDS[kind]
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, product
-from operator import ge
+from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
 from .combinat import (
@@ -36,7 +35,6 @@ from .combinat import (
     Record,
     all_ints,
     binomial,
-    capped_compositions,
     check_composition,
     check_parking_level,
     count_dominating,
@@ -110,9 +108,11 @@ class TruncatedDiagram(Record):
     def __post_init__(self):
         _check_level(self.n, self.k, self.level)
         segs = self.segments
-        if ({*map(type, (*self.tail_labels, *segs))} - {tuple} or {*map(len, segs)} - {2}
+        if ({*map(type, (self.tail, self.tail_labels, segs))} - {tuple}
+                or {*map(type, (*self.tail_labels, *segs))} - {tuple} or {*map(len, segs)} - {2}
                 or not all_ints(chain(self.tail, *segs))):
-            raise InputError("tail parts are ints, tail labels tuples and segments (h, l) int pairs")
+            raise InputError("the tail, its labels and the segments are tuples: "
+                             "tail parts are ints, tail labels tuples and segments (h, l) int pairs")
         m = theta(self)  # drops a segment whose h names no column, which so does not come back
         if theta_inverse(m, self.n, self.k) != self:
             raise InputError(f"not the canonical level-{self.level} record of its image {m.labels}")
@@ -309,25 +309,38 @@ def standardized_count_formula(n: int, k: int, i: int) -> int:
 def cyclic_shift(z: int, u: TruncatedDiagram) -> TruncatedDiagram:
     """Induced action on truncated diagrams: shift each segment's left
     column, keeping everything right of column k fixed."""
-    k = u.k
-    segs = tuple(sorted((h, (l - 1 - z) % k + 1) for h, l in u.segments))
-    return TruncatedDiagram.unchecked(u.n, k, u.level, u.tail, u.tail_labels, segs)
+    segs = _shifted_segments(z, u.k, u.segments)
+    return TruncatedDiagram.unchecked(u.n, u.k, u.level, u.tail, u.tail_labels, segs)
+
+
+def _shifted_segments(z: int, k: int, segments: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The segment multiset with each left column l moved to (l - 1 - z) mod k + 1, sorted."""
+    return tuple(sorted((h, (l - 1 - z) % k + 1) for h, l in segments))
 
 
 def truncated_orbits(n: int, k: int, i: int) -> list[list[TruncatedDiagram]]:
-    """Partition the truncated diagrams into orbits of the cyclic action."""
-    seen: set[TruncatedDiagram] = set()
+    """Partition the truncated diagrams into orbits of the cyclic action, each
+    listed from its first diagram in enumerate_truncated's order.  The action
+    keeps the tail and its labels, so each tail's segment multisets are split
+    into orbits once, and each labeling builds each orbit's first record and
+    shifts it once per further member."""
+    r = _check_level(n, k, i)
+    build = partial(TruncatedDiagram.unchecked, n, k, i)
     orbits = []
-    for u in enumerate_truncated(n, k, i):
-        if u in seen:
-            continue
-        orbit = []
-        v = u
-        while v not in seen:
-            seen.add(v)
-            orbit.append(v)
-            v = cyclic_shift(1, v)
-        orbits.append(orbit)
+    for tail in dominating_compositions((0,) * (r - i) + (1,) * i):
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        firsts = []  # each orbit's first segment multiset and its size
+        for segs in _segment_multisets(k, r, i, tail):
+            first, size = segs, 0
+            while segs not in seen:
+                seen.add(segs)
+                segs, size = _shifted_segments(1, k, segs), size + 1
+            if size:
+                firsts.append((first, size))
+        for labels in _column_label_sets(tuple(range(1, i + 1)), tail):
+            for segs, size in firsts:
+                u = build(tail, labels, segs)
+                orbits.append([u, *(cyclic_shift(z, u) for z in range(1, size))])
     return orbits
 
 
@@ -342,9 +355,11 @@ def simplex_partition(
     rotation of the base point.
 
     Block j has the base point c_j = c0 + e_{k-1} - e_{j-1} and holds the d
-    whose rotation by j dominates c_j rotated by j; a c_j with a negative
-    part holds nothing.  Each d goes to every block it qualifies for;
-    `verify simplex` checks that each lands in exactly one.
+    whose rotation by j dominates c_j rotated by j, lex decreasing; a c_j
+    with a negative part holds nothing.  So block j lists the s dominating
+    c_j rotated by j and rotates each back by k - j.  Blocks are listed
+    independently, so a d may land in two; `verify simplex` checks that
+    each lands in exactly one.
     """
     c0 = check_composition(c0)
     k = len(c0)
@@ -352,15 +367,10 @@ def simplex_partition(
         raise InputError("simplex_partition needs at least 2 parts")
     up = c0[:-1] + (c0[-1] + 1,)  # c0 + e_{k-1}
     bases = [c0] + [up[: j - 1] + (up[j - 1] - 1,) + up[j:] for j in range(1, k)]
-    blocks = [(cj, []) for cj in bases]
-    # each owner's rotated base point as prefix sums, once; d and it share length and sum
-    owners = [(j, prefix_sums(cj[j:] + cj[:j]), members)
-              for j, (cj, members) in enumerate(blocks) if min(cj) >= 0]
-    total = sum(c0)
-    for d in capped_compositions(total, (total,) * k):
-        for j, floor, members in owners:
-            if all(map(ge, accumulate(d[j:] + d[:j]), floor)):
-                members.append(d)
+    blocks = []
+    for j, cj in enumerate(bases):
+        rotated = dominating_compositions(cj[j:] + cj[:j]) if min(cj) >= 0 else ()
+        blocks.append((cj, sorted((s[k - j:] + s[:k - j] for s in rotated), reverse=True)))
     return blocks
 
 

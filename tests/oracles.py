@@ -15,7 +15,7 @@ from flowpoly.combinat import InputError, Record, dominates, multinomial, prefix
 from flowpoly.gravity import GravityDiagram, _out_row, _read
 from flowpoly.kostant import KostantEvaluator, kostant
 from flowpoly.paths import MultiLabeledDyckPath, TDyckPath, _column_label_sets
-from flowpoly.unified import TruncatedDiagram, completions, enumerate_truncated
+from flowpoly.unified import TruncatedDiagram, completions, cyclic_shift, enumerate_truncated
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -291,6 +291,24 @@ def simplex_partition_by_dominance(
     simplex = list(weak_compositions(sum(c0), k))
     return [(cj, [d for d in simplex if min(cj) >= 0 and dominates(d[j:] + d[:j], cj[j:] + cj[:j])])
             for j, cj in enumerate(bases)]
+
+
+def truncated_orbits_by_records(n: int, k: int, i: int) -> list[list[TruncatedDiagram]]:
+    """unified.truncated_orbits by shifting each listed record not yet seen
+    with `cyclic_shift` until the shift comes back to a record seen."""
+    seen: set[TruncatedDiagram] = set()
+    orbits = []
+    for u in enumerate_truncated(n, k, i):
+        if u in seen:
+            continue
+        orbit = []
+        v = u
+        while v not in seen:
+            seen.add(v)
+            orbit.append(v)
+            v = cyclic_shift(1, v)
+        orbits.append(orbit)
+    return orbits
 
 
 # ---------------------------------------------------------------------------

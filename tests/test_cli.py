@@ -693,6 +693,11 @@ def one_more(f):
     return lambda *args: [*f(*args), ()]
 
 
+def last_twice(f):
+    """f with the last item of its listing listed twice."""
+    return lambda *args: [*(items := list(f(*args))), *items[-1:]]
+
+
 def constant(value):
     return lambda f: lambda *args: value
 
@@ -766,9 +771,9 @@ CHECK_SITES = [
     # off by one at the doubled ones flow alone, the only flows with a[0] = 2
     (LIDSKII, lidskii, "volume", lambda f: lambda g, a: f(g, a) + (a[0] == 2),
      "volume homogeneity of degree m-n: expected True, got False"),
-    # every rotated d read as (3, 3, 3), above every base point: d joins every block
-    ("verify simplex --N 3 --simplex-k 3", unified, "accumulate", constant((3, 3, 3)),
-     "disjoint covers for all base points (N=3, k=3): expected 10, got 1"),
+    # every block lists its last member twice, so no base point's blocks are disjoint
+    ("verify simplex --N 3 --simplex-k 3", unified, "dominating_compositions", last_twice,
+     "disjoint covers for all base points (N=3, k=3): expected 10, got 0"),
     ("verify simplex --N 3 --simplex-k 2", combinat, "multinomial", constant(1),
      "base points whose block totals differ from k^N: expected [], got "
      "[[3, 0], [2, 1], [1, 2], [0, 3]]"),

@@ -314,6 +314,12 @@ def test_malformed_diagram_errors():
     (GR.psi_out, ("out", 5, "2", ()), "needs n > k >= 1, got n=5, k='2'"),
     (GR.xi, ("out", 5, 2.0, ()), "needs n > k >= 1, got n=5, k=2.0"),
     (GR.xi_inverse, ("mcar-out", True, 2, (), ()), "needs a, k >= 1, got a=True, k=2"),
+    # a tuple field that is no iterable, or a kind that is not hashable
+    (GR.psi_in, ("in", 5, 2, 5), r"segments and colours are tuples, .*, got 5, None"),
+    (GR.psi_out, ("out", 5, 2, None), r"segments and colours are tuples, .*, got None, None"),
+    (GR.xi_inverse, ("mcar-out", 3, 2, ((1, 0, 0), (2, 0, 0)), 5),
+     r"segments and colours are tuples, .*, got \(\(1, 0, 0\), \(2, 0, 0\)\), 5"),
+    (GR.psi_in, (["in"], 5, 2, ()), r"unknown gravity kind \['in'\]"),
 ], ids=["psi_out segment past its row", "psi_out row above the top", "xi row 0",
         "psi_in segment short of n", "psi_in segment from k", "psi_in segment from n",
         "psi_in row past its column", "psi_in rows out of order", "out row with two segments",
@@ -324,7 +330,8 @@ def test_malformed_diagram_errors():
         "psi_out entry True", "psi_out entry a float", "xi_inverse colour a string",
         "psi_in_inverse step a string", "psi_out_inverse step True", "psi_in_inverse k = 0",
         "psi_out_inverse n = k", "psi_in n a string", "psi_in n a float", "psi_out k a string",
-        "xi k a float", "xi_inverse a True"])
+        "xi k a float", "xi_inverse a True", "psi_in segments an int", "psi_out segments None",
+        "xi_inverse colours an int", "psi_in kind a list"])
 def test_psi_maps_reject_a_malformed_diagram(psi, d, message):
     """A malformed diagram is rejected when it is built, so it never reaches the map."""
     with pytest.raises(C.InputError, match=message):

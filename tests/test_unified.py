@@ -21,6 +21,7 @@ from oracles import (
     simplex_partition_by_dominance,
     standardized_count_enumerated,
     standardized_count_listed,
+    truncated_orbits_by_records,
     weak_compositions,
 )
 
@@ -146,6 +147,10 @@ def theta_of(fields):
      "the k-caracol graph needs n > k >= 1, got n=5.0, k=2"),
     (theta_of, (5, 2, 0.0, (0, 0), ((), ()), ((0, 1), (0, 1))),
      r"the k-parking triangle needs 0 <= i <= r, got i=0.0, r=2"),
+    # a field that is no tuple, read before any of its parts
+    (theta_of, (5, 2, 0, 5, ((), ()), ((0, 1), (0, 1))), "the tail, its labels and the segments are tuples"),
+    (theta_of, (5, 2, 0, (0, 0), None, ((0, 1), (0, 1))), "the tail, its labels and the segments are tuples"),
+    (theta_of, (5, 2, 0, (0, 0), ((), ()), 5), "the tail, its labels and the segments are tuples"),
 ], ids=["theta segment past the last column", "theta segment before the first column",
         "theta segment from past column k",
         "theta label off the tail", "theta level below its labels",
@@ -157,7 +162,8 @@ def theta_of(fields):
         "theta_inverse labels not ascending", "theta_inverse label columns missing",
         "theta_inverse more steps than columns", "theta_inverse barred label past k",
         "theta_inverse label column an int", "theta_inverse label True", "theta_inverse step a float",
-        "theta_inverse k = 0", "theta_inverse n a string", "theta n a float", "theta level a float"])
+        "theta_inverse k = 0", "theta_inverse n a string", "theta n a float", "theta level a float",
+        "theta tail an int", "theta labels None", "theta segments an int"])
 def test_theta_maps_reject_malformed_input(apply, arg, message):
     with pytest.raises(C.InputError, match=message):
         apply(arg)
@@ -307,6 +313,20 @@ def test_records_the_truncated_maps_once_read_are_rejected_when_built(fields, me
         U.TruncatedDiagram(*fields)
 
 
+def test_truncated_orbits_match_the_record_walk():
+    """Splitting each tail's segment multisets into orbits once is shifting
+    each listed record until it comes back: the same orbits, in the same
+    order and each in the same order, at every level with n <= 8."""
+    records = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            for i in range(n - k):
+                orbits = U.truncated_orbits(n, k, i)
+                assert orbits == truncated_orbits_by_records(n, k, i), (n, k, i)
+                records += sum(map(len, orbits))
+    assert records == 69000
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 3)])
 def test_orbit_sums(n, k):
     m = (k + 1) * (n - k) + n - 2
@@ -376,11 +396,11 @@ def test_simplex_partition_exhaustive():
 
 
 def test_simplex_partition_matches_the_dominance_test():
-    """Testing each rotated d's prefix sums against each owner's is asking
-    `dominates`: the same blocks, in the same order, for every base point
-    with N <= 5 and k <= 4."""
-    for k in (2, 3, 4):
-        for total in range(6):
+    """Listing the compositions that dominate each rotated base point and
+    rotating them back is asking `dominates` of every d: the same blocks, in
+    the same order, for every base point with N <= 6 and k <= 5."""
+    for k in (2, 3, 4, 5):
+        for total in range(7):
             for c0 in weak_compositions(total, k):
                 assert U.simplex_partition(c0) == simplex_partition_by_dominance(c0), c0
 
